@@ -4,7 +4,8 @@ Subcommands mirror the pipelines: generate, expsum, average, chain,
 correlation, deviation, vdc-selftest.  Flags map 1:1 onto config-file keys
 (--config loads a key=value file first, explicit flags override) and the
 ERGOLAB_WORKERS environment variable sets the default worker count -
-affecting speed only, never output bytes.
+affecting speed only, never output bytes.  Rejected input ends the run
+with one "ergolab: error: ..." line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -143,8 +144,14 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
-    report = run_experiment(cfg)
+    try:
+        cfg = config_from_args(args)
+        report = run_experiment(cfg)
+    except ValueError as exc:
+        # ExpressionError, EvalDomainError, InsufficientPrecisionError and
+        # OutOfRangeError all subclass ValueError
+        print(f"ergolab: error: {exc}", file=sys.stderr)
+        return 2
     main_table = report.table("main")
     print(f"pipeline={cfg.pipeline} experiment={cfg.fingerprint()} "
           f"rows={len(main_table.rows)}")

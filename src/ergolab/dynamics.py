@@ -50,9 +50,7 @@ NAMED_ANGLES = {
 
 def _resolve_angle(alpha) -> int:
     """Angle as a 128-bit fixed-point integer in [0, 2^128)."""
-    old = mp.prec
-    mp.prec = _FP_BITS + 64
-    try:
+    with mp.workprec(_FP_BITS + 64):
         if isinstance(alpha, str):
             name = alpha.strip()
             if name == "sqrt2m1":
@@ -67,8 +65,6 @@ def _resolve_angle(alpha) -> int:
             val = mp.mpf(alpha)
         val = val - mp.floor(val)
         return int(mp.floor(val * (1 << _FP_BITS)))
-    finally:
-        mp.prec = old
 
 
 class DynamicalSystem:
@@ -138,14 +134,6 @@ class RotationSystem(DynamicalSystem):
         else:
             self.known_mean = 0j
         self._check_bounded()
-
-    def _orbit_fracs_exact(self, x: float, iterates) -> np.ndarray:
-        """Reference path: arbitrary-precision integers, one k at a time."""
-        x_fp = int(math.floor((x % 1.0) * (1 << _FP_BITS)))
-        a = self.alpha_fp
-        mask = _FP_MASK
-        vals = [((x_fp + int(k) * a) & mask) for k in iterates]
-        return np.array(vals, dtype=np.float64) * _FP_INV
 
     def _orbit_fracs(self, x: float, iterates: np.ndarray) -> np.ndarray:
         """frac(x + k alpha) for an int64 array of iterates.
@@ -317,23 +305,27 @@ class BernoulliSystem(DynamicalSystem):
         return [(child_seed(seed, 0xB000 + i), 0) for i in range(count)]
 
 
-def make_system(kind: str, **kwargs) -> DynamicalSystem:
-    """Factory used by the CLI: rotation | cyclic | bernoulli."""
+def make_system(
+    kind: str,
+    alpha="sqrt2m1",
+    observable=None,
+    q: int = 5,
+    alphabet: int = 2,
+    window: int = 8,
+) -> DynamicalSystem:
+    """rotation | cyclic | bernoulli.
+
+    alpha applies to the rotation, q to the cyclic shift, alphabet and
+    window to the Bernoulli shift.  observable None picks the system's
+    default ("e" on the rotation, "roots" on the cyclic shift); the
+    Bernoulli shift has one observable and ignores it.
+    """
     if kind == "rotation":
-        return RotationSystem(
-            alpha=kwargs.get("alpha", "sqrt2m1"),
-            observable=kwargs.get("observable", "e"),
-        )
+        return RotationSystem(alpha, "e" if observable is None else observable)
     if kind == "cyclic":
-        return CyclicSystem(
-            q=int(kwargs.get("q", 5)),
-            observable=kwargs.get("observable", "roots"),
-        )
+        return CyclicSystem(int(q), "roots" if observable is None else observable)
     if kind == "bernoulli":
-        return BernoulliSystem(
-            alphabet=int(kwargs.get("alphabet", 2)),
-            window=int(kwargs.get("window", 8)),
-        )
+        return BernoulliSystem(int(alphabet), int(window))
     raise ValueError(f"unknown system kind {kind!r}")
 
 

@@ -406,85 +406,58 @@ def _power_form(root: Node) -> Optional[Fraction]:
     return None
 
 
-def _compile_mpf(node: Node):
-    """Closure tree for repeated mpf evaluation (cuts dispatch overhead)."""
+def _compile(node: Node, ctx):
+    """Closure tree evaluating node in ctx (mp or iv) at ctx's precision.
+
+    Both contexts provide mpf, exp and log, so one evaluator serves point
+    values and outward-rounded enclosures.  `not arg > 0` rejects log
+    arguments that are nonpositive, and in iv also intervals straddling 0,
+    which compare as None.
+    """
     if isinstance(node, Const):
         num, den = node.value.numerator, node.value.denominator
         if den == 1:
-            return lambda x: mp.mpf(num)
-        return lambda x: mp.mpf(num) / den
+            return lambda x: ctx.mpf(num)
+        return lambda x: ctx.mpf(num) / den
     if isinstance(node, Var):
         return lambda x: x
     if isinstance(node, Add):
-        f, g = _compile_mpf(node.left), _compile_mpf(node.right)
+        f, g = _compile(node.left, ctx), _compile(node.right, ctx)
         return lambda x: f(x) + g(x)
     if isinstance(node, Mul):
-        f, g = _compile_mpf(node.left), _compile_mpf(node.right)
+        f, g = _compile(node.left, ctx), _compile(node.right, ctx)
         return lambda x: f(x) * g(x)
     if isinstance(node, Exp):
-        f = _compile_mpf(node.arg)
-        return lambda x: mp.exp(f(x))
-    f = _compile_mpf(node.arg)
+        f, exp = _compile(node.arg, ctx), ctx.exp
+        return lambda x: exp(f(x))
+    f, log = _compile(node.arg, ctx), ctx.log
 
     def ev_log(x):
         arg = f(x)
-        if arg <= 0:
+        if not arg > 0:
             raise EvalDomainError(f"log of nonpositive value {arg}")
-        return mp.log(arg)
+        return log(arg)
 
     return ev_log
 
 
-def _eval_mpf(node: Node, x):
-    """Evaluate at an mpf argument under the caller's mp.prec."""
-    if isinstance(node, Const):
-        return mp.mpf(node.value.numerator) / node.value.denominator
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Add):
-        return _eval_mpf(node.left, x) + _eval_mpf(node.right, x)
-    if isinstance(node, Mul):
-        return _eval_mpf(node.left, x) * _eval_mpf(node.right, x)
-    if isinstance(node, Exp):
-        return mp.exp(_eval_mpf(node.arg, x))
-    arg = _eval_mpf(node.arg, x)
-    if arg <= 0:
-        raise EvalDomainError(f"log of nonpositive value {arg}")
-    return mp.log(arg)
-
-
-def _eval_interval(node: Node, x):
-    """Evaluate to an outward-rounded interval under the caller's iv.prec."""
-    if isinstance(node, Const):
-        return iv.mpf(node.value.numerator) / node.value.denominator
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Add):
-        return _eval_interval(node.left, x) + _eval_interval(node.right, x)
-    if isinstance(node, Mul):
-        return _eval_interval(node.left, x) * _eval_interval(node.right, x)
-    if isinstance(node, Exp):
-        return iv.exp(_eval_interval(node.arg, x))
-    arg = _eval_interval(node.arg, x)
-    if arg.a <= 0:
-        raise EvalDomainError(f"log of possibly nonpositive value {arg}")
-    return iv.log(arg)
+def _required_bits(magnitude) -> int:
+    """The precision rule: 64 + ceil(log2(1 + magnitude)) bits."""
+    with mp.workprec(96):
+        return 64 + int(mp.ceil(mp.log(1 + magnitude, 2)))
 
 
 def _validate_domain(root: Node, source: str, domain_start: float) -> None:
     xs = np.geomspace(max(domain_start, 1e-9), _VALIDATION_TOP, _VALIDATION_POINTS)
-    old = mp.prec
-    mp.prec = _VALIDATION_PREC
-    try:
+    fn = _compile(root, mp)
+    with mp.workprec(_VALIDATION_PREC):
         for xv in [domain_start, *xs.tolist()]:
             try:
-                _eval_mpf(root, mp.mpf(xv))
+                fn(mp.mpf(xv))
             except EvalDomainError as exc:
                 raise ExpressionError(
                     f"expression {source!r} undefined at x={xv:g}: {exc}"
                 ) from exc
-    finally:
-        mp.prec = old
 
 
 def parse_expression(
@@ -521,20 +494,10 @@ def power_phase(exponent: Union[str, float, Fraction], epsilon_hint: Optional[fl
     return parse_expression(f"x^({q})", epsilon_hint=epsilon_hint)
 
 
-def magnitude_bits(p: HardyExpr, x: Union[int, float]) -> int:
-    """ceil(log2(1 + |p(x)|)) - the integer-part size the rule must cover."""
-    old = mp.prec
-    mp.prec = 96
-    try:
-        val = abs(_eval_mpf(p.root, mp.mpf(x)))
-        return int(mp.ceil(mp.log(1 + val, 2)))
-    finally:
-        mp.prec = old
-
-
 def minimum_precision(p: HardyExpr, x: Union[int, float]) -> int:
     """Smallest precision_bits satisfying the rule at argument x."""
-    return 64 + magnitude_bits(p, x)
+    with mp.workprec(96):
+        return _required_bits(abs(_compile(p.root, mp)(mp.mpf(x))))
 
 
 def eval_mod1(p: HardyExpr, x: int, precision_bits: int) -> PhaseValue:
@@ -553,32 +516,30 @@ def eval_mod1(p: HardyExpr, x: int, precision_bits: int) -> PhaseValue:
     if p.integer_polynomial:
         return PhaseValue(0.0, precision_bits, 0.0)
 
+    # mpmath's iv context has no workprec, hence the one save/restore
     old = iv.prec
     iv.prec = precision_bits
     try:
-        enclosure = _eval_interval(p.root, iv.mpf(int(x)))
-        lo, hi = mp.mpf(enclosure.a), mp.mpf(enclosure.b)
+        enclosure = _compile(p.root, iv)(iv.mpf(int(x)))
     finally:
         iv.prec = old
 
-    magnitude = max(abs(lo), abs(hi))
-    required = 64 + int(mp.ceil(mp.log(1 + magnitude, 2)))
-    if precision_bits < required:
-        raise InsufficientPrecisionError(
-            f"precision rule needs >= {required} bits at x={x}, got {precision_bits}"
-        )
-    width = hi - lo
-    if width >= 0.5:
-        raise InsufficientPrecisionError(
-            f"enclosure width {width} too wide to resolve a fractional part"
-        )
-    old = mp.prec
-    mp.prec = precision_bits + 8
-    try:
-        mid = (mp.mpf(lo) + mp.mpf(hi)) / 2
+    # the endpoints carry precision_bits; 8 more keep them, their sum and
+    # the midpoint exact
+    with mp.workprec(precision_bits + 8):
+        lo, hi = mp.mpf(enclosure.a), mp.mpf(enclosure.b)
+        required = _required_bits(max(abs(lo), abs(hi)))
+        if precision_bits < required:
+            raise InsufficientPrecisionError(
+                f"precision rule needs >= {required} bits at x={x}, got {precision_bits}"
+            )
+        width = hi - lo
+        if width >= 0.5:
+            raise InsufficientPrecisionError(
+                f"enclosure width {width} too wide to resolve a fractional part"
+            )
+        mid = (lo + hi) / 2
         frac = mid - mp.floor(mid)
-    finally:
-        mp.prec = old
     fr = float(frac)
     if fr >= 1.0:
         fr = 0.0
@@ -594,9 +555,10 @@ def phase_fractions(
 ) -> np.ndarray:
     """frac(p(n)) for n = start..N as float64, one mpf pass.
 
-    The workhorse behind exponential sums and weight tables; the rule is
-    enforced against the largest magnitude actually seen.  precision_bits
-    None picks the rule minimum at x=N plus a 16-bit margin.
+    The workhorse behind exponential sums and weight tables.  Given
+    precision_bits below the rule at x=N fail before the table is built;
+    the rule is enforced again against the largest magnitude actually seen.
+    precision_bits None picks the rule minimum at x=N plus a 16-bit margin.
     """
     if N < start:
         raise ValueError("empty argument range")
@@ -605,12 +567,16 @@ def phase_fractions(
         return np.zeros(count, dtype=np.float64)
     if precision_bits is None:
         precision_bits = minimum_precision(p, N) + 16
+    else:
+        required = minimum_precision(p, N)
+        if precision_bits < required:
+            raise InsufficientPrecisionError(
+                f"precision rule needs >= {required} bits at x={N}, got {precision_bits}"
+            )
 
     out = np.empty(count, dtype=np.float64)
     max_mag = 0.0
-    old = mp.prec
-    mp.prec = precision_bits
-    try:
+    with mp.workprec(precision_bits):
         floor = mp.floor
         q = _power_form(p.root)
         if q is not None:
@@ -623,7 +589,7 @@ def phase_fractions(
                     max_mag = float(av)
                 out[i] = float(v - floor(v))
         else:
-            fn = _compile_mpf(p.root)
+            fn = _compile(p.root, mp)
             mpf = mp.mpf
             for i in range(count):
                 v = fn(mpf(start + i))
@@ -631,9 +597,8 @@ def phase_fractions(
                 if av > max_mag:
                     max_mag = float(av)
                 out[i] = float(v - floor(v))
-    finally:
-        mp.prec = old
-    required = 64 + int(math.ceil(math.log2(1.0 + max_mag)))
+    # backstop for phases whose magnitude peaks before N
+    required = _required_bits(max_mag)
     if precision_bits < required:
         raise InsufficientPrecisionError(
             f"precision rule needs >= {required} bits on 1..{N}, got {precision_bits}"
@@ -683,34 +648,25 @@ def second_difference_ratio(
     if not (x > 0 and y > 0 and z > 0):
         raise ValueError("x, y, z must all be positive")
 
+    fn = _compile(p.root, mp)
+
     def second_difference(bits: int):
-        old = mp.prec
-        mp.prec = bits
-        try:
-            root = p.root
-            return (
-                _eval_mpf(root, mp.mpf(x) + y + z)
-                - _eval_mpf(root, mp.mpf(x) + y)
-                - _eval_mpf(root, mp.mpf(x) + z)
-                + _eval_mpf(root, mp.mpf(x))
-            )
-        finally:
-            mp.prec = old
+        with mp.workprec(bits):
+            x0 = mp.mpf(x)
+            return fn(x0 + y + z) - fn(x0 + y) - fn(x0 + z) + fn(x0)
 
     bits = minimum_precision(p, x + y + z) + 32
-    old = mp.prec
-    mp.prec = 96
-    try:
+    with mp.workprec(96):
         denom = mp.power(mp.mpf(x), mp.mpf(epsilon) - 1) * y * z
-    finally:
-        mp.prec = old
 
     prev = second_difference(bits)
     for _ in range(16):
         bits += 64
         cur = second_difference(bits)
-        if abs(cur - prev) <= denom * mp.mpf(2) ** -40:
-            return float(abs(cur) / denom)
+        # the comparison and the ratio run at double precision, mpmath's default
+        with mp.workprec(53):
+            if abs(cur - prev) <= denom * mp.mpf(2) ** -40:
+                return float(abs(cur) / denom)
         prev = cur
     raise InsufficientPrecisionError(
         f"second difference did not stabilize below {bits} bits"

@@ -9,6 +9,7 @@ config - never on worker count or timing - so reruns diff clean.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -157,6 +158,10 @@ class ExperimentConfig:
                 raise ValueError(f"every rho must exceed 1, got {r}")
         if self.seeds < 0:
             raise ValueError("seeds count must be >= 0")
+        # every selecting pipeline needs this; checked before any phase table
+        for a in self.a_values or (self.a,):
+            if not 0.0 < a < 0.5:
+                raise ValueError(f"exponent a must lie in (0, 1/2), got {a}")
 
     def seed_list(self) -> List[int]:
         return [self.seed_base + i for i in range(self.seeds)]
@@ -301,17 +306,33 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# Worker fan-out.  Jobs read heavyweight shared inputs (phase tables) from a
-# module global installed before the fork, so nothing large is pickled.
+# Worker fan-out.  Jobs take the run's shared inputs (phase tables, systems)
+# as their first argument.  A worker process receives them once, through the
+# pool initializer, so only the small job items are pickled per task and the
+# fan-out works under every multiprocessing start method.
 
-_SHARED: Dict[str, object] = {}
+_WORKER_SHARED: Dict[str, object] = {}
 
 
-def _pool_map(fn, items, workers: int):
+def _init_worker(shared: Dict[str, object]) -> None:
+    _WORKER_SHARED.update(shared)
+
+
+def _worker_call(fn, item):
+    return fn(_WORKER_SHARED, item)
+
+
+def _pool_map(fn, items, workers: int, shared: Dict[str, object]):
+    """[fn(shared, item) for item in items], in worker processes when
+    workers > 1; results come back in item order."""
     if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+        return [fn(shared, item) for item in items]
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(items)),
+        initializer=_init_worker,
+        initargs=(shared,),
+    ) as pool:
+        return list(pool.map(functools.partial(_worker_call, fn), items))
 
 
 def _resolved_expr(cfg: ExperimentConfig) -> hardy.HardyExpr:
@@ -323,17 +344,6 @@ def _union_schedule(cfg: ExperimentConfig) -> List[int]:
     for r in cfg.rho:
         out.update(lacunary_schedule(r, cfg.nmin, cfg.nmax))
     return sorted(out)
-
-
-def _make_system(cfg: ExperimentConfig) -> dynamics.DynamicalSystem:
-    kind = cfg.system
-    if kind == "rotation":
-        return dynamics.RotationSystem(cfg.alpha, cfg.observable())
-    if kind == "cyclic":
-        return dynamics.CyclicSystem(cfg.q, cfg.observable())
-    if kind == "bernoulli":
-        return dynamics.BernoulliSystem(cfg.alphabet, cfg.window)
-    raise ValueError(f"unknown system {kind!r}")
 
 
 # -- expsum ------------------------------------------------------------------
@@ -367,9 +377,8 @@ def _run_expsum(cfg: ExperimentConfig) -> Report:
 
 # -- average -----------------------------------------------------------------
 
-def _average_job(item: Tuple[float, int]):
+def _average_job(ctx: Dict[str, object], item: Tuple[float, int]):
     a, seed = item
-    ctx = _SHARED
     union: List[int] = ctx["union"]
     positions = selectors.select_first(a, seed, union[-1])
     series = dynamics.weighted_average_from_positions(
@@ -381,21 +390,21 @@ def _average_job(item: Tuple[float, int]):
 
 def _run_average(cfg: ExperimentConfig) -> Report:
     expr = _resolved_expr(cfg)
-    system = _make_system(cfg)
+    system = dynamics.make_system(
+        cfg.system, alpha=cfg.alpha, observable=cfg.observable(),
+        q=cfg.q, alphabet=cfg.alphabet, window=cfg.window,
+    )
     union = _union_schedule(cfg)
     per_rho = {r: lacunary_schedule(r, cfg.nmin, cfg.nmax) for r in cfg.rho}
     points = system.sample_points(cfg.points)
     # the phase table depends on p alone, so one table serves every (a, seed)
     phases = hardy.phase_fractions(expr, union[-1], cfg.bits)
 
-    _SHARED.clear()
-    _SHARED.update(cfg=cfg, union=union, system=system, expr=expr,
-                   points=points, phases=phases)
+    shared = dict(union=union, system=system, expr=expr, points=points, phases=phases)
     a_list = cfg.a_values if cfg.a_values else (cfg.a,)
     seeds = cfg.seed_list()
     items = [(a, seed) for a in a_list for seed in seeds]
-    results = _pool_map(_average_job, items, cfg.resolve_workers())
-    _SHARED.clear()
+    results = _pool_map(_average_job, items, cfg.resolve_workers(), shared)
 
     union_index = {N: i for i, N in enumerate(union)}
     fp = cfg.fingerprint()
@@ -417,8 +426,7 @@ def _run_average(cfg: ExperimentConfig) -> Report:
 
 # -- chain -------------------------------------------------------------------
 
-def _chain_job(seed: int):
-    ctx = _SHARED
+def _chain_job(ctx: Dict[str, object], seed: int):
     cfg: ExperimentConfig = ctx["cfg"]
     union: List[int] = ctx["union"]
     params = selectors.SelectorParams(a=cfg.a, seed=seed, n_max=union[-1])
@@ -435,18 +443,19 @@ def _chain_job(seed: int):
 
 def _run_chain(cfg: ExperimentConfig) -> Report:
     expr = _resolved_expr(cfg)
-    system = _make_system(cfg)
+    system = dynamics.make_system(
+        cfg.system, alpha=cfg.alpha, observable=cfg.observable(),
+        q=cfg.q, alphabet=cfg.alphabet, window=cfg.window,
+    )
     union = _union_schedule(cfg)
     per_rho = {r: set(lacunary_schedule(r, cfg.nmin, cfg.nmax)) for r in cfg.rho}
     points = system.sample_points(cfg.points)
     phases = hardy.phase_fractions(expr, union[-1], cfg.bits)
 
-    _SHARED.clear()
-    _SHARED.update(cfg=cfg, union=union, system=system, expr=expr,
-                   points=points, phases=phases)
+    shared = dict(cfg=cfg, union=union, system=system, expr=expr,
+                  points=points, phases=phases)
     seeds = cfg.seed_list()
-    results = _pool_map(_chain_job, seeds, cfg.resolve_workers())
-    _SHARED.clear()
+    results = _pool_map(_chain_job, seeds, cfg.resolve_workers(), shared)
 
     fp = cfg.fingerprint()
     rows = []
@@ -469,8 +478,7 @@ def _run_chain(cfg: ExperimentConfig) -> Report:
 
 # -- correlation -------------------------------------------------------------
 
-def _correlation_job(seed: int):
-    ctx = _SHARED
+def _correlation_job(ctx: Dict[str, object], seed: int):
     cfg: ExperimentConfig = ctx["cfg"]
     union: List[int] = ctx["union"]
     wp: correlation.WeightParams = ctx["wparams"]
@@ -515,12 +523,10 @@ def _run_correlation(cfg: ExperimentConfig) -> Report:
             + 1,
         )
 
-    _SHARED.clear()
-    _SHARED.update(cfg=cfg, union=union, expr=expr, wparams=wp,
-                   n_need=n_need, iterms_n=iterms_n)
+    shared = dict(cfg=cfg, union=union, expr=expr, wparams=wp,
+                  n_need=n_need, iterms_n=iterms_n)
     seeds = cfg.seed_list()
-    results = _pool_map(_correlation_job, seeds, cfg.resolve_workers())
-    _SHARED.clear()
+    results = _pool_map(_correlation_job, seeds, cfg.resolve_workers(), shared)
 
     fp = cfg.fingerprint()
     detail_rows = []

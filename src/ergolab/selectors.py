@@ -115,6 +115,18 @@ def _selection_block(a: float, seed: int, lo: int, hi: int) -> np.ndarray:
     return u < sigma_values(a, lo, hi)
 
 
+def _realization(params: SelectorParams, bits: np.ndarray) -> Realization:
+    """Freeze bits (length n_max, bool) and derive the prefix arrays from them."""
+    s_prefix = np.zeros(params.n_max + 1, dtype=np.int64)
+    np.cumsum(bits, out=s_prefix[1:])
+    w_prefix = np.zeros(params.n_max + 1, dtype=np.float64)
+    np.cumsum(sigma_values(params.a, 1, params.n_max), out=w_prefix[1:])
+    ones = np.flatnonzero(bits).astype(np.int64) + 1
+    for arr in (bits, s_prefix, w_prefix, ones):
+        arr.setflags(write=False)
+    return Realization(params, bits, s_prefix, w_prefix, ones)
+
+
 def generate_realization(params: SelectorParams, chunk: int = DEFAULT_CHUNK) -> Realization:
     """Materialize a realization: bits, prefix counts, prefix means, positions.
 
@@ -124,20 +136,7 @@ def generate_realization(params: SelectorParams, chunk: int = DEFAULT_CHUNK) -> 
     for lo in range(1, params.n_max + 1, chunk):
         hi = min(lo + chunk - 1, params.n_max)
         parts.append(_selection_block(params.a, params.seed, lo, hi))
-    bits = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    bits.setflags(write=False)
-
-    s_prefix = np.zeros(params.n_max + 1, dtype=np.int64)
-    np.cumsum(bits, out=s_prefix[1:])
-    s_prefix.setflags(write=False)
-
-    w_prefix = np.zeros(params.n_max + 1, dtype=np.float64)
-    np.cumsum(sigma_values(params.a, 1, params.n_max), out=w_prefix[1:])
-    w_prefix.setflags(write=False)
-
-    ones = np.flatnonzero(bits).astype(np.int64) + 1
-    ones.setflags(write=False)
-    return Realization(params, bits, s_prefix, w_prefix, ones)
+    return _realization(params, np.concatenate(parts) if len(parts) > 1 else parts[0])
 
 
 def realization_from_bits(params: SelectorParams, bits: Sequence[int]) -> Realization:
@@ -149,17 +148,7 @@ def realization_from_bits(params: SelectorParams, bits: Sequence[int]) -> Realiz
     arr = np.asarray(bits, dtype=bool)
     if arr.shape != (params.n_max,):
         raise ValueError(f"expected {params.n_max} bits, got {arr.shape}")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    s_prefix = np.zeros(params.n_max + 1, dtype=np.int64)
-    np.cumsum(arr, out=s_prefix[1:])
-    s_prefix.setflags(write=False)
-    w_prefix = np.zeros(params.n_max + 1, dtype=np.float64)
-    np.cumsum(sigma_values(params.a, 1, params.n_max), out=w_prefix[1:])
-    w_prefix.setflags(write=False)
-    ones = np.flatnonzero(arr).astype(np.int64) + 1
-    ones.setflags(write=False)
-    return Realization(params, arr, s_prefix, w_prefix, ones)
+    return _realization(params, arr.copy())
 
 
 def counting_function(r: Realization, n: int) -> int:

@@ -149,11 +149,11 @@ def test_criterion_06_brute_force_equivalence(shared):
         w = correlation.weight_series(r, p, wp)
 
         # naive weight sequence via independent 200-bit evaluation
-        mp.prec = 200
         for n in range(1, 129):
             s = r.S(n)
-            v = mp.power(s, mp.mpf(3) / 2)
-            frac = float(v - mp.floor(v))
+            with mp.workprec(200):
+                v = mp.power(s, mp.mpf(3) / 2)
+                frac = float(v - mp.floor(v))
             y = float(r.bits[n - 1]) - n ** -A_DEFAULT
             oracle = y * complex(math.cos(2 * math.pi * frac),
                                  math.sin(2 * math.pi * frac))

@@ -76,3 +76,15 @@ def test_byte_identical_output_across_worker_env(tmp_path):
 def test_vdc_selftest_cli():
     code = main(["vdc-selftest", "--instances", "25", "--seed", "1"])
     assert code == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["average", "--a", "0.7"],
+    ["average", "--system", "cyclic"],  # the default f=e is not a cyclic observable
+])
+def test_bad_input_exits_with_one_line(args):
+    r = run_cli(args)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("ergolab: error: ")
+    assert len(r.stderr.strip().splitlines()) == 1

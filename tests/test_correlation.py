@@ -112,11 +112,11 @@ def test_weight_series_against_independent_recomputation(p32, wparams):
     # oracle: rebuild each c_n from scratch with 200-bit mpmath phases
     w = small_series(11, 200, p32, wparams)
     r = w.realization
-    mp.prec = 200
     for n in range(1, 201):
         s = r.S(n)
-        v = mp.power(s, mp.mpf(3) / 2)
-        fr = float(v - mp.floor(v))
+        with mp.workprec(200):
+            v = mp.power(s, mp.mpf(3) / 2)
+            fr = float(v - mp.floor(v))
         y = float(r.bits[n - 1]) - n ** -0.3
         oracle = y * complex(math.cos(2 * math.pi * fr), math.sin(2 * math.pi * fr))
         assert abs(w.c[n - 1] - oracle) <= 1e-12 * max(1.0, abs(oracle))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ergolab import hardy, selectors
+from ergolab import dynamics, hardy, selectors
 from ergolab.dynamics import (
     BernoulliSystem,
     CyclicSystem,
@@ -83,11 +83,18 @@ def test_make_system_factory():
         make_system("doubling")
 
 
+def orbit_fracs_exact(sys: RotationSystem, x: float, iterates) -> np.ndarray:
+    """Reference path: arbitrary-precision integers, one k at a time."""
+    x_fp = int(math.floor((x % 1.0) * (1 << dynamics._FP_BITS)))
+    vals = [(x_fp + int(k) * sys.alpha_fp) & dynamics._FP_MASK for k in iterates]
+    return np.array(vals, dtype=np.float64) * dynamics._FP_INV
+
+
 def test_rotation_orbit_matches_exact_integers():
     sys = RotationSystem("sqrt2m1", "e")
     ks = np.array([1, 2, 10**6, 10**9, 5], dtype=np.int64)
     fast = sys._orbit_fracs(0.73, ks)
-    exact = sys._orbit_fracs_exact(0.73, ks)
+    exact = orbit_fracs_exact(sys, 0.73, ks)
     assert np.max(np.abs(fast - exact)) < 1e-15
 
 

@@ -1,11 +1,13 @@
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from ergolab.dynamics import RotationSystem
 from ergolab.hardy import (
     EvalDomainError,
     ExpressionError,
@@ -103,8 +105,8 @@ def test_integer_polynomial_exact_zero():
 
 def test_power_three_halves_at_two():
     # oracle: independent high-precision square root
-    mp.prec = 200
-    expected = float(mp.sqrt(8) - 2)
+    with mp.workprec(200):
+        expected = float(mp.sqrt(8) - 2)
     pv = eval_mod1(parse_expression("x^(3/2)"), 2, 96)
     assert abs(pv.frac - expected) < 1e-15
     assert pv.error_bound < 2.0**-50
@@ -159,6 +161,20 @@ def test_additivity_of_fractional_parts(x):
     assert circle_distance(fs.frac, combined) < tol
 
 
+@given(st.integers(1, 10**13), st.integers(0, 64))
+@example(12345678901, 0)
+@settings(max_examples=150, deadline=None)
+def test_eval_mod1_against_exact_integer_oracle(x, extra_bits):
+    # frac(x^(3/2)) from floor(x^(3/2) 2^K) = isqrt(x^3 4^K), exact to 2^-K;
+    # runs at the default global precision, which must not leak into eval_mod1
+    K = 96
+    e = parse_expression("x^(3/2)")
+    pv = eval_mod1(e, x, minimum_precision(e, x) + extra_bits)
+    oracle = Fraction(isqrt(x**3 << (2 * K)) % (1 << K), 1 << K)
+    d = abs(Fraction(pv.frac) - oracle) % 1
+    assert min(d, 1 - d) <= Fraction(pv.error_bound) + Fraction(1, 1 << K)
+
+
 # ---------------------------------------------------------------------------
 # exp_sum.
 
@@ -211,6 +227,28 @@ def test_phase_fractions_match_eval_mod1():
     for x in (1, 2, 33, 64):
         pv = eval_mod1(e, x, 128)
         assert circle_distance(fr[x - 1], pv.frac) < 1e-14
+
+
+@pytest.mark.parametrize("prec", [20, 300])
+def test_results_ignore_global_precision(prec):
+    power, generic = parse_expression("x^(3/2)"), parse_expression("x^(3/2) + x*log(x)")
+
+    def results():
+        return (
+            phase_fractions(power, 300).tobytes(),
+            phase_fractions(generic, 300).tobytes(),
+            phase_fractions(generic, 10**9 + 7, start=10**9 + 7).tobytes(),
+            eval_mod1(power, 12345678901, 120),
+            eval_mod1(generic, 10**9 + 7, 110),
+            minimum_precision(generic, 10**9),
+            second_difference_ratio(power, 1e4, 3.0, 7.0, epsilon=0.5),
+            parse_expression("log(log(x))", domain_start=2.0),
+            RotationSystem("sqrt2m1").alpha_fp,
+        )
+
+    expected = results()
+    with mp.workprec(prec):
+        assert results() == expected
 
 
 def test_unit_phases_values():

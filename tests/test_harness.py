@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ergolab
 from ergolab.harness import (
     ExperimentConfig,
     CSV_SCHEMA,
@@ -134,6 +139,10 @@ def test_config_validation():
         ExperimentConfig(pipeline="nope")
     with pytest.raises(ValueError):
         ExperimentConfig(rho=(0.9,))
+    with pytest.raises(ValueError):
+        ExperimentConfig(pipeline="average", a=0.7)
+    with pytest.raises(ValueError):
+        ExperimentConfig(pipeline="average", a_values=(0.3, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +174,46 @@ def test_average_row_count_formula():
     assert len(rep.table().rows) == 3 * 2 * len(sched)
 
 
+AVERAGE_SMALL = dict(
+    pipeline="average", system="rotation", alpha="sqrt2m1", f="e",
+    rho=(2.0,), nmin=32, nmax=256, seeds=3, points=2,
+)
+
+START_METHOD_SCRIPT = """
+import multiprocessing
+import sys
+
+from ergolab.harness import ExperimentConfig, run_experiment
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    run_experiment(ExperimentConfig(**{kwargs!r}, workers=2, out=sys.argv[2]))
+"""
+
+
 def test_average_bytes_stable_across_workers():
-    kwargs = dict(
-        pipeline="average", system="rotation", alpha="sqrt2m1", f="e",
-        rho=(2.0,), nmin=32, nmax=256, seeds=3, points=2,
-    )
-    seq = run_experiment(ExperimentConfig(**kwargs, workers=1))
-    par = run_experiment(ExperimentConfig(**kwargs, workers=2))
+    seq = run_experiment(ExperimentConfig(**AVERAGE_SMALL, workers=1))
+    par = run_experiment(ExperimentConfig(**AVERAGE_SMALL, workers=2))
     assert seq.csv_bytes() == par.csv_bytes()
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_average_bytes_stable_under_start_method(tmp_path, method):
+    # workers that do not fork start from a fresh import of the package, so
+    # they see the run's shared inputs only if the pool hands them over
+    script = tmp_path / "run_average.py"
+    script.write_text(START_METHOD_SCRIPT.format(kwargs=AVERAGE_SMALL))
+    out = tmp_path / "average.csv"
+    src = str(Path(ergolab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(script), method, str(out)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seq = run_experiment(ExperimentConfig(**AVERAGE_SMALL, workers=1))
+    assert out.read_bytes() == seq.csv_bytes()
 
 
 def test_report_write_atomic(tmp_path):
