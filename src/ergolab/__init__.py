@@ -32,7 +32,6 @@ from .dynamics import (
     make_system,
     partial_summation_identity,
     weighted_average_from_positions,
-    weighted_random_average,
 )
 from .hardy import (
     EvalDomainError,

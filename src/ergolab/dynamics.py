@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 from mpmath import mp
@@ -348,18 +348,17 @@ class AverageSeries:
 
 def weighted_average_from_positions(
     sys: DynamicalSystem,
-    p: hardy.HardyExpr,
+    phases: np.ndarray,
     positions: np.ndarray,
     schedule: Sequence[int],
     sample_points: Optional[list] = None,
-    precision_bits: Optional[int] = None,
-    phases: Optional[np.ndarray] = None,
 ) -> AverageSeries:
     """(1/N) sum_{n<=N} e(p(n)) f(T^{positions[n-1]} x) for each N in schedule.
 
-    positions are the counting-function values a_1, a_2, ...; passing a
-    precomputed frac table for p (which does not depend on the seed) avoids
-    re-evaluating p across realizations.
+    phases is the table frac(p(n)), n = 1, 2, ... (hardy.phase_fractions);
+    it does not depend on the seed, so one table serves every realization.
+    positions are the counting-function values a_1, a_2, ... (Realization.ones
+    or selectors.select_first).
     """
     schedule = sorted(int(N) for N in schedule)
     if not schedule or schedule[0] < 1:
@@ -370,12 +369,10 @@ def weighted_average_from_positions(
             f"need {n_top} counting-function values, realization provides "
             f"{positions.shape[0]}"
         )
+    if phases.shape[0] < n_top:
+        raise ValueError("phase table shorter than the schedule top")
     if sample_points is None:
         sample_points = sys.sample_points(16)
-    if phases is None:
-        phases = hardy.phase_fractions(p, n_top, precision_bits)
-    elif phases.shape[0] < n_top:
-        raise ValueError("phase table shorter than the schedule top")
     z = hardy.unit_phases(phases[:n_top])
 
     values = np.empty((len(sample_points), len(schedule)), dtype=np.complex128)
@@ -383,21 +380,6 @@ def weighted_average_from_positions(
         orbit = sys.orbit_observable(x, positions[:n_top])
         values[j] = hardy.prefix_means(z * orbit, schedule)
     return AverageSeries(np.asarray(schedule, dtype=np.int64), list(sample_points), values)
-
-
-def weighted_random_average(
-    sys: DynamicalSystem,
-    p: hardy.HardyExpr,
-    r: Realization,
-    schedule: Sequence[int],
-    sample_points: Optional[list] = None,
-    precision_bits: Optional[int] = None,
-    phases: Optional[np.ndarray] = None,
-) -> AverageSeries:
-    """Weighted random average over a materialized realization."""
-    return weighted_average_from_positions(
-        sys, p, r.ones, schedule, sample_points, precision_bits, phases
-    )
 
 
 def birkhoff_mean(
@@ -447,49 +429,64 @@ class ChainDiagnostics:
 
 def chain_diagnostics(
     sys: DynamicalSystem,
-    p: hardy.HardyExpr,
+    phases: np.ndarray,
     r: Realization,
-    N: int,
+    schedule: Sequence[int],
     sample_points: Optional[list] = None,
-    precision_bits: Optional[int] = None,
-    phases: Optional[np.ndarray] = None,
-) -> ChainDiagnostics:
-    """Evaluate the comparison chain at one N of the lacunary schedule."""
-    if N < 1 or N > r.n_max:
-        raise ValueError(f"N must lie in [1, n_max={r.n_max}]")
+) -> List[ChainDiagnostics]:
+    """Evaluate the comparison chain at each N of the schedule, in sorted order.
+
+    phases is the table frac(p(n)), n = 1, 2, ... (hardy.phase_fractions).
+    Every stage at N reads only the first N entries of arrays built once at
+    the top N, so each sample point's orbit is computed once; one orbit is
+    held at a time.
+    """
+    schedule = sorted(int(N) for N in schedule)
+    if not schedule or schedule[0] < 1 or schedule[-1] > r.n_max:
+        raise ValueError(f"schedule must lie in [1, n_max={r.n_max}]")
+    n_top = schedule[-1]
+    if phases.shape[0] < n_top:
+        raise ValueError("phase table shorter than the schedule top")
+    # e(p(S_n)) needs S_n >= 1; the hash always selects index 1 (sigma_1 = 1)
+    if not r.bits[0]:
+        raise ValueError("the chain needs X_1 = 1")
     if sample_points is None:
         sample_points = sys.sample_points(16)
-    s_N = r.S(N)
-    w_N = r.W(N)
-    selected = r.ones[: s_N]
-    if phases is None:
-        phases = hardy.phase_fractions(p, N, precision_bits)
-    e_all = hardy.unit_phases(phases[:N])
-    e_at_s = e_all[r.s_prefix[1 : N + 1] - 1]
-    sigma = sigma_values(r.params.a, 1, N)
+    e_all = hardy.unit_phases(phases[:n_top])
+    e_at_s = e_all[r.s_prefix[1 : n_top + 1] - 1]
+    weighted = sigma_values(r.params.a, 1, n_top) * e_at_s
     km = complex(sys.known_mean)
-    ks = np.arange(1, N + 1, dtype=np.int64)
+    ks = np.arange(1, n_top + 1, dtype=np.int64)
+
+    s_Ns = [r.S(N) for N in schedule]
+    w_Ns = [r.W(N) for N in schedule]
+    # stages 4 and 5 do not depend on the sample point
+    mean_stages = [
+        (km * np.sum(weighted[:N]) / w_N, km * (np.sum(e_all[:N]) / N))
+        for N, w_N in zip(schedule, w_Ns)
+    ]
 
     n_pts = len(sample_points)
-    stages = np.empty((n_pts, 6), dtype=np.complex128)
-    diffs = np.empty((n_pts, 6), dtype=np.float64)
-    plain = np.sum(e_all) / N
+    stages = np.empty((len(schedule), n_pts, 6), dtype=np.complex128)
+    diffs = np.empty((len(schedule), n_pts, 6), dtype=np.float64)
     for j, x in enumerate(sample_points):
         orbit = sys.orbit_observable(x, ks)
-        # stages 0 and 1 sum the same nonzero terms in the same order:
-        # at a selected index n, S_n equals its selection rank k and a_k = n
-        selected_terms = e_all[:s_N] * orbit[selected - 1]
-        sum_sel = np.sum(selected_terms)
-        weighted = sigma * e_at_s
-        stages[j, 0] = sum_sel / s_N
-        stages[j, 1] = sum_sel / s_N
-        stages[j, 2] = sum_sel / w_N
-        stages[j, 3] = np.sum(weighted * orbit) / w_N
-        stages[j, 4] = km * np.sum(weighted) / w_N
-        stages[j, 5] = km * plain
-        diffs[j, :5] = np.abs(np.diff(stages[j]))
-        diffs[j, 5] = abs(stages[j, 5])
-    return ChainDiagnostics(N, s_N, w_N, list(sample_points), stages, diffs)
+        for i, N in enumerate(schedule):
+            s_N, w_N, row = s_Ns[i], w_Ns[i], stages[i, j]
+            # stages 0 and 1 sum the same nonzero terms in the same order:
+            # at a selected index n, S_n equals its selection rank k and a_k = n
+            sum_sel = np.sum(e_all[:s_N] * orbit[r.ones[:s_N] - 1])
+            row[0] = sum_sel / s_N
+            row[1] = sum_sel / s_N
+            row[2] = sum_sel / w_N
+            row[3] = np.sum(weighted[:N] * orbit[:N]) / w_N
+            row[4], row[5] = mean_stages[i]
+            diffs[i, j, :5] = np.abs(np.diff(row))
+            diffs[i, j, 5] = abs(row[5])
+    return [
+        ChainDiagnostics(N, s_Ns[i], w_Ns[i], list(sample_points), stages[i], diffs[i])
+        for i, N in enumerate(schedule)
+    ]
 
 
 def partial_summation_identity(

@@ -158,6 +158,8 @@ class ExperimentConfig:
                 raise ValueError(f"every rho must exceed 1, got {r}")
         if self.seeds < 0:
             raise ValueError("seeds count must be >= 0")
+        if self.points < 1:
+            raise ValueError(f"points must be >= 1, got {self.points}")
         # every selecting pipeline needs this; checked before any phase table
         for a in self.a_values or (self.a,):
             if not 0.0 < a < 0.5:
@@ -382,8 +384,7 @@ def _average_job(ctx: Dict[str, object], item: Tuple[float, int]):
     union: List[int] = ctx["union"]
     positions = selectors.select_first(a, seed, union[-1])
     series = dynamics.weighted_average_from_positions(
-        ctx["system"], ctx["expr"], positions, union,
-        sample_points=ctx["points"], phases=ctx["phases"],
+        ctx["system"], ctx["phases"], positions, union, sample_points=ctx["points"],
     )
     return series.values
 
@@ -400,7 +401,7 @@ def _run_average(cfg: ExperimentConfig) -> Report:
     # the phase table depends on p alone, so one table serves every (a, seed)
     phases = hardy.phase_fractions(expr, union[-1], cfg.bits)
 
-    shared = dict(union=union, system=system, expr=expr, points=points, phases=phases)
+    shared = dict(union=union, system=system, points=points, phases=phases)
     a_list = cfg.a_values if cfg.a_values else (cfg.a,)
     seeds = cfg.seed_list()
     items = [(a, seed) for a in a_list for seed in seeds]
@@ -431,14 +432,9 @@ def _chain_job(ctx: Dict[str, object], seed: int):
     union: List[int] = ctx["union"]
     params = selectors.SelectorParams(a=cfg.a, seed=seed, n_max=union[-1])
     r = selectors.generate_realization(params)
-    out = []
-    for N in union:
-        diag = dynamics.chain_diagnostics(
-            ctx["system"], ctx["expr"], r, N,
-            sample_points=ctx["points"], phases=ctx["phases"],
-        )
-        out.append((N, diag.s_N, diag.w_N, diag.diffs))
-    return out
+    return dynamics.chain_diagnostics(
+        ctx["system"], ctx["phases"], r, union, sample_points=ctx["points"],
+    )
 
 
 def _run_chain(cfg: ExperimentConfig) -> Report:
@@ -452,20 +448,19 @@ def _run_chain(cfg: ExperimentConfig) -> Report:
     points = system.sample_points(cfg.points)
     phases = hardy.phase_fractions(expr, union[-1], cfg.bits)
 
-    shared = dict(cfg=cfg, union=union, system=system, expr=expr,
-                  points=points, phases=phases)
+    shared = dict(cfg=cfg, union=union, system=system, points=points, phases=phases)
     seeds = cfg.seed_list()
     results = _pool_map(_chain_job, seeds, cfg.resolve_workers(), shared)
 
     fp = cfg.fingerprint()
     rows = []
-    for seed, per_n in zip(seeds, results):
-        for (N, s_N, w_N, diffs) in per_n:
-            rhos = [r for r in cfg.rho if N in per_rho[r]]
+    for seed, diags in zip(seeds, results):
+        for d in diags:
+            rhos = [r for r in cfg.rho if d.N in per_rho[r]]
             for r in rhos:
-                for j in range(diffs.shape[0]):
+                for j in range(d.diffs.shape[0]):
                     rows.append(
-                        (fp, r, seed, j, N, s_N, w_N) + tuple(diffs[j].tolist())
+                        (fp, r, seed, j, d.N, d.s_N, d.w_N) + tuple(d.diffs[j].tolist())
                     )
     table = Table(
         "main",
@@ -567,8 +562,8 @@ def _run_correlation(cfg: ExperimentConfig) -> Report:
 # -- deviation ---------------------------------------------------------------
 
 def _run_deviation(cfg: ExperimentConfig) -> Report:
-    params = selectors.SelectorParams(a=cfg.a, seed=cfg.seed, n_max=max(cfg.nmax, 1))
     N = cfg.n if cfg.n is not None else cfg.nmax
+    params = selectors.SelectorParams(a=cfg.a, seed=cfg.seed, n_max=N)
     rep = selectors.deviation_statistics(
         params, N, cfg.trials, chernoff_c=cfg.chernoff_c
     )

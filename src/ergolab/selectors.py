@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rng import MASK64, _mix_block, child_seed
+from .rng import MASK64, child_seed, uniform01_block
 
 # Chunks sized to stay inside cache; larger chunks thrash and run ~5x slower.
 DEFAULT_CHUNK = 1 << 16
-_INV53 = 2.0 ** -53
 
 
 class OutOfRangeError(ValueError):
@@ -110,9 +109,21 @@ def sigma_prefix(a: float, N: int) -> float:
 
 def _selection_block(a: float, seed: int, lo: int, hi: int) -> np.ndarray:
     """Selection bits X_lo..X_hi: X_n = 1 iff u(seed, n) < n^(-a)."""
-    idx = np.arange(lo, hi + 1, dtype=np.uint64)
-    u = _mix_block(seed, idx).astype(np.float64) * _INV53
-    return u < sigma_values(a, lo, hi)
+    return uniform01_block(seed, lo, hi) < sigma_values(a, lo, hi)
+
+
+def _selection_chunks(
+    a: float, seed: int, stop: Optional[int] = None
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """(lo, bits X_lo..X_hi) for consecutive DEFAULT_CHUNK blocks from index 1,
+    the last one cut at stop; without stop the scan never ends."""
+    lo = 1
+    while stop is None or lo <= stop:
+        hi = lo + DEFAULT_CHUNK - 1
+        if stop is not None:
+            hi = min(hi, stop)
+        yield lo, _selection_block(a, seed, lo, hi)
+        lo = hi + 1
 
 
 def _realization(params: SelectorParams, bits: np.ndarray) -> Realization:
@@ -127,16 +138,13 @@ def _realization(params: SelectorParams, bits: np.ndarray) -> Realization:
     return Realization(params, bits, s_prefix, w_prefix, ones)
 
 
-def generate_realization(params: SelectorParams, chunk: int = DEFAULT_CHUNK) -> Realization:
+def generate_realization(params: SelectorParams) -> Realization:
     """Materialize a realization: bits, prefix counts, prefix means, positions.
 
     Pure function of params: regenerating yields bit-identical output.
     """
-    parts = []
-    for lo in range(1, params.n_max + 1, chunk):
-        hi = min(lo + chunk - 1, params.n_max)
-        parts.append(_selection_block(params.a, params.seed, lo, hi))
-    return _realization(params, np.concatenate(parts) if len(parts) > 1 else parts[0])
+    parts = [bits for _, bits in _selection_chunks(params.a, params.seed, params.n_max)]
+    return _realization(params, np.concatenate(parts))
 
 
 def realization_from_bits(params: SelectorParams, bits: Sequence[int]) -> Realization:
@@ -163,7 +171,7 @@ def counting_function(r: Realization, n: int) -> int:
     return int(r.ones[n - 1])
 
 
-def select_first(a: float, seed: int, count: int, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+def select_first(a: float, seed: int, count: int) -> np.ndarray:
     """Positions of the first `count` selected indices, streaming.
 
     Scans the same hash-defined bit sequence as generate_realization without
@@ -178,26 +186,20 @@ def select_first(a: float, seed: int, count: int, chunk: int = DEFAULT_CHUNK) ->
         raise ValueError("count must be >= 1")
     found = []
     have = 0
-    lo = 1
-    while have < count:
-        hi = lo + chunk - 1
-        bits = _selection_block(a, seed, lo, hi)
+    for lo, bits in _selection_chunks(a, seed):
         pos = np.flatnonzero(bits).astype(np.int64) + lo
         found.append(pos)
         have += pos.shape[0]
-        lo = hi + 1
+        if have >= count:
+            break
     out = np.concatenate(found)[:count]
     out.setflags(write=False)
     return out
 
 
-def count_selected(a: float, seed: int, N: int, chunk: int = DEFAULT_CHUNK) -> int:
+def count_selected(a: float, seed: int, N: int) -> int:
     """S_N for a fresh seed without materializing a realization."""
-    total = 0
-    for lo in range(1, N + 1, chunk):
-        hi = min(lo + chunk - 1, N)
-        total += int(np.count_nonzero(_selection_block(a, seed, lo, hi)))
-    return total
+    return sum(int(np.count_nonzero(bits)) for _, bits in _selection_chunks(a, seed, N))
 
 
 @dataclass(frozen=True)

@@ -13,20 +13,17 @@ import os
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from mpmath import mp
 
 from ergolab import correlation, dynamics, hardy, selectors
-from ergolab.harness import lacunary_schedule, slope_fit
+from ergolab.harness import _pool_map, lacunary_schedule, slope_fit
 
 A_DEFAULT = 0.3
 P_TEXT = "x^(3/2)"
 WORKERS = min(8, os.cpu_count() or 1)
-
-_CTX = {}
 
 
 @pytest.fixture(scope="module")
@@ -199,13 +196,15 @@ def test_criterion_06_brute_force_equivalence(shared):
     assert worst < 1e-12
 
 
-# --- criterion 7 fan-out (module-level so fork workers can see it) ----------
+# --- criterion 7 fan-out ------------------------------------------------------
+# Jobs are module-level so that workers can import them; their shared inputs
+# reach each worker once, through the pool initializer, under any start method.
 
-def _criterion7_job(seed: int):
+def _criterion7_job(ctx, seed: int):
     positions = selectors.select_first(A_DEFAULT, seed, 1 << 20)
     series = dynamics.weighted_average_from_positions(
-        _CTX["system"], _CTX["p"], positions, [1 << 12, 1 << 20],
-        sample_points=_CTX["points"], phases=_CTX["phases"],
+        ctx["system"], ctx["phases"], positions, [1 << 12, 1 << 20],
+        sample_points=ctx["points"],
     )
     return np.abs(series.values)
 
@@ -216,22 +215,17 @@ def test_criterion_07_weighted_average_decay(shared):
     N = 2^12 at all 16 sample points; two disjoint families agree."""
     t0 = time.monotonic()
     system = dynamics.RotationSystem("sqrt2m1", "e")
-    _CTX.update(
-        system=system,
-        p=shared["p"],
-        points=system.sample_points(16),
-        phases=_phases_2_20(shared),
-    )
+    ctx = dict(system=system, points=system.sample_points(16), phases=_phases_2_20(shared))
     families = {"A": range(1000, 1020), "B": range(2000, 2020)}
+    seeds = [seed for family in families.values() for seed in family]
+    results = dict(zip(seeds, _pool_map(_criterion7_job, seeds, WORKERS, ctx)))
     verdicts = {}
     medians = {}
-    with ProcessPoolExecutor(max_workers=WORKERS) as pool:
-        for name, seeds in families.items():
-            stack = np.array(list(pool.map(_criterion7_job, seeds)))
-            med = np.median(stack, axis=0)  # (16 points, 2 Ns)
-            verdicts[name] = bool(np.all(med[:, 1] < med[:, 0]))
-            medians[name] = med
-    _CTX.clear()
+    for name, family in families.items():
+        stack = np.array([results[seed] for seed in family])
+        med = np.median(stack, axis=0)  # (16 points, 2 Ns)
+        verdicts[name] = bool(np.all(med[:, 1] < med[:, 0]))
+        medians[name] = med
     elapsed = time.monotonic() - t0
 
     for name in families:
@@ -248,12 +242,12 @@ def test_criterion_07_weighted_average_decay(shared):
 
 # --- criterion 8 fan-out -----------------------------------------------------
 
-def _criterion8_job(seed: int):
-    wp = _CTX["wp"]
-    sched = _CTX["sched"]
-    params = selectors.SelectorParams(a=wp.a, seed=seed, n_max=_CTX["n_need"])
+def _criterion8_job(ctx, seed: int):
+    wp = ctx["wp"]
+    sched = ctx["sched"]
+    params = selectors.SelectorParams(a=wp.a, seed=seed, n_max=ctx["n_need"])
     r = selectors.generate_realization(params)
-    w = correlation.weight_series(r, _CTX["p"], wp)
+    w = correlation.weight_series(r, ctx["p"], wp)
     parts = correlation.summability_statistic(w, sched)
     return float(parts[-1]), float(parts[-1] - parts[-2])
 
@@ -265,13 +259,11 @@ def test_criterion_08_summability_surrogate(shared):
     t0 = time.monotonic()
     wp = correlation.WeightParams(a=A_DEFAULT, delta=0.1, b=0.35, c_exponent=0.8)
     sched = lacunary_schedule(2.0, 1 << 10, 1 << 20)
-    _CTX.update(
+    ctx = dict(
         wp=wp, sched=sched, p=shared["p"],
         n_need=sched[-1] + int(math.floor(sched[-1] ** wp.b)) + 1,
     )
-    with ProcessPoolExecutor(max_workers=WORKERS) as pool:
-        results = list(pool.map(_criterion8_job, range(20)))
-    _CTX.clear()
+    results = _pool_map(_criterion8_job, list(range(20)), WORKERS, ctx)
     fractions = np.array([step / total for total, step in results])
     med = float(np.median(fractions))
     print(f"[criterion 08] PASS final-step increment fraction: median={med:.4f} "

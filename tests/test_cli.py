@@ -81,6 +81,7 @@ def test_vdc_selftest_cli():
 @pytest.mark.parametrize("args", [
     ["average", "--a", "0.7"],
     ["average", "--system", "cyclic"],  # the default f=e is not a cyclic observable
+    ["average", "--Nmin", "64", "--Nmax", "64", "--seeds", "1", "--points", "0"],
 ])
 def test_bad_input_exits_with_one_line(args):
     r = run_cli(args)

@@ -1,0 +1,43 @@
+"""CSV bytes of the benchmark workloads against their recorded digests.
+
+Runs each quick workload config from benchmarks/workloads.py in-process and
+compares the sha256 of every CSV file it writes with
+benchmarks/digests.json, so a refactor that changes any output byte fails
+here.  Only reads benchmarks/.
+"""
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from ergolab.harness import ExperimentConfig, run_experiment
+
+BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+SEEDS = range(4)
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
+QUICK_DIGESTS = json.loads((BENCH / "digests.json").read_text())["quick"]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_quick_workload_bytes_match_recorded_digests(tmp_path, name, seed):
+    out = tmp_path / "out.csv"
+    cfg = ExperimentConfig(**workloads.config_kwargs(name, seed, quick=True), out=str(out))
+    run_experiment(cfg)
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.iterdir())
+    }
+    assert got == QUICK_DIGESTS[name][str(seed)]

@@ -13,7 +13,6 @@ from ergolab.dynamics import (
     make_system,
     partial_summation_identity,
     weighted_average_from_positions,
-    weighted_random_average,
 )
 from ergolab.selectors import OutOfRangeError, SelectorParams, generate_realization, realization_from_bits
 
@@ -132,7 +131,8 @@ def test_constant_observable_factorizes_bit_for_bit(p32):
     sys = RotationSystem("sqrt2m1", "const")
     r = generate_realization(SelectorParams(a=0.3, seed=7, n_max=200000))
     schedule = [64, 512, 4096]
-    series = weighted_random_average(sys, p32, r, schedule, sample_points=[0.5])
+    phases = hardy.phase_fractions(p32, schedule[-1])
+    series = weighted_average_from_positions(sys, phases, r.ones, schedule, sample_points=[0.5])
     for i, N in enumerate(schedule):
         assert series.values[0, i] == hardy.exp_sum(p32, N)
 
@@ -144,7 +144,8 @@ def test_exact_cancellation_synthetic():
     params = SelectorParams(a=0.3, seed=0, n_max=64)
     r = realization_from_bits(params, np.ones(64, dtype=bool))
     sys = CyclicSystem(2, np.array([1.0, -1.0], dtype=complex))
-    series = weighted_random_average(sys, zero, r, [2, 10, 64], sample_points=[0])
+    phases = hardy.phase_fractions(zero, 64)
+    series = weighted_average_from_positions(sys, phases, r.ones, [2, 10, 64], sample_points=[0])
     assert np.all(series.values == 0.0)
 
 
@@ -152,24 +153,29 @@ def test_weighted_average_magnitude_bound(p32):
     # triangle inequality: |average| <= (1/N) sum |weights| = 1
     sys = RotationSystem("sqrt2m1", "e")
     r = generate_realization(SelectorParams(a=0.3, seed=3, n_max=50000))
-    series = weighted_random_average(sys, p32, r, [16, 256], sample_points=sys.sample_points(6))
+    phases = hardy.phase_fractions(p32, 256)
+    series = weighted_average_from_positions(
+        sys, phases, r.ones, [16, 256], sample_points=sys.sample_points(6)
+    )
     assert np.all(np.abs(series.values) <= 1.0 + 1e-12)
 
 
 def test_insufficient_realization_signalled(p32):
     sys = RotationSystem("sqrt2m1", "e")
     r = generate_realization(SelectorParams(a=0.3, seed=3, n_max=100))
+    phases = hardy.phase_fractions(p32, 1000)
     with pytest.raises(OutOfRangeError):
-        weighted_random_average(sys, p32, r, [1000])
+        weighted_average_from_positions(sys, phases, r.ones, [1000])
 
 
 def test_positions_entry_matches_realization_entry(p32):
     sys = RotationSystem("sqrt2m1", "e")
     r = generate_realization(SelectorParams(a=0.3, seed=21, n_max=100000))
     pts = sys.sample_points(3)
-    a1 = weighted_random_average(sys, p32, r, [128, 1024], sample_points=pts)
+    phases = hardy.phase_fractions(p32, 1024)
+    a1 = weighted_average_from_positions(sys, phases, r.ones, [128, 1024], sample_points=pts)
     pos = selectors.select_first(0.3, 21, 1024)
-    a2 = weighted_average_from_positions(sys, p32, pos, [128, 1024], sample_points=pts)
+    a2 = weighted_average_from_positions(sys, phases, pos, [128, 1024], sample_points=pts)
     assert np.array_equal(a1.values, a2.values)
 
 
@@ -181,7 +187,8 @@ def test_chain_first_step_identity_exact(p32):
     # float terms: the gap is exactly zero, not merely small
     sys = RotationSystem("sqrt2m1", "e_shifted")
     r = generate_realization(SelectorParams(a=0.3, seed=13, n_max=4096))
-    diag = chain_diagnostics(sys, p32, r, 4096, sample_points=sys.sample_points(5))
+    phases = hardy.phase_fractions(p32, 4096)
+    diag = chain_diagnostics(sys, phases, r, [4096], sample_points=sys.sample_points(5))[0]
     assert np.all(diag.diffs[:, 0] == 0.0)
 
 
@@ -196,7 +203,7 @@ def test_chain_first_step_identity_against_masked_sum(p32):
     x = 0.375
     orbit = sys.orbit_observable(x, np.arange(1, N + 1, dtype=np.int64))
     masked = np.sum(r.bits[:N] * e_all[r.s_prefix[1:N+1] - 1] * orbit) / s_N
-    diag = chain_diagnostics(sys, p32, r, N, sample_points=[x])
+    diag = chain_diagnostics(sys, fr, r, [N], sample_points=[x])[0]
     assert abs(diag.stages[0, 1] - masked) < 1e-12
 
 
@@ -205,7 +212,8 @@ def test_chain_renormalization_bound(p32):
     # two normalizers); check the algebra within float tolerance
     sys = RotationSystem("sqrt2m1", "e_shifted")
     r = generate_realization(SelectorParams(a=0.3, seed=29, n_max=8192))
-    diag = chain_diagnostics(sys, p32, r, 8192, sample_points=sys.sample_points(4))
+    phases = hardy.phase_fractions(p32, 8192)
+    diag = chain_diagnostics(sys, phases, r, [8192], sample_points=sys.sample_points(4))[0]
     bound = abs(r.S(8192) / r.W(8192) - 1.0) * np.abs(diag.stages[:, 1])
     assert np.all(diag.diffs[:, 1] <= bound * (1 + 1e-9) + 1e-15)
 
@@ -213,11 +221,39 @@ def test_chain_renormalization_bound(p32):
 def test_chain_shapes_and_median(p32):
     sys = RotationSystem("sqrt2m1", "e_shifted")
     r = generate_realization(SelectorParams(a=0.3, seed=1, n_max=1024))
-    diag = chain_diagnostics(sys, p32, r, 1024, sample_points=sys.sample_points(6))
+    phases = hardy.phase_fractions(p32, 1024)
+    diag = chain_diagnostics(sys, phases, r, [1024], sample_points=sys.sample_points(6))[0]
     assert diag.stages.shape == (6, 6)
     assert diag.diffs.shape == (6, 6)
     assert diag.median_diffs.shape == (6,)
     assert diag.s_N == r.S(1024)
+
+
+def test_chain_schedule_matches_single_n_calls(p32):
+    # one call over a schedule slices each point's top-N orbit; every
+    # ChainDiagnostics must equal the one a single-N call builds, bit for bit
+    sys = RotationSystem("sqrt2m1", "e_shifted")
+    r = generate_realization(SelectorParams(a=0.3, seed=5, n_max=4096))
+    phases = hardy.phase_fractions(p32, 4096)
+    pts = sys.sample_points(3)
+    schedule = [4096, 100, 1, 1024]
+    diags = chain_diagnostics(sys, phases, r, schedule, sample_points=pts)
+    assert [d.N for d in diags] == sorted(schedule)
+    for d in diags:
+        single = chain_diagnostics(sys, phases[: d.N], r, [d.N], sample_points=pts)[0]
+        assert (d.s_N, d.w_N) == (single.s_N, single.w_N)
+        assert np.array_equal(d.stages, single.stages)
+        assert np.array_equal(d.diffs, single.diffs)
+    with pytest.raises(ValueError):
+        chain_diagnostics(sys, phases[:1000], r, [1024], sample_points=pts)
+    with pytest.raises(ValueError):
+        chain_diagnostics(sys, phases, r, [4097], sample_points=pts)
+    # S_1 = 0 would index the phase table at -1
+    no_first = np.array(r.bits)
+    no_first[0] = False
+    synthetic = realization_from_bits(r.params, no_first)
+    with pytest.raises(ValueError):
+        chain_diagnostics(sys, phases, synthetic, [1024], sample_points=pts)
 
 
 def test_chain_late_steps_decay_along_schedule(p32):
@@ -234,8 +270,7 @@ def test_chain_late_steps_decay_along_schedule(p32):
         lo_all, hi_all = [], []
         for seed in range(base, base + 10):
             r = generate_realization(SelectorParams(a=0.3, seed=seed, n_max=n_hi))
-            lo = chain_diagnostics(sys, p32, r, n_lo, sample_points=pts, phases=phases)
-            hi = chain_diagnostics(sys, p32, r, n_hi, sample_points=pts, phases=phases)
+            lo, hi = chain_diagnostics(sys, phases, r, [n_lo, n_hi], sample_points=pts)
             lo_all.append(lo.diffs)
             hi_all.append(hi.diffs)
         return np.median(lo_all, axis=0), np.median(hi_all, axis=0)

@@ -143,6 +143,8 @@ def test_config_validation():
         ExperimentConfig(pipeline="average", a=0.7)
     with pytest.raises(ValueError):
         ExperimentConfig(pipeline="average", a_values=(0.3, 0.5))
+    with pytest.raises(ValueError):
+        ExperimentConfig(pipeline="average", points=0)
 
 
 # ---------------------------------------------------------------------------
@@ -263,3 +265,11 @@ def test_deviation_pipeline_thresholds():
     rep = run_experiment(cfg)
     rows = rep.table().rows
     assert rows[0][4] == 0.0 and rows[0][5] == 1.0  # A = 0 has frequency 1
+
+
+def test_deviation_window_follows_n():
+    # N beyond the default nmax: the selection window is sized from N itself
+    cfg = ExperimentConfig(pipeline="deviation", a=0.3, seed=2, n=2_000_000, trials=1)
+    rows = run_experiment(cfg).table().rows
+    assert all(row[2] == 2_000_000 for row in rows)
+    assert rows[0][4] == 0.0 and rows[0][5] == 1.0

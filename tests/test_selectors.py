@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergolab.rng import child_seed
+from ergolab.rng import child_seed, uniform01
 from ergolab.selectors import (
+    DEFAULT_CHUNK,
     OutOfRangeError,
     SelectorParams,
     count_selected,
@@ -46,9 +47,6 @@ def test_bit_exact_reproducibility():
     r2 = generate_realization(p)
     assert np.array_equal(r1.bits, r2.bits)
     assert np.array_equal(r1.s_prefix, r2.s_prefix)
-    # chunk size is an implementation knob, not part of the contract
-    r3 = generate_realization(p, chunk=777)
-    assert np.array_equal(r1.bits, r3.bits)
 
 
 def test_prefix_consistency_exhaustive():
@@ -164,9 +162,21 @@ def test_select_first_agrees_with_dense_realization():
     r = generate_realization(p)
     pos = select_first(0.3, 42, r.selection_count)
     assert np.array_equal(pos, r.ones)
-    # chunk boundary invariance for the streaming path
-    pos2 = select_first(0.3, 42, r.selection_count, chunk=1013)
-    assert np.array_equal(pos2, r.ones)
+
+
+def test_scans_agree_across_chunk_boundaries():
+    # a window spanning several chunks: the dense, streaming and counting
+    # scans agree with each other and, at the chunk edges, with the
+    # index-at-a-time definition X_n = 1 iff u(seed, n) < n^(-a)
+    a, seed = 0.3, 77
+    n_max = 3 * DEFAULT_CHUNK + 12345
+    r = generate_realization(SelectorParams(a=a, seed=seed, n_max=n_max))
+    assert np.array_equal(select_first(a, seed, r.selection_count), r.ones)
+    assert count_selected(a, seed, n_max) == r.selection_count
+    edges = [k * DEFAULT_CHUNK + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+    for n in edges + [n_max]:
+        assert count_selected(a, seed, n) == r.S(n)
+        assert bool(r.bits[n - 1]) == (uniform01(seed, n) < sigma_values(a, n, n)[0])
 
 
 def test_count_selected_agrees_with_dense():
