@@ -26,14 +26,13 @@ from .selectors import OutOfRangeError, Realization
 
 @dataclass(frozen=True)
 class WeightParams:
-    """Exponent bundle (a, delta, b, c, rho) constrained to the open ranges
-    the argument needs: b in (a, 1/2), c in (2a, 1), delta in (0, 1/2)."""
+    """Exponent bundle (a, delta, b, c) constrained to the open ranges the
+    argument needs: b in (a, 1/2), c in (2a, 1), delta in (0, 1/2)."""
 
     a: float
     delta: float = 0.1
     b: float = 0.0
     c_exponent: float = 0.0
-    rho: float = 2.0
 
     def __post_init__(self):
         if not 0.0 < self.a < 0.5:
@@ -46,8 +45,6 @@ class WeightParams:
             raise ValueError(
                 f"c must lie in ({2 * self.a}, 1), got {self.c_exponent}"
             )
-        if self.rho <= 1.0:
-            raise ValueError(f"rho must exceed 1, got {self.rho}")
 
 
 def default_weight_params(
@@ -55,14 +52,13 @@ def default_weight_params(
     delta: float = 0.1,
     b: Optional[float] = None,
     c_exponent: Optional[float] = None,
-    rho: float = 2.0,
 ) -> WeightParams:
     """Midpoint defaults: b centered in (a, 1/2), c centered in (2a, 1)."""
     if b is None:
         b = 0.5 * (a + 0.5)
     if c_exponent is None:
         c_exponent = 0.5 * (2.0 * a + 1.0)
-    return WeightParams(a=a, delta=delta, b=b, c_exponent=c_exponent, rho=rho)
+    return WeightParams(a=a, delta=delta, b=b, c_exponent=c_exponent)
 
 
 @dataclass(frozen=True)
@@ -71,7 +67,6 @@ class WeightSeries:
 
     c: np.ndarray
     realization: Realization
-    expr: hardy.HardyExpr
     params: WeightParams
 
     @property
@@ -81,15 +76,15 @@ class WeightSeries:
 
 def weight_series(
     r: Realization,
-    p: hardy.HardyExpr,
+    phases: np.ndarray,
     params: WeightParams,
-    precision_bits: Optional[int] = None,
 ) -> WeightSeries:
-    """Build the weight sequence from a realization and a phase function.
+    """Build the weight sequence from a realization and a phase table.
 
-    Phases are taken from one table of frac(p(k)) for k up to S_{n_max}
-    (the counts S_n repeat, the table does not), so the per-n cost is a
-    lookup.
+    phases is the table frac(p(k)), k = 1, 2, ... (hardy.phase_fractions),
+    covering k up to S_{n_max}; the counts S_n repeat, the table does not,
+    so the per-n cost is a lookup.  It does not depend on the seed, so one
+    table serves every realization.
     """
     if params.a != r.params.a:
         raise ValueError(
@@ -97,11 +92,14 @@ def weight_series(
         )
     counts = r.s_prefix[1:]
     s_max = int(counts[-1])
-    fr = hardy.phase_fractions(p, s_max, precision_bits)
-    phases = hardy.unit_phases(fr)
-    c = r.y_values(r.n_max) * phases[counts - 1]
+    if phases.shape[0] < s_max:
+        raise ValueError(f"phase table shorter than S_{{n_max}} = {s_max}")
+    # e(p(S_n)) needs S_n >= 1; the hash always selects index 1 (sigma_1 = 1)
+    if not r.bits[0]:
+        raise ValueError("the weight series needs X_1 = 1")
+    c = r.y_values(r.n_max) * hardy.unit_phases(phases[:s_max])[counts - 1]
     c.setflags(write=False)
-    return WeightSeries(c, r, p, params)
+    return WeightSeries(c, r, params)
 
 
 def c_sum_check(w: WeightSeries, schedule: Sequence[int]) -> np.ndarray:
@@ -120,20 +118,18 @@ def correlation_window(N: int, delta: float) -> int:
     return int(math.ceil(N ** (1.0 - delta)))
 
 
-def correlation_sum(
-    w: WeightSeries,
-    N: int,
-    m: int,
-    delta: Optional[float] = None,
-) -> complex:
+def lag_count(N: int, b: float) -> int:
+    """floor(N^b): the correlation sums at N run over lags m = 1..floor(N^b)."""
+    return int(math.floor(N ** b))
+
+
+def correlation_sum(w: WeightSeries, N: int, m: int) -> complex:
     """sum_{n = ceil(N^(1-delta))}^{N-m} c_{n+m} conj(c_n); 0 on empty range."""
     if m < 1:
         raise ValueError("lag m must be >= 1")
     if N > w.n_max:
         raise OutOfRangeError(f"N={N} exceeds weight series length {w.n_max}")
-    if delta is None:
-        delta = w.params.delta
-    n0 = correlation_window(N, delta)
+    n0 = correlation_window(N, w.params.delta)
     if n0 > N - m:
         return 0j
     lo = w.c[n0 - 1 : N - m]
@@ -141,23 +137,27 @@ def correlation_sum(
     return complex(np.sum(hi * np.conj(lo)))
 
 
-def summability_statistic(w: WeightSeries, schedule: Sequence[int]) -> np.ndarray:
-    """Running partial sums over the schedule of
+def summability_statistic(
+    w: WeightSeries, schedule: Sequence[int]
+) -> Tuple[List[List[complex]], np.ndarray]:
+    """The correlation sums over the schedule and the running partial sums
 
         N^(2a - 1 - b) * sum_{m <= floor(N^b)} |correlation_sum(N, m)|.
 
+    sums[i][m - 1] is correlation_sum(w, N_i, m) for m = 1..floor(N_i^b).
     Bounded partial sums over lacunary N are the numerical surrogate for
     the summability the criterion demands.
     """
     a, b = w.params.a, w.params.b
+    sums: List[List[complex]] = []
     partials = np.empty(len(schedule), dtype=np.float64)
     total = 0.0
     for i, N in enumerate(schedule):
-        m_top = int(math.floor(N ** b))
-        terms = [abs(correlation_sum(w, N, m)) for m in range(1, m_top + 1)]
-        total += N ** (2.0 * a - 1.0 - b) * math.fsum(terms)
+        row = [correlation_sum(w, N, m) for m in range(1, lag_count(N, b) + 1)]
+        sums.append(row)
+        total += N ** (2.0 * a - 1.0 - b) * math.fsum(abs(v) for v in row)
         partials[i] = total
-    return partials
+    return sums, partials
 
 
 def vdc_inequality_check(vectors, M: int) -> Tuple[float, float]:
@@ -216,9 +216,9 @@ class ITermsProfile:
     i3_sq: float
 
 
-def profile_envelope(N: int, a: float, kappa: float = 0.0) -> float:
-    """Target bound N^(2 - 4a - kappa) all three terms are measured against."""
-    return N ** (2.0 - 4.0 * a - kappa)
+def profile_envelope(N: int, a: float) -> float:
+    """Target bound N^(2 - 4a) all three terms are measured against."""
+    return N ** (2.0 - 4.0 * a)
 
 
 def _autocorrelation(g: np.ndarray, max_lag: int) -> np.ndarray:
@@ -231,23 +231,16 @@ def _autocorrelation(g: np.ndarray, max_lag: int) -> np.ndarray:
     return np.conj(acf[: max_lag + 1])
 
 
-def i_terms_profile(
-    w: WeightSeries,
-    N: int,
-    m: int,
-    c_exponent: Optional[float] = None,
-) -> ITermsProfile:
+def i_terms_profile(w: WeightSeries, N: int, m: int) -> ITermsProfile:
     """Evaluate the three-term decomposition for one realization.
 
     R = floor(N^c) lags enter the third term; the FFT autocorrelation makes
     the whole profile O(N log N) where the literal triple loop would be
     O(N R).  Matches the naive loops to float tolerance (tested at small N).
     """
-    if c_exponent is None:
-        c_exponent = w.params.c_exponent
     if m < 1:
         raise ValueError("m must be >= 1")
-    R = int(math.floor(N ** c_exponent))
+    R = int(math.floor(N ** w.params.c_exponent))
     if R < 2:
         raise ValueError(f"R = floor(N^c) = {R} too small; need >= 2")
     if w.n_max < N + m + R:

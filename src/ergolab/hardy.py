@@ -137,9 +137,6 @@ class HardyExpr:
     def key(self) -> str:
         return node_key(self.root)
 
-    def with_epsilon(self, epsilon: float) -> "HardyExpr":
-        return HardyExpr(self.root, self.source, epsilon, self.integer_polynomial)
-
 
 @dataclass(frozen=True)
 class PhaseValue:

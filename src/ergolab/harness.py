@@ -156,8 +156,11 @@ class ExperimentConfig:
         for r in self.rho:
             if r <= 1.0:
                 raise ValueError(f"every rho must exceed 1, got {r}")
-        if self.seeds < 0:
-            raise ValueError("seeds count must be >= 0")
+        min_seeds = 1 if self.pipeline in ("average", "chain", "correlation") else 0
+        if self.seeds < min_seeds:
+            raise ValueError(
+                f"{self.pipeline} needs seeds >= {min_seeds}, got {self.seeds}"
+            )
         if self.points < 1:
             raise ValueError(f"points must be >= 1, got {self.points}")
         # every selecting pipeline needs this; checked before any phase table
@@ -345,6 +348,9 @@ def _union_schedule(cfg: ExperimentConfig) -> List[int]:
     out = set()
     for r in cfg.rho:
         out.update(lacunary_schedule(r, cfg.nmin, cfg.nmax))
+    if not out:
+        rhos = ",".join(str(r) for r in cfg.rho)
+        raise ValueError(f"no N of the rho={rhos} schedule lies in [{cfg.nmin}, {cfg.nmax}]")
     return sorted(out)
 
 
@@ -474,26 +480,25 @@ def _run_chain(cfg: ExperimentConfig) -> Report:
 # -- correlation -------------------------------------------------------------
 
 def _correlation_job(ctx: Dict[str, object], seed: int):
-    cfg: ExperimentConfig = ctx["cfg"]
     union: List[int] = ctx["union"]
     wp: correlation.WeightParams = ctx["wparams"]
-    params = selectors.SelectorParams(a=cfg.a, seed=seed, n_max=ctx["n_need"])
+    params = selectors.SelectorParams(a=wp.a, seed=seed, n_max=ctx["n_need"])
     r = selectors.generate_realization(params)
-    w = correlation.weight_series(r, ctx["expr"], wp, cfg.bits)
+    w = correlation.weight_series(r, ctx["phases"], wp)
 
-    detail = []
     ratios = correlation.c_sum_check(w, union)
-    partials = correlation.summability_statistic(w, union)
-    for N in union:
-        for m in range(1, int(math.floor(N ** wp.b)) + 1):
-            v = correlation.correlation_sum(w, N, m)
-            detail.append((seed, N, m, v.real, v.imag, abs(v)))
+    sums, partials = correlation.summability_statistic(w, union)
+    detail = [
+        (seed, N, m, v.real, v.imag, abs(v))
+        for N, row in zip(union, sums)
+        for m, v in enumerate(row, 1)
+    ]
     iterms_n = ctx["iterms_n"]
     profile = None
     if iterms_n is not None:
-        m_top = int(math.floor(iterms_n ** wp.b))
         profile = [
-            correlation.i_terms_profile(w, iterms_n, m) for m in range(1, m_top + 1)
+            correlation.i_terms_profile(w, iterms_n, m)
+            for m in range(1, correlation.lag_count(iterms_n, wp.b) + 1)
         ]
     return detail, ratios, partials, profile
 
@@ -501,26 +506,25 @@ def _correlation_job(ctx: Dict[str, object], seed: int):
 def _run_correlation(cfg: ExperimentConfig) -> Report:
     expr = _resolved_expr(cfg)
     union = _union_schedule(cfg)
-    wp = correlation.default_weight_params(
-        cfg.a, delta=cfg.delta, b=cfg.b, c_exponent=cfg.c, rho=cfg.rho[0]
-    )
+    wp = correlation.default_weight_params(cfg.a, delta=cfg.delta, b=cfg.b, c_exponent=cfg.c)
     iterms_n = cfg.iterms_n
     if iterms_n is None:
-        candidates = [N for N in union if N <= (1 << 16)]
-        iterms_n = candidates[-1] if candidates else None
-    n_need = union[-1] + int(math.floor(union[-1] ** wp.b)) + 1
+        iterms_n = max((N for N in union if N <= (1 << 16)), default=None)
+    elif iterms_n not in union:
+        # the profile is reported only in the summary row of its N
+        raise ValueError(f"iterms_n={iterms_n} is not an N of the schedule")
+    n_need = union[-1] + correlation.lag_count(union[-1], wp.b) + 1
     if iterms_n is not None:
-        n_need = max(
-            n_need,
-            iterms_n
-            + int(math.floor(iterms_n ** wp.b))
-            + int(math.floor(iterms_n ** wp.c_exponent))
-            + 1,
-        )
-
-    shared = dict(cfg=cfg, union=union, expr=expr, wparams=wp,
-                  n_need=n_need, iterms_n=iterms_n)
+        R = int(math.floor(iterms_n ** wp.c_exponent))
+        n_need = max(n_need, iterms_n + correlation.lag_count(iterms_n, wp.b) + R + 1)
     seeds = cfg.seed_list()
+    # the phase table depends on p alone, so one table, long enough for the
+    # largest S_{n_need} among the seeds, serves every seed
+    s_max = max(selectors.count_selected(cfg.a, seed, n_need) for seed in seeds)
+    phases = hardy.phase_fractions(expr, s_max, cfg.bits)
+
+    shared = dict(union=union, phases=phases, wparams=wp,
+                  n_need=n_need, iterms_n=iterms_n)
     results = _pool_map(_correlation_job, seeds, cfg.resolve_workers(), shared)
 
     fp = cfg.fingerprint()
@@ -530,10 +534,8 @@ def _run_correlation(cfg: ExperimentConfig) -> Report:
         for rec in detail:
             detail_rows.append((fp,) + rec)
         for i, N in enumerate(union):
-            if profiles is not None and N == iterms_n:
-                worst = max(
-                    (q.i1_sq + q.i2_sq + q.i3_sq) for q in profiles
-                )
+            if N == iterms_n:
+                worst = max(q.i1_sq + q.i2_sq + q.i3_sq for q in profiles)
                 i1 = max(q.i1_sq for q in profiles)
                 i2 = max(q.i2_sq for q in profiles)
                 i3 = max(q.i3_sq for q in profiles)

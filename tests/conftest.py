@@ -1,5 +1,18 @@
+import os
+from pathlib import Path
+
 import pytest
 from mpmath import iv, mp
+
+
+def pytest_configure(config):
+    # pytest puts src/ on sys.path (pythonpath in pyproject.toml); the same
+    # entry on PYTHONPATH lets the interpreters that tests start import the
+    # package too
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    if src not in paths:
+        os.environ["PYTHONPATH"] = os.pathsep.join(p for p in [src, *paths] if p)
 
 
 @pytest.fixture(autouse=True)

@@ -143,7 +143,7 @@ def test_criterion_06_brute_force_equivalence(shared):
         r = selectors.generate_realization(
             selectors.SelectorParams(a=A_DEFAULT, seed=seed, n_max=n_max)
         )
-        w = correlation.weight_series(r, p, wp)
+        w = correlation.weight_series(r, hardy.phase_fractions(p, r.selection_count), wp)
 
         # naive weight sequence via independent 200-bit evaluation
         for n in range(1, 129):
@@ -247,8 +247,8 @@ def _criterion8_job(ctx, seed: int):
     sched = ctx["sched"]
     params = selectors.SelectorParams(a=wp.a, seed=seed, n_max=ctx["n_need"])
     r = selectors.generate_realization(params)
-    w = correlation.weight_series(r, ctx["p"], wp)
-    parts = correlation.summability_statistic(w, sched)
+    w = correlation.weight_series(r, hardy.phase_fractions(ctx["p"], r.selection_count), wp)
+    _, parts = correlation.summability_statistic(w, sched)
     return float(parts[-1]), float(parts[-1] - parts[-2])
 
 

@@ -82,6 +82,12 @@ def test_vdc_selftest_cli():
     ["average", "--a", "0.7"],
     ["average", "--system", "cyclic"],  # the default f=e is not a cyclic observable
     ["average", "--Nmin", "64", "--Nmax", "64", "--seeds", "1", "--points", "0"],
+    ["average", "--Nmin", "1000", "--Nmax", "1000"],  # no power of 2 in range
+    ["chain", "--Nmin", "1000", "--Nmax", "1000"],
+    ["correlation", "--Nmin", "1000", "--Nmax", "1000"],
+    ["expsum", "--Nmin", "1000", "--Nmax", "1000"],
+    ["average", "--Nmin", "64", "--Nmax", "64", "--seeds", "0"],
+    ["correlation", "--Nmin", "128", "--Nmax", "1024", "--seeds", "1", "--iterms-N", "500"],
 ])
 def test_bad_input_exits_with_one_line(args):
     r = run_cli(args)

@@ -25,6 +25,7 @@ from ergolab.selectors import (
     OutOfRangeError,
     SelectorParams,
     generate_realization,
+    realization_from_bits,
     sigma_values,
 )
 
@@ -36,19 +37,19 @@ def p32():
 
 @pytest.fixture(scope="module")
 def wparams():
-    return WeightParams(a=0.3, delta=0.1, b=0.35, c_exponent=0.8, rho=2.0)
+    return WeightParams(a=0.3, delta=0.1, b=0.35, c_exponent=0.8)
 
 
 def small_series(seed, n_max, p, wp):
     r = generate_realization(SelectorParams(a=wp.a, seed=seed, n_max=n_max))
-    return weight_series(r, p, wp)
+    return weight_series(r, hardy.phase_fractions(p, r.selection_count), wp)
 
 
 def synthetic_series(c_values, wp):
     """WeightSeries wrapper around explicit weights, for closed-form cases."""
     n = len(c_values)
     r = generate_realization(SelectorParams(a=wp.a, seed=0, n_max=n))
-    return WeightSeries(np.asarray(c_values, dtype=np.complex128), r, None, wp)
+    return WeightSeries(np.asarray(c_values, dtype=np.complex128), r, wp)
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +64,6 @@ def test_weight_params_ranges():
         WeightParams(a=0.3, delta=0.1, b=0.35, c_exponent=0.6)  # c = 2a
     with pytest.raises(ValueError):
         WeightParams(a=0.3, delta=0.6, b=0.35, c_exponent=0.8)
-    with pytest.raises(ValueError):
-        WeightParams(a=0.3, delta=0.1, b=0.35, c_exponent=0.8, rho=1.0)
 
 
 def test_default_midpoints():
@@ -76,7 +75,22 @@ def test_default_midpoints():
 def test_weight_series_requires_matching_a(p32, wparams):
     r = generate_realization(SelectorParams(a=0.25, seed=1, n_max=100))
     with pytest.raises(ValueError):
-        weight_series(r, p32, wparams)
+        weight_series(r, hardy.phase_fractions(p32, r.selection_count), wparams)
+
+
+def test_weight_series_rejects_short_table(p32, wparams):
+    r = generate_realization(SelectorParams(a=0.3, seed=4, n_max=300))
+    table = hardy.phase_fractions(p32, r.selection_count + 10)
+    w = weight_series(r, table, wparams)  # a longer table is fine
+    assert np.array_equal(w.c, small_series(4, 300, p32, wparams).c)
+    with pytest.raises(ValueError, match="shorter"):
+        weight_series(r, table[: r.selection_count - 1], wparams)
+    # S_1 = 0 would index the table at -1
+    bits = np.ones(20, dtype=np.uint8)
+    bits[0] = 0
+    r0 = realization_from_bits(SelectorParams(a=0.3, seed=4, n_max=20), bits)
+    with pytest.raises(ValueError, match="X_1"):
+        weight_series(r0, table, wparams)
 
 
 # ---------------------------------------------------------------------------
@@ -164,21 +178,23 @@ def test_correlation_sum_empty_range(p32, wparams):
     assert correlation_sum(w, N, m_min_empty + 5) == 0j
 
 
-def test_correlation_sum_counts_ones(wparams):
+def test_correlation_sum_counts_ones():
     # c == 1 telescopes to the plain length of the summation window
-    w = synthetic_series(np.ones(64), wparams)
-    N, m, delta = 32, 3, 0.2
-    n0 = math.ceil(N ** (1 - delta))
+    wp = WeightParams(a=0.3, delta=0.2, b=0.35, c_exponent=0.8)
+    w = synthetic_series(np.ones(64), wp)
+    N, m = 32, 3
+    n0 = math.ceil(N ** (1 - wp.delta))
     expected = N - m - n0 + 1
-    assert correlation_sum(w, N, m, delta) == pytest.approx(expected)
+    assert correlation_sum(w, N, m) == pytest.approx(expected)
 
 
-def test_correlation_sum_brute_force(p32, wparams):
-    w = small_series(9, 64, p32, wparams)
-    N, m, delta = 32, 3, 0.2
-    n0 = math.ceil(N ** (1 - delta))
+def test_correlation_sum_brute_force(p32):
+    wp = WeightParams(a=0.3, delta=0.2, b=0.35, c_exponent=0.8)
+    w = small_series(9, 64, p32, wp)
+    N, m = 32, 3
+    n0 = math.ceil(N ** (1 - wp.delta))
     brute = sum(w.c[n + m - 1] * np.conj(w.c[n - 1]) for n in range(n0, N - m + 1))
-    assert abs(correlation_sum(w, N, m, delta) - brute) < 1e-14
+    assert abs(correlation_sum(w, N, m) - brute) < 1e-14
 
 
 def test_correlation_sum_triangle_bound(p32, wparams):
@@ -196,19 +212,35 @@ def test_correlation_sum_triangle_bound(p32, wparams):
 
 def test_summability_empty_schedule(p32, wparams):
     w = small_series(2, 64, p32, wparams)
-    assert summability_statistic(w, []).shape == (0,)
+    sums, parts = summability_statistic(w, [])
+    assert sums == [] and parts.shape == (0,)
 
 
 def test_summability_zero_series(wparams):
     w = synthetic_series(np.zeros(128), wparams)
-    parts = summability_statistic(w, [64, 128])
+    _, parts = summability_statistic(w, [64, 128])
     assert np.all(parts == 0.0)
 
 
 def test_summability_partials_nondecreasing(p32, wparams):
     w = small_series(6, 1 << 12, p32, wparams)
-    parts = summability_statistic(w, [1 << k for k in range(6, 13)])
+    _, parts = summability_statistic(w, [1 << k for k in range(6, 13)])
     assert np.all(np.diff(parts) >= 0.0)
+
+
+def test_summability_sums_match_correlation_sum(p32, wparams):
+    # every reported sum is correlation_sum at its (N, m), bit for bit, over
+    # m = 1..floor(N^b); the partials are built from exactly these sums
+    w = small_series(6, 1 << 12, p32, wparams)
+    sched = [1, 7, 64, 1000, 1 << 12]
+    sums, parts = summability_statistic(w, sched)
+    assert [len(row) for row in sums] == [math.floor(N ** 0.35) for N in sched]
+    total = 0.0
+    for N, row, part in zip(sched, sums, parts):
+        for m, v in enumerate(row, 1):
+            assert v == correlation_sum(w, N, m)
+        total += N ** (2 * 0.3 - 1 - 0.35) * math.fsum(abs(v) for v in row)
+        assert part == total
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +340,7 @@ def test_i_terms_brute_force_all_three(p32, wparams):
 
 def test_i_terms_envelope_ensemble(p32, wparams):
     # seed-ensemble estimates (expectation inside the modulus, as in the
-    # bound being verified) stay under the envelope N^(2-4a) at kappa = 0;
+    # bound being verified) stay under the envelope N^(2-4a);
     # two disjoint 10-seed families must agree on that verdict
     N, n_seeds = 1 << 12, 10
     m_top = int(N ** wparams.b)

@@ -1,15 +1,12 @@
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ergolab
 from ergolab.harness import (
     ExperimentConfig,
     CSV_SCHEMA,
@@ -145,6 +142,11 @@ def test_config_validation():
         ExperimentConfig(pipeline="average", a_values=(0.3, 0.5))
     with pytest.raises(ValueError):
         ExperimentConfig(pipeline="average", points=0)
+    for pipeline in ("average", "chain", "correlation"):
+        with pytest.raises(ValueError, match="seeds"):
+            ExperimentConfig(pipeline=pipeline, seeds=0)
+    with pytest.raises(ValueError, match="seeds"):
+        ExperimentConfig(pipeline="expsum", seeds=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +208,9 @@ def test_average_bytes_stable_under_start_method(tmp_path, method):
     script = tmp_path / "run_average.py"
     script.write_text(START_METHOD_SCRIPT.format(kwargs=AVERAGE_SMALL))
     out = tmp_path / "average.csv"
-    src = str(Path(ergolab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, str(script), method, str(out)],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     seq = run_experiment(ExperimentConfig(**AVERAGE_SMALL, workers=1))
@@ -237,6 +236,34 @@ def test_correlation_report_has_summary_table(tmp_path):
     assert rep.table("summary").columns[:3] == ("experiment_id", "seed", "N")
     assert out.exists()
     assert (tmp_path / "corr.summary.csv").exists()
+
+
+CORRELATION_SMALL = dict(
+    pipeline="correlation", rho=(2.0,), nmin=128, nmax=1024, seeds=2, b=0.35, c=0.8,
+)
+
+
+def test_correlation_profile_row_at_iterms_n():
+    # the profile lands in the summary row of its N, and only there
+    rows = run_experiment(
+        ExperimentConfig(**CORRELATION_SMALL, iterms_n=512)
+    ).table("summary").rows
+    assert {row[2] for row in rows if row[-1] is not None} == {512}
+
+
+def test_correlation_rejects_iterms_n_off_schedule(monkeypatch):
+    # an N outside the schedule has no summary row to hold its profile;
+    # the run stops before any selection scan or phase table
+    from ergolab import hardy, selectors
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the check")
+
+    monkeypatch.setattr(hardy, "phase_fractions", forbidden)
+    monkeypatch.setattr(selectors, "count_selected", forbidden)
+    monkeypatch.setattr(selectors, "generate_realization", forbidden)
+    with pytest.raises(ValueError, match="iterms_n=500"):
+        run_experiment(ExperimentConfig(**CORRELATION_SMALL, iterms_n=500))
 
 
 def test_generate_roundtrip(tmp_path):
