@@ -118,9 +118,15 @@ def correlation_window(N: int, delta: float) -> int:
     return int(math.ceil(N ** (1.0 - delta)))
 
 
-def lag_count(N: int, b: float) -> int:
-    """floor(N^b): the correlation sums at N run over lags m = 1..floor(N^b)."""
-    return int(math.floor(N ** b))
+def lag_count(N: int, e: float) -> int:
+    """floor(N^e): the lags at N for exponent e; e = b for the correlation
+    sums (m = 1..floor(N^b)), e = c for the profile's third term (R)."""
+    return int(math.floor(N ** e))
+
+
+def has_profile(N: int, c: float) -> bool:
+    """The three-term profile at N needs R = floor(N^c) >= 2 lags."""
+    return lag_count(N, c) >= 2
 
 
 def correlation_sum(w: WeightSeries, N: int, m: int) -> complex:
@@ -240,8 +246,8 @@ def i_terms_profile(w: WeightSeries, N: int, m: int) -> ITermsProfile:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    R = int(math.floor(N ** w.params.c_exponent))
-    if R < 2:
+    R = lag_count(N, w.params.c_exponent)
+    if not has_profile(N, w.params.c_exponent):
         raise ValueError(f"R = floor(N^c) = {R} too small; need >= 2")
     if w.n_max < N + m + R:
         raise OutOfRangeError(

@@ -44,6 +44,11 @@ TWO_PI = 2.0 * math.pi
 _VALIDATION_PREC = 128
 _VALIDATION_POINTS = 25
 _VALIDATION_TOP = 1e12
+# fractional bits kept by the integer-root path for power phases
+_ROOT_BITS = 128
+# largest root degree s of x^(r/s) on that path: its cost grows about
+# linearly in s, and beyond about s = 28 the mpmath tree loop is cheaper
+_ROOT_MAX_DEGREE = 24
 
 
 class ExpressionError(ValueError):
@@ -391,7 +396,7 @@ def _desugar(raw: _Raw) -> Node:
 
 def _power_form(root: Node) -> Optional[Fraction]:
     """Exponent q when the tree is exactly x^q (exp(q log x) in any operand
-    order, or plain x); lets the hot loop use one mp.power call."""
+    order, or plain x); such tables take the exact integer-root path."""
     if isinstance(root, Var):
         return Fraction(1)
     if isinstance(root, Exp) and isinstance(root.arg, Mul):
@@ -409,13 +414,13 @@ def _compile(node: Node, ctx):
     Both contexts provide mpf, exp and log, so one evaluator serves point
     values and outward-rounded enclosures.  `not arg > 0` rejects log
     arguments that are nonpositive, and in iv also intervals straddling 0,
-    which compare as None.
+    which compare as None.  Constants are rounded once, here, so compile
+    under the precision the closure will be called at.
     """
     if isinstance(node, Const):
         num, den = node.value.numerator, node.value.denominator
-        if den == 1:
-            return lambda x: ctx.mpf(num)
-        return lambda x: ctx.mpf(num) / den
+        c = ctx.mpf(num) if den == 1 else ctx.mpf(num) / den
+        return lambda x: c
     if isinstance(node, Var):
         return lambda x: x
     if isinstance(node, Add):
@@ -438,6 +443,57 @@ def _compile(node: Node, ctx):
     return ev_log
 
 
+def _iroot(x: int, s: int) -> int:
+    """floor(x^(1/s)) for integers x >= 0, s >= 1.
+
+    Integer Newton iteration (Brent & Zimmermann, Modern Computer
+    Arithmetic, 1.5) from a float estimate 2^(log2(x)/s), taken from the
+    top 53 bits of x with the exponent split into whole and fractional
+    parts, so it stays finite and good to about 45 bits for any x and s.
+    By AM-GM one step from any positive guess lands on or above the floor
+    of the root; from there the iterates fall strictly until they reach
+    it.  For s = 2, math.isqrt does the same job faster.
+    """
+    if x < 2:
+        return x
+    cut = max(0, x.bit_length() - 53)
+    # log2(x) / s = cut // s + f, with 0 < f < 54
+    f = (math.log2(x >> cut) + cut % s) / s
+    e = cut // s + int(f)
+    mant = 2.0 ** (f - int(f))
+    y = int(math.ldexp(mant, min(e, 52))) << max(e - 52, 0)
+    y = ((s - 1) * y + x // y ** (s - 1)) // s
+    while True:
+        z = ((s - 1) * y + x // y ** (s - 1)) // s
+        if z >= y:
+            return y
+        y = z
+
+
+def _power_fractions(q: Fraction, start: int, out: np.ndarray) -> None:
+    """out[i] = frac((start + i)^q) to within 2^-_ROOT_BITS, then rounded.
+
+    floor(n^(r/s) 2^K) = iroot_s(n^r 2^(sK)), and for r < 0 the root of
+    floor(2^(sK) / n^|r|) (the nested floor is exact); the low K bits of
+    the root are frac(n^q) 2^K truncated.  int / int is correctly rounded,
+    so the conversion to float64 adds no error of its own.  The radicand
+    carries s (K + bits of the root) bits, so the cost grows with s; only
+    s <= _ROOT_MAX_DEGREE comes here.
+    """
+    r, s = q.numerator, q.denominator
+    shift = s * _ROOT_BITS
+    mask = (1 << _ROOT_BITS) - 1
+    scale = 1 << _ROOT_BITS
+    root = math.isqrt if s == 2 else (lambda v: _iroot(v, s))
+    if r >= 0:
+        for i in range(out.shape[0]):
+            out[i] = (root((start + i) ** r << shift) & mask) / scale
+    else:
+        one = 1 << shift
+        for i in range(out.shape[0]):
+            out[i] = (root(one // (start + i) ** -r) & mask) / scale
+
+
 def _required_bits(magnitude) -> int:
     """The precision rule: 64 + ceil(log2(1 + magnitude)) bits."""
     with mp.workprec(96):
@@ -446,8 +502,8 @@ def _required_bits(magnitude) -> int:
 
 def _validate_domain(root: Node, source: str, domain_start: float) -> None:
     xs = np.geomspace(max(domain_start, 1e-9), _VALIDATION_TOP, _VALIDATION_POINTS)
-    fn = _compile(root, mp)
     with mp.workprec(_VALIDATION_PREC):
+        fn = _compile(root, mp)
         for xv in [domain_start, *xs.tolist()]:
             try:
                 fn(mp.mpf(xv))
@@ -550,42 +606,43 @@ def phase_fractions(
     precision_bits: Optional[int] = None,
     start: int = 1,
 ) -> np.ndarray:
-    """frac(p(n)) for n = start..N as float64, one mpf pass.
+    """frac(p(n)) for n = start..N as float64.
 
-    The workhorse behind exponential sums and weight tables.  Given
-    precision_bits below the rule at x=N fail before the table is built;
-    the rule is enforced again against the largest magnitude actually seen.
-    precision_bits None picks the rule minimum at x=N plus a 16-bit margin.
+    The workhorse behind exponential sums and weight tables.  Power phases
+    x^q, q = r/s with s <= 24, are computed with exact integer roots: each
+    entry lies within 2^-128 of frac(p(n)) before the final rounding to
+    float64, at any precision_bits.  Every other tree, powers with larger
+    s included, is evaluated point by point in mpmath at precision_bits.
+    Given precision_bits below the rule at x=N fail before the table is
+    built; the rule is enforced again against the largest magnitude on
+    start..N.  precision_bits None picks the rule minimum at x=N plus a
+    16-bit margin.
     """
+    if start < 1:
+        raise ValueError(f"arguments must be positive integers, got start={start}")
     if N < start:
         raise ValueError("empty argument range")
     count = N - start + 1
     if p.integer_polynomial:
         return np.zeros(count, dtype=np.float64)
+    required = minimum_precision(p, N)
     if precision_bits is None:
-        precision_bits = minimum_precision(p, N) + 16
-    else:
-        required = minimum_precision(p, N)
-        if precision_bits < required:
-            raise InsufficientPrecisionError(
-                f"precision rule needs >= {required} bits at x={N}, got {precision_bits}"
-            )
+        precision_bits = required + 16
+    elif precision_bits < required:
+        raise InsufficientPrecisionError(
+            f"precision rule needs >= {required} bits at x={N}, got {precision_bits}"
+        )
 
     out = np.empty(count, dtype=np.float64)
-    max_mag = 0.0
-    with mp.workprec(precision_bits):
-        floor = mp.floor
-        q = _power_form(p.root)
-        if q is not None:
-            qm = mp.mpf(q.numerator) / q.denominator
-            power = mp.power
-            for i in range(count):
-                v = power(start + i, qm)
-                av = abs(v)
-                if av > max_mag:
-                    max_mag = float(av)
-                out[i] = float(v - floor(v))
-        else:
+    q = _power_form(p.root)
+    if q is not None and q.denominator <= _ROOT_MAX_DEGREE:
+        _power_fractions(q, start, out)
+        # a power is monotone in n, so |p| peaks at one end of the range
+        required = max(required, minimum_precision(p, start))
+    else:
+        max_mag = 0.0
+        with mp.workprec(precision_bits):
+            floor = mp.floor
             fn = _compile(p.root, mp)
             mpf = mp.mpf
             for i in range(count):
@@ -594,8 +651,8 @@ def phase_fractions(
                 if av > max_mag:
                     max_mag = float(av)
                 out[i] = float(v - floor(v))
+        required = _required_bits(max_mag)
     # backstop for phases whose magnitude peaks before N
-    required = _required_bits(max_mag)
     if precision_bits < required:
         raise InsufficientPrecisionError(
             f"precision rule needs >= {required} bits on 1..{N}, got {precision_bits}"
@@ -645,10 +702,9 @@ def second_difference_ratio(
     if not (x > 0 and y > 0 and z > 0):
         raise ValueError("x, y, z must all be positive")
 
-    fn = _compile(p.root, mp)
-
     def second_difference(bits: int):
         with mp.workprec(bits):
+            fn = _compile(p.root, mp)
             x0 = mp.mpf(x)
             return fn(x0 + y + z) - fn(x0 + y) - fn(x0 + z) + fn(x0)
 

@@ -163,6 +163,8 @@ class ExperimentConfig:
             )
         if self.points < 1:
             raise ValueError(f"points must be >= 1, got {self.points}")
+        if self.instances < 1:
+            raise ValueError(f"instances must be >= 1, got {self.instances}")
         # every selecting pipeline needs this; checked before any phase table
         for a in self.a_values or (self.a,):
             if not 0.0 < a < 0.5:
@@ -509,13 +511,21 @@ def _run_correlation(cfg: ExperimentConfig) -> Report:
     wp = correlation.default_weight_params(cfg.a, delta=cfg.delta, b=cfg.b, c_exponent=cfg.c)
     iterms_n = cfg.iterms_n
     if iterms_n is None:
-        iterms_n = max((N for N in union if N <= (1 << 16)), default=None)
+        iterms_n = max(
+            (N for N in union
+             if N <= (1 << 16) and correlation.has_profile(N, wp.c_exponent)),
+            default=None,
+        )
     elif iterms_n not in union:
         # the profile is reported only in the summary row of its N
         raise ValueError(f"iterms_n={iterms_n} is not an N of the schedule")
+    elif not correlation.has_profile(iterms_n, wp.c_exponent):
+        raise ValueError(
+            f"iterms_n={iterms_n} gives R = floor(N^c) < 2 at c={wp.c_exponent}"
+        )
     n_need = union[-1] + correlation.lag_count(union[-1], wp.b) + 1
     if iterms_n is not None:
-        R = int(math.floor(iterms_n ** wp.c_exponent))
+        R = correlation.lag_count(iterms_n, wp.c_exponent)
         n_need = max(n_need, iterms_n + correlation.lag_count(iterms_n, wp.b) + R + 1)
     seeds = cfg.seed_list()
     # the phase table depends on p alone, so one table, long enough for the

@@ -88,6 +88,8 @@ def test_vdc_selftest_cli():
     ["expsum", "--Nmin", "1000", "--Nmax", "1000"],
     ["average", "--Nmin", "64", "--Nmax", "64", "--seeds", "0"],
     ["correlation", "--Nmin", "128", "--Nmax", "1024", "--seeds", "1", "--iterms-N", "500"],
+    ["correlation", "--Nmin", "1", "--Nmax", "2", "--seeds", "1", "--iterms-N", "2"],
+    ["vdc-selftest", "--instances", "0"],
 ])
 def test_bad_input_exits_with_one_line(args):
     r = run_cli(args)

@@ -1,9 +1,10 @@
 """CSV bytes of the benchmark workloads against their recorded digests.
 
-Runs each quick workload config from benchmarks/workloads.py in-process and
-compares the sha256 of every CSV file it writes with
-benchmarks/digests.json, so a refactor that changes any output byte fails
-here.  Only reads benchmarks/.
+Runs each quick workload config from benchmarks/workloads.py in-process,
+and the full-size expsum and chain configs (their 2^16 and 2^15 phase
+tables are the largest the power path builds), and compares the sha256 of
+every CSV file it writes with benchmarks/digests.json, so a refactor that
+changes any output byte fails here.  Only reads benchmarks/.
 """
 
 import hashlib
@@ -27,17 +28,25 @@ def _load_workloads():
 
 
 workloads = _load_workloads()
-QUICK_DIGESTS = json.loads((BENCH / "digests.json").read_text())["quick"]
+DIGESTS = json.loads((BENCH / "digests.json").read_text())
+
+
+def _digests(tmp_path, name, seed, quick):
+    out = tmp_path / "out.csv"
+    cfg = ExperimentConfig(**workloads.config_kwargs(name, seed, quick=quick), out=str(out))
+    run_experiment(cfg)
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.iterdir())
+    }
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", workloads.NAMES)
 def test_quick_workload_bytes_match_recorded_digests(tmp_path, name, seed):
-    out = tmp_path / "out.csv"
-    cfg = ExperimentConfig(**workloads.config_kwargs(name, seed, quick=True), out=str(out))
-    run_experiment(cfg)
-    got = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(tmp_path.iterdir())
-    }
-    assert got == QUICK_DIGESTS[name][str(seed)]
+    assert _digests(tmp_path, name, seed, True) == DIGESTS["quick"][name][str(seed)]
+
+
+@pytest.mark.parametrize("name", ["expsum", "chain"])
+def test_full_workload_bytes_match_recorded_digests(tmp_path, name):
+    assert _digests(tmp_path, name, 0, False) == DIGESTS["full"][name]["0"]

@@ -12,6 +12,7 @@ from ergolab.hardy import (
     EvalDomainError,
     ExpressionError,
     InsufficientPrecisionError,
+    _iroot,
     eval_mod1,
     exp_sum,
     minimum_precision,
@@ -221,12 +222,90 @@ def test_exp_sum_precision_rule_precheck():
         exp_sum(e, 10**6, 70)
 
 
+def test_phase_fractions_rejects_nonpositive_start():
+    e = parse_expression("x^(1/3)")
+    for start in (0, -8):
+        with pytest.raises(ValueError, match="positive"):
+            phase_fractions(e, 8, start=start)
+
+
 def test_phase_fractions_match_eval_mod1():
     e = parse_expression("x^(3/2)")
     fr = phase_fractions(e, 64, 128)
     for x in (1, 2, 33, 64):
         pv = eval_mod1(e, x, 128)
         assert circle_distance(fr[x - 1], pv.frac) < 1e-14
+
+
+def phase_fractions_mpmath(q: Fraction, N: int, precision_bits: int, start: int = 1) -> np.ndarray:
+    """Reference path for the table of x^q: one mp.power per point at
+    precision_bits."""
+    out = np.empty(N - start + 1, dtype=np.float64)
+    with mp.workprec(precision_bits):
+        qm = mp.mpf(q.numerator) / q.denominator
+        for i in range(out.shape[0]):
+            v = mp.power(start + i, qm)
+            out[i] = float(v - mp.floor(v))
+    return np.clip(out, 0.0, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("start, N", [(1, 1 << 12), (10**9, 10**9 + 1023)])
+def test_power_table_matches_mpmath_loop(start, N):
+    # at the default bits the integer-root table equals the mpmath loop
+    # bit for bit
+    e = parse_expression("x^(3/2)")
+    bits = minimum_precision(e, N) + 16
+    fr = phase_fractions(e, N, start=start)
+    assert fr.tobytes() == phase_fractions_mpmath(Fraction(3, 2), N, bits, start).tobytes()
+
+
+@given(
+    st.integers(-8, 8),
+    st.integers(1, 4),
+    st.integers(1, 10**12),
+    st.integers(1, 32),
+)
+@example(1, 3, 1, 32)     # q < 1, perfect cubes at 1 and 8 and 27
+@example(-3, 2, 10**12, 8)
+@settings(max_examples=60, deadline=None)
+def test_power_table_within_eval_mod1_bound(r, s, start, length):
+    e = parse_expression(f"x^({r}/{s})")
+    N = start + length - 1
+    fr = phase_fractions(e, N, start=start)
+    bits = minimum_precision(e, N) + 16
+    for i, x in enumerate(range(start, N + 1)):
+        pv = eval_mod1(e, x, bits)
+        assert circle_distance(fr[i], pv.frac) <= pv.error_bound + 2.0**-53
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        parse_expression("x^(25/24)"),   # the largest root degree on the integer path
+        parse_expression("x^(26/25)"),   # the smallest one past it
+        parse_expression("x^1.01"),      # q = 101/100
+        power_phase(1.1),                # q = Fraction(1.1), denominator 2^51
+    ],
+    ids=["25/24", "26/25", "1.01", "float-1.1"],
+)
+@pytest.mark.parametrize("start, N", [(1, 40), (10**9, 10**9 + 7)])
+def test_power_table_any_denominator(p, start, N):
+    fr = phase_fractions(p, N, start=start)
+    bits = minimum_precision(p, N) + 16
+    for i, x in enumerate(range(start, N + 1)):
+        pv = eval_mod1(p, x, bits)
+        assert circle_distance(fr[i], pv.frac) <= pv.error_bound + 2.0**-53
+
+
+@given(st.integers(0, 1 << 20000), st.integers(1, 300))
+@example((1 << 1500) - 1, 3)
+@example(10**300, 5)
+@example(3**101 << 12800, 100)   # the radicand of 3^1.01 at 128 fractional bits
+@example((1 << 20000) - 1, 1)
+@settings(max_examples=200, deadline=None)
+def test_iroot_is_floor_of_root(x, s):
+    root = _iroot(x, s)
+    assert root**s <= x < (root + 1) ** s
 
 
 @pytest.mark.parametrize("prec", [20, 300])

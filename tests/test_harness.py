@@ -147,6 +147,8 @@ def test_config_validation():
             ExperimentConfig(pipeline=pipeline, seeds=0)
     with pytest.raises(ValueError, match="seeds"):
         ExperimentConfig(pipeline="expsum", seeds=-1)
+    with pytest.raises(ValueError, match="instances"):
+        ExperimentConfig(pipeline="vdc-selftest", instances=0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +253,15 @@ def test_correlation_profile_row_at_iterms_n():
     assert {row[2] for row in rows if row[-1] is not None} == {512}
 
 
-def test_correlation_rejects_iterms_n_off_schedule(monkeypatch):
-    # an N outside the schedule has no summary row to hold its profile;
-    # the run stops before any selection scan or phase table
+def test_correlation_profile_skips_n_without_two_lags():
+    # floor(N^0.8) < 2 at N = 1 and 2: no N is left for the profile
+    cfg = ExperimentConfig(**dict(CORRELATION_SMALL, nmin=1, nmax=2, seeds=1))
+    rows = run_experiment(cfg).table("summary").rows
+    assert [row[2] for row in rows] == [1, 2]
+    assert all(row[-1] is None for row in rows)
+
+
+def _forbid_work(monkeypatch):
     from ergolab import hardy, selectors
 
     def forbidden(*args, **kwargs):
@@ -262,8 +270,21 @@ def test_correlation_rejects_iterms_n_off_schedule(monkeypatch):
     monkeypatch.setattr(hardy, "phase_fractions", forbidden)
     monkeypatch.setattr(selectors, "count_selected", forbidden)
     monkeypatch.setattr(selectors, "generate_realization", forbidden)
+
+
+def test_correlation_rejects_iterms_n_off_schedule(monkeypatch):
+    # an N outside the schedule has no summary row to hold its profile;
+    # the run stops before any selection scan or phase table
+    _forbid_work(monkeypatch)
     with pytest.raises(ValueError, match="iterms_n=500"):
         run_experiment(ExperimentConfig(**CORRELATION_SMALL, iterms_n=500))
+
+
+def test_correlation_rejects_iterms_n_without_two_lags(monkeypatch):
+    # floor(2^0.8) = 1 lag leaves no third term; rejected before any work
+    _forbid_work(monkeypatch)
+    with pytest.raises(ValueError, match="iterms_n=2 gives R"):
+        run_experiment(ExperimentConfig(**dict(CORRELATION_SMALL, nmin=1, iterms_n=2)))
 
 
 def test_generate_roundtrip(tmp_path):
