@@ -16,6 +16,7 @@ from dataclasses import fields
 from typing import List, Optional
 
 from .harness import (
+    OBSERVABLE_ALIASES,
     ExperimentConfig,
     coerce_config_values,
     parse_config_file,
@@ -53,7 +54,7 @@ def _add_system_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--q", type=int, help="cyclic-shift modulus")
     sp.add_argument("--alphabet", type=int, help="Bernoulli alphabet size")
     sp.add_argument("--window", type=int, help="Bernoulli observable window")
-    sp.add_argument("--f", help="observable: e(x) | (1+e(x))/2 | const | indicator0")
+    sp.add_argument("--f", help="observable: " + " | ".join(OBSERVABLE_ALIASES))
     sp.add_argument("--points", type=int, help="number of sample points")
 
 

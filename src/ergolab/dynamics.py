@@ -41,13 +41,6 @@ def _radical_inverse(k: int) -> float:
     return inv
 
 
-NAMED_ANGLES = {
-    "sqrt2m1": "sqrt(2) - 1",
-    "sqrt3m1": "sqrt(3) - 1",
-    "invphi": "(sqrt(5) - 1)/2",
-}
-
-
 def _resolve_angle(alpha) -> int:
     """Angle as a 128-bit fixed-point integer in [0, 2^128)."""
     with mp.workprec(_FP_BITS + 64):
@@ -119,7 +112,6 @@ class RotationSystem(DynamicalSystem):
     kind = "rotation"
 
     def __init__(self, alpha="sqrt2m1", observable: str = "e"):
-        self.alpha_label = str(alpha)
         self.alpha_fp = _resolve_angle(alpha)
         self.alpha = self.alpha_fp * _FP_INV
         if observable not in ("e", "e_shifted", "const", "coboundary"):
@@ -331,19 +323,11 @@ def make_system(
 
 @dataclass(frozen=True)
 class AverageSeries:
-    """Average values per (sample point, N) plus magnitude aggregates."""
+    """Average values per (sample point, N)."""
 
     schedule: np.ndarray
     points: list
     values: np.ndarray  # shape (len(points), len(schedule))
-
-    @property
-    def median_abs(self) -> np.ndarray:
-        return np.median(np.abs(self.values), axis=0)
-
-    @property
-    def mean_abs(self) -> np.ndarray:
-        return np.mean(np.abs(self.values), axis=0)
 
 
 def weighted_average_from_positions(

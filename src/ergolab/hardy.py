@@ -16,11 +16,12 @@ Concrete syntax (EBNF):
             | "exp" "(" expr ")" | "log" "(" expr ")" ;
     NUMBER  = decimal literal, optionally with fraction part and exponent ;
 
-u^v desugars to exp(v*log(u)) (so x^(3/2) is exp(3/2 * log x)), u/v to
-u * exp(-log v) unless v is constant, and subtraction to addition of a
-(-1) multiple.  Numeric literals and folded constants are kept as exact
-rationals so that evaluation at any working precision matches the written
-expression, not a double-rounded shadow of it.
+The parser builds the core tree directly: u^v becomes exp(v*log(u)) (so
+x^(3/2) is exp(3/2 * log x)), u/v becomes u * exp(-log v) unless v is
+constant, and subtraction becomes addition of a (-1) multiple.  Numeric
+literals and folded constants are kept as exact rationals so that
+evaluation at any working precision matches the written expression, not a
+double-rounded shadow of it.
 
 The key precision contract: evaluating p(x) mod 1 needs
 precision_bits >= 64 + ceil(log2(1 + |p(x)|)), which leaves at least ~50
@@ -34,7 +35,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 from mpmath import iv, mp
@@ -108,7 +109,7 @@ Node = Union[Const, Var, Add, Mul, Exp, Log]
 
 
 def node_key(node: Node) -> str:
-    """Canonical serialization; used for fingerprints and cache keys."""
+    """Canonical serialization of the tree."""
     if isinstance(node, Const):
         return f"c({node.value})"
     if isinstance(node, Var):
@@ -128,19 +129,22 @@ class HardyExpr:
 
     epsilon_hint is the user-declared epsilon of the growth class (the
     second-difference scale x^(epsilon-1) y z); it is not inferred from the
-    tree.  integer_polynomial marks expressions that are polynomials with
-    integer coefficients, for which fractional parts at integer arguments
-    are exactly zero.
+    tree.
     """
 
     root: Node
     source: str
     epsilon_hint: Optional[float]
-    integer_polynomial: bool
 
     @property
     def key(self) -> str:
         return node_key(self.root)
+
+    @property
+    def integer_polynomial(self) -> bool:
+        """Polynomial with integer coefficients, so frac(p(n)) = 0 exactly;
+        read off the tree, so every spelling of one function agrees."""
+        return _is_integer_polynomial(self.root)
 
 
 @dataclass(frozen=True)
@@ -158,187 +162,58 @@ class PhaseValue:
 
 
 # ---------------------------------------------------------------------------
-# Raw parse tree (keeps sugar so integer-polynomial structure is visible).
+# Parsing: straight to the core tree, folding sugar and constants as read.
 
-@dataclass(frozen=True)
-class _RNum:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class _RVar:
-    pass
-
-
-@dataclass(frozen=True)
-class _RBin:
-    op: str  # + - * / ^
-    left: "_Raw"
-    right: "_Raw"
-
-
-@dataclass(frozen=True)
-class _RNeg:
-    arg: "_Raw"
-
-
-@dataclass(frozen=True)
-class _RCall:
-    fn: str  # exp | log
-    arg: "_Raw"
-
-
-_Raw = Union[_RNum, _RVar, _RBin, _RNeg, _RCall]
-
-
-class _Tokenizer:
-    def __init__(self, src: str):
-        self.src = src
-        self.pos = 0
-
-    def tokens(self):
-        src, i, n = self.src, 0, len(self.src)
-        out = []
-        while i < n:
-            ch = src[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "+-*/^()":
-                out.append((ch, ch, i))
-                i += 1
-                continue
-            if ch.isdigit() or ch == ".":
-                j = i
-                while j < n and (src[j].isdigit() or src[j] == "."):
-                    j += 1
-                if j < n and src[j] in "eE":
-                    k = j + 1
-                    if k < n and src[k] in "+-":
-                        k += 1
-                    if k < n and src[k].isdigit():
-                        j = k
-                        while j < n and src[j].isdigit():
-                            j += 1
-                text = src[i:j]
-                try:
-                    value = Fraction(Decimal(text))
-                except ArithmeticError:
-                    raise ExpressionError(f"malformed number {text!r}", i)
-                out.append(("num", value, i))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (src[j].isalnum() or src[j] == "_"):
-                    j += 1
-                name = src[i:j]
-                if name in ("x", "exp", "log"):
-                    out.append((name, name, i))
-                else:
-                    raise ExpressionError(f"unsupported primitive {name!r}", i)
-                i = j
-                continue
-            raise ExpressionError(f"unexpected character {ch!r}", i)
-        out.append(("end", None, n))
-        return out
+def _tokenize(src: str) -> list:
+    """(kind, value, position) triples, ending with an "end" token."""
+    i, n = 0, len(src)
+    out = []
+    while i < n:
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*/^()":
+            out.append((ch, ch, i))
+            i += 1
+            continue
+        if ch.isdigit() or ch == ".":
+            j = i
+            while j < n and (src[j].isdigit() or src[j] == "."):
+                j += 1
+            if j < n and src[j] in "eE":
+                k = j + 1
+                if k < n and src[k] in "+-":
+                    k += 1
+                if k < n and src[k].isdigit():
+                    j = k
+                    while j < n and src[j].isdigit():
+                        j += 1
+            text = src[i:j]
+            try:
+                value = Fraction(Decimal(text))
+            except ArithmeticError:
+                raise ExpressionError(f"malformed number {text!r}", i)
+            out.append(("num", value, i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            name = src[i:j]
+            if name in ("x", "exp", "log"):
+                out.append((name, name, i))
+            else:
+                raise ExpressionError(f"unsupported primitive {name!r}", i)
+            i = j
+            continue
+        raise ExpressionError(f"unexpected character {ch!r}", i)
+    out.append(("end", None, n))
+    return out
 
 
-class _Parser:
-    def __init__(self, src: str):
-        self.toks = _Tokenizer(src).tokens()
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def advance(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ExpressionError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
-        return tok
-
-    def parse(self) -> _Raw:
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ExpressionError(f"unexpected trailing {tok[0]!r}", tok[2])
-        return node
-
-    def expr(self) -> _Raw:
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = _RBin(op, node, self.term())
-        return node
-
-    def term(self) -> _Raw:
-        node = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            node = _RBin(op, node, self.unary())
-        return node
-
-    def unary(self) -> _Raw:
-        tok = self.peek()
-        if tok[0] == "-":
-            self.advance()
-            return _RNeg(self.unary())
-        if tok[0] == "+":
-            self.advance()
-            return self.unary()
-        return self.power()
-
-    def power(self) -> _Raw:
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            return _RBin("^", base, self.unary())
-        return base
-
-    def atom(self) -> _Raw:
-        tok = self.advance()
-        kind = tok[0]
-        if kind == "num":
-            return _RNum(tok[1])
-        if kind == "x":
-            return _RVar()
-        if kind == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        if kind in ("exp", "log"):
-            self.expect("(")
-            arg = self.expr()
-            self.expect(")")
-            return _RCall(kind, arg)
-        raise ExpressionError(f"unexpected {kind!r}", tok[2])
-
-
-def _is_integer_polynomial(raw: _Raw) -> bool:
-    if isinstance(raw, _RNum):
-        return raw.value.denominator == 1
-    if isinstance(raw, _RVar):
-        return True
-    if isinstance(raw, _RNeg):
-        return _is_integer_polynomial(raw.arg)
-    if isinstance(raw, _RBin):
-        if raw.op in ("+", "-", "*"):
-            return _is_integer_polynomial(raw.left) and _is_integer_polynomial(raw.right)
-        if raw.op == "^":
-            return (
-                _is_integer_polynomial(raw.left)
-                and isinstance(raw.right, _RNum)
-                and raw.right.value.denominator == 1
-                and raw.right.value >= 0
-            )
-        return False
-    return False
+_MINUS_ONE = Const(Fraction(-1))
 
 
 def _const_of(node: Node) -> Optional[Fraction]:
@@ -359,53 +234,132 @@ def _fold_mul(left: Node, right: Node) -> Node:
     return Mul(left, right)
 
 
-def _desugar(raw: _Raw) -> Node:
-    if isinstance(raw, _RNum):
-        return Const(raw.value)
-    if isinstance(raw, _RVar):
-        return Var()
-    if isinstance(raw, _RNeg):
-        return _fold_mul(Const(Fraction(-1)), _desugar(raw.arg))
-    if isinstance(raw, _RCall):
-        return Exp(_desugar(raw.arg)) if raw.fn == "exp" else Log(_desugar(raw.arg))
-    left = _desugar(raw.left)
-    right = _desugar(raw.right)
-    if raw.op == "+":
-        return _fold_add(left, right)
-    if raw.op == "-":
-        return _fold_add(left, _fold_mul(Const(Fraction(-1)), right))
-    if raw.op == "*":
-        return _fold_mul(left, right)
-    if raw.op == "/":
-        rc = _const_of(right)
-        if rc is not None:
-            if rc == 0:
-                raise ExpressionError("division by zero constant")
-            return _fold_mul(left, Const(1 / rc))
-        return _fold_mul(left, Exp(_fold_mul(Const(Fraction(-1)), Log(right))))
-    # ^ : u^v = exp(v * log u); exact fold for constant integer powers
-    rc = _const_of(right)
-    lc = _const_of(left)
-    if rc is not None and lc is not None and rc.denominator == 1:
-        return Const(lc ** int(rc))
-    return Exp(_fold_mul(right, Log(left)))
+class _Parser:
+    """Recursive descent over the module's grammar; sugar and constants
+    fold into core nodes as they are read."""
+
+    def __init__(self, src: str):
+        self.toks = _tokenize(src)
+        self.i = 0
+
+    def peek(self):
+        return self.toks[self.i]
+
+    def advance(self):
+        tok = self.toks[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str):
+        tok = self.advance()
+        if tok[0] != kind:
+            raise ExpressionError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
+        return tok
+
+    def parse(self) -> Node:
+        node = self.expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ExpressionError(f"unexpected trailing {tok[0]!r}", tok[2])
+        return node
+
+    def expr(self) -> Node:
+        node = self.term()
+        while self.peek()[0] in ("+", "-"):
+            op = self.advance()[0]
+            right = self.term()
+            node = _fold_add(node, right if op == "+" else _fold_mul(_MINUS_ONE, right))
+        return node
+
+    def term(self) -> Node:
+        node = self.unary()
+        while self.peek()[0] in ("*", "/"):
+            op, _, pos = self.advance()
+            right = self.unary()
+            if op == "/":
+                rc = _const_of(right)
+                if rc == 0:
+                    raise ExpressionError("division by zero constant", pos)
+                right = Const(1 / rc) if rc is not None else Exp(Mul(_MINUS_ONE, Log(right)))
+            node = _fold_mul(node, right)
+        return node
+
+    def unary(self) -> Node:
+        tok = self.peek()
+        if tok[0] == "-":
+            self.advance()
+            return _fold_mul(_MINUS_ONE, self.unary())
+        if tok[0] == "+":
+            self.advance()
+            return self.unary()
+        return self.power()
+
+    def power(self) -> Node:
+        base = self.atom()
+        if self.peek()[0] != "^":
+            return base
+        pos = self.advance()[2]
+        exponent = self.unary()
+        lc, rc = _const_of(base), _const_of(exponent)
+        if lc is not None and rc is not None and rc.denominator == 1:
+            if lc == 0 and rc < 0:
+                raise ExpressionError("zero to a negative power", pos)
+            return Const(lc ** int(rc))
+        return Exp(Mul(exponent, Log(base)))
+
+    def atom(self) -> Node:
+        tok = self.advance()
+        kind = tok[0]
+        if kind == "num":
+            return Const(tok[1])
+        if kind == "x":
+            return Var()
+        if kind == "(":
+            node = self.expr()
+            self.expect(")")
+            return node
+        if kind in ("exp", "log"):
+            self.expect("(")
+            arg = self.expr()
+            self.expect(")")
+            return Exp(arg) if kind == "exp" else Log(arg)
+        raise ExpressionError(f"unexpected {kind!r}", tok[2])
+
+
+def _power_of(node: Node) -> Tuple[Optional[Fraction], Optional[Node]]:
+    """(q, u) when node is exp(q*log(u)) for a constant q, in either
+    operand order of the product; else (None, None)."""
+    if isinstance(node, Exp) and isinstance(node.arg, Mul):
+        left, right = node.arg.left, node.arg.right
+        if isinstance(right, Const):
+            left, right = right, left
+        if isinstance(left, Const) and isinstance(right, Log):
+            return left.value, right.arg
+    return None, None
+
+
+def _is_integer_polynomial(node: Node) -> bool:
+    """Integer constants and x closed under +, * and u^k, k >= 0 an integer."""
+    if isinstance(node, Const):
+        return node.value.denominator == 1
+    if isinstance(node, Var):
+        return True
+    if isinstance(node, (Add, Mul)):
+        return _is_integer_polynomial(node.left) and _is_integer_polynomial(node.right)
+    q, base = _power_of(node)
+    return q is not None and q.denominator == 1 and q >= 0 and _is_integer_polynomial(base)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation.
 
 def _power_form(root: Node) -> Optional[Fraction]:
-    """Exponent q when the tree is exactly x^q (exp(q log x) in any operand
-    order, or plain x); such tables take the exact integer-root path."""
+    """Exponent q when the tree is exactly x^q (exp(q log x) in either
+    operand order, or plain x); such tables take the exact integer-root path."""
     if isinstance(root, Var):
         return Fraction(1)
-    if isinstance(root, Exp) and isinstance(root.arg, Mul):
-        left, right = root.arg.left, root.arg.right
-        if isinstance(left, Const) and isinstance(right, Log) and isinstance(right.arg, Var):
-            return left.value
-        if isinstance(right, Const) and isinstance(left, Log) and isinstance(left.arg, Var):
-            return right.value
-    return None
+    q, base = _power_of(root)
+    return q if isinstance(base, Var) else None
 
 
 def _compile(node: Node, ctx):
@@ -528,10 +482,9 @@ def parse_expression(
         raise ExpressionError("empty expression")
     if epsilon_hint is not None and not 0.0 < epsilon_hint < 1.0:
         raise ValueError(f"epsilon_hint must lie in (0, 1), got {epsilon_hint}")
-    raw = _Parser(src).parse()
-    root = _desugar(raw)
+    root = _Parser(src).parse()
     _validate_domain(root, src, domain_start)
-    return HardyExpr(root, src, epsilon_hint, _is_integer_polynomial(raw))
+    return HardyExpr(root, src, epsilon_hint)
 
 
 def power_phase(exponent: Union[str, float, Fraction], epsilon_hint: Optional[float] = None) -> HardyExpr:

@@ -24,6 +24,9 @@ import numpy as np
 from . import correlation, dynamics, hardy, selectors
 
 WORKERS_ENV = "ERGOLAB_WORKERS"
+# config fields that never change report content: left out of the
+# fingerprint and of the CSV header
+_OUTPUT_ONLY_FIELDS = {"out", "workers"}
 CSV_SCHEMA = 1
 SLOPE_CLAMP_FLOOR = 1e-15
 
@@ -103,7 +106,7 @@ PIPELINES = (
     "vdc-selftest",
 )
 
-_OBSERVABLE_ALIASES = {
+OBSERVABLE_ALIASES = {
     "e(x)": "e",
     "e": "e",
     "(1+e(x))/2": "e_shifted",
@@ -175,9 +178,9 @@ class ExperimentConfig:
 
     def observable(self) -> str:
         key = self.f.strip()
-        if key not in _OBSERVABLE_ALIASES:
+        if key not in OBSERVABLE_ALIASES:
             raise ValueError(f"unknown observable {self.f!r}")
-        return _OBSERVABLE_ALIASES[key]
+        return OBSERVABLE_ALIASES[key]
 
     def resolve_workers(self) -> int:
         if self.workers is not None:
@@ -191,12 +194,11 @@ class ExperimentConfig:
         Output path and worker count are excluded on purpose: they must
         never change the bytes of the data rows.
         """
-        skip = {"out", "workers"}
-        parts = []
-        for fld in sorted(f.name for f in fields(self)):
-            if fld in skip:
-                continue
-            parts.append(f"{fld}={getattr(self, fld)!r}")
+        parts = [
+            f"{fld}={getattr(self, fld)!r}"
+            for fld in sorted(f.name for f in fields(self))
+            if fld not in _OUTPUT_ONLY_FIELDS
+        ]
         digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
         return digest[:12]
 
@@ -224,13 +226,19 @@ _FLOAT_KEYS = {"a", "eps", "delta", "b", "c", "chernoff_c"}
 
 
 def coerce_config_values(values: Dict[str, str]) -> Dict[str, object]:
-    """Parse textual config values into the types ExperimentConfig expects."""
-    known = {f.name for f in fields(ExperimentConfig)}
+    """Parse textual config values into the types ExperimentConfig expects.
+
+    none, auto and the empty value mean None, which only fields whose
+    default is None accept.
+    """
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     out: Dict[str, object] = {}
     for key, value in values.items():
-        if key not in known:
+        if key not in defaults:
             raise ValueError(f"unknown config key {key!r}")
         if value.lower() in ("none", "auto", ""):
+            if defaults[key] is not None:
+                raise ValueError(f"config key {key!r} needs a value, got {value!r}")
             out[key] = None
             continue
         if key in _LIST_KEYS:
@@ -282,9 +290,8 @@ class Report:
     def csv_bytes(self, name: str = "main") -> bytes:
         t = self.table(name)
         lines = [f"# schema={CSV_SCHEMA}", f"# experiment={self.config.fingerprint()}"]
-        skip = {"out", "workers"}
         for fld in sorted(f.name for f in fields(self.config)):
-            if fld not in skip:
+            if fld not in _OUTPUT_ONLY_FIELDS:
                 lines.append(f"# {fld}={getattr(self.config, fld)}")
         lines.append(",".join(t.columns))
         for row in t.rows:

@@ -90,10 +90,22 @@ def test_vdc_selftest_cli():
     ["correlation", "--Nmin", "128", "--Nmax", "1024", "--seeds", "1", "--iterms-N", "500"],
     ["correlation", "--Nmin", "1", "--Nmax", "2", "--seeds", "1", "--iterms-N", "2"],
     ["vdc-selftest", "--instances", "0"],
+    ["expsum", "--p", "x + 0^(-2)", "--N", "16"],
 ])
 def test_bad_input_exits_with_one_line(args):
     r = run_cli(args)
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("ergolab: error: ")
+    assert len(r.stderr.strip().splitlines()) == 1
+
+
+def test_required_config_key_set_to_none_exits_with_one_line(tmp_path):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("seeds=none\n")
+    r = run_cli(["average", "--config", str(cfg_file)])
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("ergolab: error: ")
+    assert "'seeds'" in r.stderr
     assert len(r.stderr.strip().splitlines()) == 1

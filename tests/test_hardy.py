@@ -52,7 +52,7 @@ def test_parse_rejects_unsupported_primitive():
 
 
 def test_parse_rejects_empty_and_garbage():
-    for bad in ("", "   ", "x +", "((x)", "x^", "1..2", "y"):
+    for bad in ("", "   ", "x +", "((x)", "x^", "1..2", "y", "0^(-1)"):
         with pytest.raises(ExpressionError):
             parse_expression(bad)
 
@@ -73,10 +73,74 @@ def test_integer_polynomial_detection():
     assert parse_expression("x^2").integer_polynomial
     assert parse_expression("x^2 + 3*x").integer_polynomial
     assert parse_expression("-x*x + 7").integer_polynomial
+    assert parse_expression("(x+1)^3 - 2*x").integer_polynomial
+    assert parse_expression("x^0").integer_polynomial
+    assert not parse_expression("(x+1)^(-1)").integer_polynomial
+    assert not parse_expression("(x/2)^2").integer_polynomial
+    assert not parse_expression("exp(log(x))").integer_polynomial
     assert not parse_expression("x^(3/2)").integer_polynomial
     assert not parse_expression("x/2").integer_polynomial
     assert not parse_expression("exp(x)").integer_polynomial
     assert not parse_expression("1.5*x").integer_polynomial
+
+
+# Source text and the key of its core tree; every folding rule of the
+# parser shows up in at least one row.
+PINNED_KEYS = [
+    ("-x", "mul(c(-1),x)"),
+    ("--x", "mul(c(-1),mul(c(-1),x))"),
+    ("---x", "mul(c(-1),mul(c(-1),mul(c(-1),x)))"),
+    ("+-+x", "mul(c(-1),x)"),
+    ("--3", "c(3)"),
+    ("x - 1", "add(x,c(-1))"),
+    ("1 - x", "add(c(1),mul(c(-1),x))"),
+    ("x - 2*x - 3", "add(add(x,mul(c(-1),mul(c(2),x))),c(-3))"),
+    ("x - -x", "add(x,mul(c(-1),mul(c(-1),x)))"),
+    ("x/2", "mul(x,c(1/2))"),
+    ("x/2/3", "mul(mul(x,c(1/2)),c(1/3))"),
+    ("x/0.5", "mul(x,c(2))"),
+    ("1/x", "mul(c(1),exp(mul(c(-1),log(x))))"),
+    ("x/(x+1)", "mul(x,exp(mul(c(-1),log(add(x,c(1))))))"),
+    ("2^3", "c(8)"),
+    ("2^-2", "c(1/4)"),
+    ("(-1)^(-7)", "c(-1)"),
+    ("4^(1/2)", "exp(mul(c(1/2),log(c(4))))"),
+    ("x^(1/3)", "exp(mul(c(1/3),log(x)))"),
+    ("x^-1/2", "mul(exp(mul(c(-1),log(x))),c(1/2))"),
+    ("2^3^2", "c(512)"),
+    ("x^2^1", "exp(mul(c(2),log(x)))"),
+    ("x^(1/2)^2", "exp(mul(c(1/4),log(x)))"),
+    ("x^x", "exp(mul(x,log(x)))"),
+    ("-x^2", "mul(c(-1),exp(mul(c(2),log(x))))"),
+    ("log(exp(x))", "log(exp(x))"),
+    ("exp(exp(log(x)))", "exp(exp(log(x)))"),
+    ("exp(log(log(x+2)))", "exp(log(log(add(x,c(2)))))"),
+    ("exp(3/2*log(x))", "exp(mul(c(3/2),log(x)))"),
+    ("exp(log(x)*(3/2))", "exp(mul(log(x),c(3/2)))"),
+    ("exp(log(x)*3/2)", "exp(mul(mul(log(x),c(3)),c(1/2)))"),
+    ("3/2-1+0.5", "c(1)"),
+    ("2*x^2 - 3*x + 1",
+     "add(add(mul(c(2),exp(mul(c(2),log(x)))),mul(c(-1),mul(c(3),x))),c(1))"),
+]
+
+
+@pytest.mark.parametrize("src,key", PINNED_KEYS)
+def test_parse_pinned_keys(src, key):
+    assert parse_expression(src).key == key
+
+
+@pytest.mark.parametrize("a,b", [
+    ("x^2", "exp(2*log(x))"),
+    ("x^2", "exp(log(x)*2)"),
+    ("x/0.5", "2*x"),
+    ("(-1)^(-7)", "-1"),
+    ("2^3^2", "512"),
+])
+def test_equal_trees_give_equal_flags(a, b):
+    ea, eb = parse_expression(a), parse_expression(b)
+    assert ea.integer_polynomial and eb.integer_polynomial
+    for e in (ea, eb):
+        assert eval_mod1(e, 7, 96).error_bound == 0.0
 
 
 def test_domain_validation_sweep():

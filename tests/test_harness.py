@@ -125,6 +125,14 @@ def test_config_rejects_unknown_key(tmp_path):
         coerce_config_values(parse_config_file(str(cfg_file)))
 
 
+def test_config_none_only_for_optional_keys():
+    values = coerce_config_values({"b": "auto", "bits": "none", "n": "", "out": "None"})
+    assert values == {"b": None, "bits": None, "n": None, "out": None}
+    for key, value in (("seeds", "none"), ("a", ""), ("nmin", "auto"), ("p", "none")):
+        with pytest.raises(ValueError, match=repr(key)):
+            coerce_config_values({key: value})
+
+
 def test_fingerprint_ignores_out_and_workers():
     base = ExperimentConfig(pipeline="expsum", n=64)
     assert base.fingerprint() == ExperimentConfig(pipeline="expsum", n=64, out="x.csv", workers=3).fingerprint()
