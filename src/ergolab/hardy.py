@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -45,6 +46,13 @@ TWO_PI = 2.0 * math.pi
 _VALIDATION_PREC = 128
 _VALIDATION_POINTS = 25
 _VALIDATION_TOP = 1e12
+# The sweep refuses exp arguments of 2^_VALIDATION_EXP_MAG or more: mpmath
+# would need that many extra bits of log 2, so a double exponential such as
+# exp(exp(x)) would never finish at the sweep's top x.
+_VALIDATION_EXP_MAG = 1024
+# largest folded constant power c^k, in bits of numerator or denominator:
+# about 2,500 digits, under Python's 4,300-digit limit for printing an int
+_MAX_CONST_BITS = 1 << 13
 # fractional bits kept by the integer-root path for power phases
 _ROOT_BITS = 128
 # largest root degree s of x^(r/s) on that path: its cost grows about
@@ -304,6 +312,12 @@ class _Parser:
         if lc is not None and rc is not None and rc.denominator == 1:
             if lc == 0 and rc < 0:
                 raise ExpressionError("zero to a negative power", pos)
+            if lc != 0:
+                bits = max(math.log2(abs(lc.numerator)), math.log2(lc.denominator))
+                if bits > 0 and abs(rc) > _MAX_CONST_BITS / bits:
+                    raise ExpressionError(
+                        f"constant power with over {_MAX_CONST_BITS} bits is too large", pos
+                    )
             return Const(lc ** int(rc))
         return Exp(Mul(exponent, Log(base)))
 
@@ -454,10 +468,20 @@ def _required_bits(magnitude) -> int:
         return 64 + int(mp.ceil(mp.log(1 + magnitude, 2)))
 
 
+def _validation_exp(v):
+    if mp.mag(v) > _VALIDATION_EXP_MAG:
+        raise EvalDomainError(f"exp argument beyond 2^{_VALIDATION_EXP_MAG}")
+    return mp.exp(v)
+
+
+# mp with the sweep's guard on exp; phase tables compile against plain mp
+_VALIDATION_CTX = SimpleNamespace(mpf=mp.mpf, exp=_validation_exp, log=mp.log)
+
+
 def _validate_domain(root: Node, source: str, domain_start: float) -> None:
     xs = np.geomspace(max(domain_start, 1e-9), _VALIDATION_TOP, _VALIDATION_POINTS)
     with mp.workprec(_VALIDATION_PREC):
-        fn = _compile(root, mp)
+        fn = _compile(root, _VALIDATION_CTX)
         for xv in [domain_start, *xs.tolist()]:
             try:
                 fn(mp.mpf(xv))

@@ -612,7 +612,12 @@ def _run_generate(cfg: ExperimentConfig) -> Report:
 
 
 def load_realization_csv(path: str) -> selectors.Realization:
-    """Rebuild a realization from a generate dump (header carries params)."""
+    """Rebuild a realization from a generate dump (header carries params).
+
+    Raises ValueError unless the dump's schema is CSV_SCHEMA, its indices
+    run 1, 2, ... and every bit is the one generate_realization gives for
+    the dump's (a, seed).
+    """
     meta: Dict[str, str] = {}
     bits: List[int] = []
     with open(path, "r") as fh:
@@ -627,11 +632,22 @@ def load_realization_csv(path: str) -> selectors.Realization:
             if not line or line.startswith("experiment_id"):
                 continue
             _, idx, bit = line.split(",")
+            if int(idx) != len(bits) + 1:
+                raise ValueError(f"{path}: index {idx} where {len(bits) + 1} was expected")
             bits.append(int(bit))
+    if meta.get("schema") != str(CSV_SCHEMA):
+        raise ValueError(f"{path}: schema {meta.get('schema')!r}, expected {CSV_SCHEMA}")
     params = selectors.SelectorParams(
         a=float(meta["a"]), seed=int(meta["seed"]), n_max=len(bits)
     )
-    return selectors.realization_from_bits(params, bits)
+    r = selectors.generate_realization(params)
+    bad = np.flatnonzero(r.bits != np.asarray(bits, dtype=bool))
+    if bad.size:
+        raise ValueError(
+            f"{path}: bit at index {bad[0] + 1} differs from the realization "
+            f"of a={params.a}, seed={params.seed}"
+        )
+    return r
 
 
 # -- vdc selftest ------------------------------------------------------------

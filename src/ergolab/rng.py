@@ -54,14 +54,38 @@ def uniform01_block(seed: int, lo: int, hi: int) -> np.ndarray:
 
 
 def _mix_block(seed: int, idx: np.ndarray) -> np.ndarray:
-    """53-bit hash outputs for a uint64 index array (in-place friendly)."""
+    """53-bit hash outputs for a uint64 index array."""
     z = np.uint64(seed & MASK64) + idx * _U_GAMMA
-    z ^= z >> _S30
-    z *= _U_M1
-    z ^= z >> _S27
-    z *= _U_M2
-    z ^= z >> _S31
+    _finalize(z, np.empty_like(z))
     return z >> _S11
+
+
+def gamma_steps(size: int) -> np.ndarray:
+    """i * GAMMA mod 2^64 for i < size: the seed-free part of a hash block."""
+    return np.arange(size, dtype=np.uint64) * _U_GAMMA
+
+
+def mix_steps(seed: int, lo: int, steps: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Full 64-bit mixer outputs for indices lo..lo+len(steps)-1, in place.
+
+    out and tmp are work buffers of steps' length; the 53-bit hash of
+    index lo+i is out[i] >> 11.  Nothing is allocated per call.
+    """
+    np.add(steps, np.uint64((seed + lo * GAMMA) & MASK64), out=out)
+    _finalize(out, tmp)
+    return out
+
+
+def _finalize(z: np.ndarray, tmp: np.ndarray) -> None:
+    """splitmix64 finalizer applied to z in place; tmp is scratch."""
+    np.right_shift(z, _S30, out=tmp)
+    z ^= tmp
+    z *= _U_M1
+    np.right_shift(z, _S27, out=tmp)
+    z ^= tmp
+    z *= _U_M2
+    np.right_shift(z, _S31, out=tmp)
+    z ^= tmp
 
 
 def child_seed(seed: int, index: int) -> int:

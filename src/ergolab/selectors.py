@@ -11,14 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .rng import MASK64, child_seed, uniform01_block
+from .rng import MASK64, child_seed, gamma_steps, mix_steps
 
 # Chunks sized to stay inside cache; larger chunks thrash and run ~5x slower.
 DEFAULT_CHUNK = 1 << 16
+_TWO53 = 2.0 ** 53
+_S11 = np.uint64(11)
+# relative slack of the per-chunk prefilter bound over the computed sigma_lo
+_SLACK = 1.0 + 2.0 ** -40
 
 
 class OutOfRangeError(ValueError):
@@ -83,10 +87,14 @@ class Realization:
         return self.bits[:n].astype(np.float64) - sigma_values(self.params.a, 1, n)
 
 
+def _sigma(a: float, n: np.ndarray) -> np.ndarray:
+    """n^(-a) = exp(-a ln n) for a float64 array of indices."""
+    return np.exp(-a * np.log(n))
+
+
 def sigma_values(a: float, lo: int, hi: int) -> np.ndarray:
     """Selection probabilities sigma_n = n^(-a) = exp(-a ln n) for n in lo..hi."""
-    n = np.arange(lo, hi + 1, dtype=np.float64)
-    return np.exp(-a * np.log(n))
+    return _sigma(a, np.arange(lo, hi + 1, dtype=np.float64))
 
 
 def sigma_prefix(a: float, N: int) -> float:
@@ -107,23 +115,47 @@ def sigma_prefix(a: float, N: int) -> float:
     return total
 
 
-def _selection_block(a: float, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Selection bits X_lo..X_hi: X_n = 1 iff u(seed, n) < n^(-a)."""
-    return uniform01_block(seed, lo, hi) < sigma_values(a, lo, hi)
+def _limits(a: float, n: np.ndarray) -> np.ndarray:
+    """Largest mixer output that selects n, per entry of a float64 index
+    array: X_n = 1 iff z_n <= ceil(sigma_n 2^53) 2^11 - 1.
+
+    This is the float test u < sigma_n made exact.  The uniform is
+    u = h 2^-53 with h = z_n >> 11, and u and sigma_n 2^53 are exact doubles;
+    for an integer h, h < t iff h < ceil(t), iff z_n < ceil(t) 2^11.
+    sigma_1 = 1 gives ceil(t) 2^11 = 2^64, which wraps to 0, so the limit
+    wraps to 2^64 - 1 and n = 1 is always kept, as u < 1 always holds.
+    """
+    return (np.ceil(_sigma(a, n) * _TWO53).astype(np.uint64) << _S11) - np.uint64(1)
+
+
+def _selected(a: float, lo: int, z: np.ndarray) -> np.ndarray:
+    """Selected indices among lo..lo+len(z)-1 from their mixer outputs z.
+
+    Only candidates under a bound on the whole chunk get their own n^(-a).
+    The true n^(-a) falls with n, and the computed one is within a relative
+    2^-46 of it: a few ulps of log and exp, scaled by |a ln n| < 23 for
+    64-bit n.  So sigma at lo raised by _SLACK bounds every computed sigma_n
+    of the chunk, though the computed values may rise by an ulp.
+    """
+    bound = min(math.ceil(float(_sigma(a, np.float64(lo))) * _SLACK * _TWO53), 1 << 53)
+    cand = np.flatnonzero(z <= np.uint64((bound << 11) - 1))
+    n = cand + lo
+    return n[z[cand] <= _limits(a, n.astype(np.float64))]
 
 
 def _selection_chunks(
     a: float, seed: int, stop: Optional[int] = None
-) -> Iterator[Tuple[int, np.ndarray]]:
-    """(lo, bits X_lo..X_hi) for consecutive DEFAULT_CHUNK blocks from index 1,
-    the last one cut at stop; without stop the scan never ends."""
+) -> Iterator[np.ndarray]:
+    """Selected indices of consecutive DEFAULT_CHUNK blocks from index 1, the
+    last one cut at stop; without stop the scan never ends."""
+    size = DEFAULT_CHUNK if stop is None else min(DEFAULT_CHUNK, stop)
+    steps = gamma_steps(size)
+    z, tmp = np.empty_like(steps), np.empty_like(steps)
     lo = 1
     while stop is None or lo <= stop:
-        hi = lo + DEFAULT_CHUNK - 1
-        if stop is not None:
-            hi = min(hi, stop)
-        yield lo, _selection_block(a, seed, lo, hi)
-        lo = hi + 1
+        m = size if stop is None else min(size, stop - lo + 1)
+        yield _selected(a, lo, mix_steps(seed, lo, steps[:m], z[:m], tmp[:m]))
+        lo += m
 
 
 def _realization(params: SelectorParams, bits: np.ndarray) -> Realization:
@@ -143,12 +175,14 @@ def generate_realization(params: SelectorParams) -> Realization:
 
     Pure function of params: regenerating yields bit-identical output.
     """
-    parts = [bits for _, bits in _selection_chunks(params.a, params.seed, params.n_max)]
-    return _realization(params, np.concatenate(parts))
+    bits = np.zeros(params.n_max, dtype=bool)
+    for ones in _selection_chunks(params.a, params.seed, params.n_max):
+        bits[ones - 1] = True
+    return _realization(params, bits)
 
 
 def realization_from_bits(params: SelectorParams, bits: Sequence[int]) -> Realization:
-    """Build a realization from explicit bits (synthetic tests, dump reload).
+    """Build a realization from explicit bits (synthetic sequences in tests).
 
     The prefix arrays are derived from the given bits, so the result is
     internally consistent even if the bits did not come from the hash.
@@ -186,8 +220,7 @@ def select_first(a: float, seed: int, count: int) -> np.ndarray:
         raise ValueError("count must be >= 1")
     found = []
     have = 0
-    for lo, bits in _selection_chunks(a, seed):
-        pos = np.flatnonzero(bits).astype(np.int64) + lo
+    for pos in _selection_chunks(a, seed):
         found.append(pos)
         have += pos.shape[0]
         if have >= count:
@@ -199,7 +232,22 @@ def select_first(a: float, seed: int, count: int) -> np.ndarray:
 
 def count_selected(a: float, seed: int, N: int) -> int:
     """S_N for a fresh seed without materializing a realization."""
-    return sum(int(np.count_nonzero(bits)) for _, bits in _selection_chunks(a, seed, N))
+    return sum(ones.shape[0] for ones in _selection_chunks(a, seed, N))
+
+
+def _counts_selected(a: float, seeds: np.ndarray, N: int) -> np.ndarray:
+    """count_selected(a, seed, N) for every seed of a uint64 array, in one
+    walk over [1, N]: each chunk's limits are computed once and every seed
+    is hashed against them."""
+    counts = np.zeros(seeds.shape[0], dtype=np.int64)
+    steps = gamma_steps(min(DEFAULT_CHUNK, N))
+    z, tmp = np.empty_like(steps), np.empty_like(steps)
+    for lo in range(1, N + 1, steps.shape[0]):
+        m = min(steps.shape[0], N - lo + 1)
+        limits = _limits(a, np.arange(lo, lo + m, dtype=np.float64))
+        for i, seed in enumerate(map(int, seeds)):
+            counts[i] += np.count_nonzero(mix_steps(seed, lo, steps[:m], z[:m], tmp[:m]) <= limits)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -244,10 +292,8 @@ def deviation_statistics(
         thresholds = [0.0, root, 2.0 * root, 3.0 * root, 0.5 * w_N]
     thr = np.asarray(thresholds, dtype=np.float64)
 
-    deviations = np.empty(trials, dtype=np.float64)
-    for t in range(trials):
-        s = count_selected(params.a, child_seed(params.seed, t), N)
-        deviations[t] = abs(s - w_N)
+    seeds = np.fromiter((child_seed(params.seed, t) for t in range(trials)), np.uint64, trials)
+    deviations = np.abs(_counts_selected(params.a, seeds, N) - w_N)
 
     freqs = np.array([np.count_nonzero(deviations >= A) / trials for A in thr])
     envs = np.array([chernoff_envelope(float(A), w_N, chernoff_c) for A in thr])

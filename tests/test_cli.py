@@ -13,7 +13,7 @@ def run_cli(args, env_extra=None):
         env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "ergolab.cli", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, timeout=120,
     )
 
 
@@ -91,6 +91,9 @@ def test_vdc_selftest_cli():
     ["correlation", "--Nmin", "1", "--Nmax", "2", "--seeds", "1", "--iterms-N", "2"],
     ["vdc-selftest", "--instances", "0"],
     ["expsum", "--p", "x + 0^(-2)", "--N", "16"],
+    ["expsum", "--p", "exp(exp(x))", "--N", "16"],
+    ["expsum", "--p", "x + 3^3^15", "--N", "16"],
+    ["expsum", "--p", "9^9^9", "--N", "16"],
 ])
 def test_bad_input_exits_with_one_line(args):
     r = run_cli(args)

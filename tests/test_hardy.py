@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -149,6 +150,36 @@ def test_domain_validation_sweep():
         parse_expression("log(log(x))")
     e = parse_expression("log(log(x))", domain_start=2.0)
     assert e.key == "log(log(x))"
+
+
+@pytest.mark.parametrize("src", ["x + 3^3^15", "9^9^9", "(1/3)^100000", "2^(10^400)"])
+def test_oversized_constant_power_is_rejected_before_folding(src):
+    start = time.perf_counter()
+    with pytest.raises(ExpressionError, match="constant power"):
+        parse_expression(src)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_constant_powers_of_modest_size_still_fold():
+    assert parse_expression("2^3^2").key == "c(512)"
+    assert parse_expression("1^(10^100)").key == "c(1)"
+    assert parse_expression("(-1)^(10^100 + 1)").key == "c(-1)"
+    assert parse_expression("2^8192").root.value == 2**8192  # the largest size kept
+    with pytest.raises(ExpressionError, match="constant power"):
+        parse_expression("2^8193")
+
+
+@pytest.mark.parametrize("src", ["exp(exp(x))", "exp(exp(exp(x)))", "x^(10^400)"])
+def test_double_exponential_fails_the_sweep_fast(src):
+    start = time.perf_counter()
+    with pytest.raises(ExpressionError, match="exp argument"):
+        parse_expression(src)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_large_single_exponentials_still_parse():
+    for src in ("exp(x)", "exp(x^2)", "exp(exp(log(x)))", "x^(10^30)"):
+        parse_expression(src)
 
 
 def test_epsilon_hint_validation():

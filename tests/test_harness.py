@@ -329,3 +329,39 @@ def test_deviation_window_follows_n():
     rows = run_experiment(cfg).table().rows
     assert all(row[2] == 2_000_000 for row in rows)
     assert rows[0][4] == 0.0 and rows[0][5] == 1.0
+
+
+def _generate_dump(tmp_path):
+    out = tmp_path / "dump.csv"
+    run_experiment(ExperimentConfig(pipeline="generate", a=0.3, seed=11, n=300, out=str(out)))
+    return out
+
+
+def test_reload_rejects_a_flipped_bit(tmp_path):
+    out = _generate_dump(tmp_path)
+    lines = out.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.endswith(",137,0") or line.endswith(",137,1"))
+    lines[at] = lines[at][:-1] + ("1" if lines[at].endswith("0") else "0")
+    out.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="index 137 differs"):
+        load_realization_csv(str(out))
+
+
+def test_reload_rejects_another_schema(tmp_path):
+    out = _generate_dump(tmp_path)
+    text = out.read_text()
+    out.write_text(text.replace(f"# schema={CSV_SCHEMA}\n", f"# schema={CSV_SCHEMA + 1}\n"))
+    with pytest.raises(ValueError, match="schema"):
+        load_realization_csv(str(out))
+    out.write_text(text.replace(f"# schema={CSV_SCHEMA}\n", ""))
+    with pytest.raises(ValueError, match="schema"):
+        load_realization_csv(str(out))
+
+
+def test_reload_rejects_a_missing_row(tmp_path):
+    out = _generate_dump(tmp_path)
+    lines = out.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if ",40," in line)
+    out.write_text("\n".join(lines[:at] + lines[at + 1 :]) + "\n")
+    with pytest.raises(ValueError, match="index 41 where 40 was expected"):
+        load_realization_csv(str(out))

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ergolab.rng import child_seed, uniform01
+from ergolab.rng import MASK64, child_seed, gamma_steps, mix_steps, uniform01, uniform01_block
 from ergolab.selectors import (
     DEFAULT_CHUNK,
+    _counts_selected,
+    _selected,
     OutOfRangeError,
     SelectorParams,
     count_selected,
@@ -214,3 +216,83 @@ def test_realization_from_bits_roundtrip():
     r2 = realization_from_bits(p, r.bits)
     assert np.array_equal(r.s_prefix, r2.s_prefix)
     assert np.array_equal(r.ones, r2.ones)
+
+
+# -- the exact integer scan against the float scan it replaced ---------------
+
+def float_selection(a, seed, lo, hi):
+    """The float scan X_n = 1 iff u(seed, n) < n^(-a), n in lo..hi: the oracle."""
+    return uniform01_block(seed, lo, hi) < sigma_values(a, lo, hi)
+
+
+def exact_window(a, seed, lo, hi):
+    """Selected indices in lo..hi from the exact test, with the whole window
+    as one chunk (so its prefilter bound is sigma at lo)."""
+    steps = gamma_steps(hi - lo + 1)
+    z = mix_steps(seed, lo, steps, np.empty_like(steps), np.empty_like(steps))
+    return _selected(a, lo, z)
+
+
+EXPONENTS = st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)
+SEEDS = st.integers(0, MASK64)
+DEEP = 2 * 10**8
+
+
+@given(
+    EXPONENTS, SEEDS,
+    st.one_of(
+        st.integers(1, 64),                                   # sigma near 1, n = 1
+        st.integers(1, 4).map(lambda k: k * DEFAULT_CHUNK - 700),  # chunk edges
+        st.integers(DEEP - DEFAULT_CHUNK, DEEP + DEFAULT_CHUNK),  # prefilter active
+        st.integers(1, 2**40),
+    ),
+    st.integers(1, 1500),
+)
+@settings(max_examples=150, deadline=None)
+@example(0.3, MASK64, 1, 1)  # n = 1 alone: sigma = 1, threshold 2^53
+@example(np.nextafter(0.5, 0.0), 0, DEEP, 2 * DEFAULT_CHUNK)
+def test_exact_window_matches_float_oracle(a, seed, lo, length):
+    hi = lo + length - 1
+    want = np.flatnonzero(float_selection(a, seed, lo, hi)) + lo
+    assert np.array_equal(exact_window(a, seed, lo, hi), want)
+
+
+@given(EXPONENTS, SEEDS, st.integers(1, 3), st.integers(1, 2000), st.integers(1, 2000))
+@settings(max_examples=25, deadline=None)
+def test_chunked_scans_match_float_oracle_across_chunk_edges(a, seed, k, before, after):
+    # the windows straddle the k-th chunk edge of the real walk from index 1
+    lo, hi = k * DEFAULT_CHUNK + 1 - before, k * DEFAULT_CHUNK + after
+    want = float_selection(a, seed, lo, hi)
+    r = generate_realization(SelectorParams(a=a, seed=seed, n_max=hi))
+    assert np.array_equal(r.bits[lo - 1 :], want)
+    assert bool(r.bits[0])  # n = 1: threshold 2^53 passes every hash
+    assert count_selected(a, seed, hi) == r.selection_count
+    assert np.array_equal(select_first(a, seed, r.selection_count), r.ones)
+
+
+@given(
+    EXPONENTS,
+    st.one_of(st.integers(1, 3 * DEFAULT_CHUNK), st.integers(DEEP, DEEP + 10**6)),
+    st.integers(1, 300),
+    st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=300),
+    st.integers(0, 2047),
+)
+@settings(max_examples=150, deadline=None)
+def test_exact_test_matches_float_oracle_at_the_threshold(a, lo, length, steps, low):
+    # mixer outputs placed one hash step below, at and above sigma_n 2^53,
+    # where a floor for the ceiling or <= for < would flip the bit
+    n = np.arange(lo, lo + length)
+    sig = sigma_values(a, lo, lo + length - 1)
+    delta = np.resize(np.array(steps), length)
+    h = np.clip(np.floor(sig * 2.0**53).astype(np.int64) + delta, 0, 2**53 - 1)
+    z = (h.astype(np.uint64) << np.uint64(11)) | np.uint64(low)
+    want = n[h * 2.0**-53 < sig]
+    assert np.array_equal(_selected(a, lo, z), want)
+
+
+@pytest.mark.parametrize("N", [1, 777, 10**4, 3 * DEFAULT_CHUNK + 5])
+def test_one_pass_counts_equal_per_seed_counts(N):
+    a = 0.3
+    seeds = [child_seed(17, t) for t in range(12)] + [0, MASK64]
+    got = _counts_selected(a, np.array(seeds, dtype=np.uint64), N)
+    assert got.tolist() == [count_selected(a, seed, N) for seed in seeds]
