@@ -41,8 +41,6 @@ from typing import Optional, Tuple, Union
 import numpy as np
 from mpmath import iv, mp
 
-TWO_PI = 2.0 * math.pi
-
 _VALIDATION_PREC = 128
 _VALIDATION_POINTS = 25
 _VALIDATION_TOP = 1e12
@@ -50,9 +48,10 @@ _VALIDATION_TOP = 1e12
 # would need that many extra bits of log 2, so a double exponential such as
 # exp(exp(x)) would never finish at the sweep's top x.
 _VALIDATION_EXP_MAG = 1024
-# largest folded constant power c^k, in bits of numerator or denominator:
-# about 2,500 digits, under Python's 4,300-digit limit for printing an int
+# largest constant the parser builds, literal or folded, in bits: about
+# 2,500 digits, under Python's 4,300-digit limit for printing an int
 _MAX_CONST_BITS = 1 << 13
+_TOO_LARGE = f"constant with over {_MAX_CONST_BITS} bits is too large"
 # fractional bits kept by the integer-root path for power phases
 _ROOT_BITS = 128
 # largest root degree s of x^(r/s) on that path: its cost grows about
@@ -199,10 +198,13 @@ def _tokenize(src: str) -> list:
                         j += 1
             text = src[i:j]
             try:
-                value = Fraction(Decimal(text))
+                dec = Decimal(text)
             except ArithmeticError:
                 raise ExpressionError(f"malformed number {text!r}", i)
-            out.append(("num", value, i))
+            # a nonzero m*10^k has over 3(|k| - 1) bits: refuse a huge k unbuilt
+            if dec and abs(dec.adjusted()) > _MAX_CONST_BITS // 3 + 1:
+                raise ExpressionError(_TOO_LARGE, i)
+            out.append(("num", Fraction(dec), i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -228,17 +230,24 @@ def _const_of(node: Node) -> Optional[Fraction]:
     return node.value if isinstance(node, Const) else None
 
 
-def _fold_add(left: Node, right: Node) -> Node:
+def _const(value: Fraction, pos: int) -> Const:
+    """Every constant the parser builds, literal or folded, passes here."""
+    if max(abs(value.numerator), value.denominator).bit_length() - 1 > _MAX_CONST_BITS:
+        raise ExpressionError(_TOO_LARGE, pos)
+    return Const(value)
+
+
+def _fold_add(left: Node, right: Node, pos: int) -> Node:
     lc, rc = _const_of(left), _const_of(right)
     if lc is not None and rc is not None:
-        return Const(lc + rc)
+        return _const(lc + rc, pos)
     return Add(left, right)
 
 
-def _fold_mul(left: Node, right: Node) -> Node:
+def _fold_mul(left: Node, right: Node, pos: int) -> Node:
     lc, rc = _const_of(left), _const_of(right)
     if lc is not None and rc is not None:
-        return Const(lc * rc)
+        return _const(lc * rc, pos)
     return Mul(left, right)
 
 
@@ -274,9 +283,9 @@ class _Parser:
     def expr(self) -> Node:
         node = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
+            op, _, pos = self.advance()
             right = self.term()
-            node = _fold_add(node, right if op == "+" else _fold_mul(_MINUS_ONE, right))
+            node = _fold_add(node, right if op == "+" else _fold_mul(_MINUS_ONE, right, pos), pos)
         return node
 
     def term(self) -> Node:
@@ -289,14 +298,14 @@ class _Parser:
                 if rc == 0:
                     raise ExpressionError("division by zero constant", pos)
                 right = Const(1 / rc) if rc is not None else Exp(Mul(_MINUS_ONE, Log(right)))
-            node = _fold_mul(node, right)
+            node = _fold_mul(node, right, pos)
         return node
 
     def unary(self) -> Node:
         tok = self.peek()
         if tok[0] == "-":
             self.advance()
-            return _fold_mul(_MINUS_ONE, self.unary())
+            return _fold_mul(_MINUS_ONE, self.unary(), tok[2])
         if tok[0] == "+":
             self.advance()
             return self.unary()
@@ -318,14 +327,14 @@ class _Parser:
                     raise ExpressionError(
                         f"constant power with over {_MAX_CONST_BITS} bits is too large", pos
                     )
-            return Const(lc ** int(rc))
+            return _const(lc ** int(rc), pos)
         return Exp(Mul(exponent, Log(base)))
 
     def atom(self) -> Node:
         tok = self.advance()
         kind = tok[0]
         if kind == "num":
-            return Const(tok[1])
+            return _const(tok[1], tok[2])
         if kind == "x":
             return Var()
         if kind == "(":

@@ -14,6 +14,7 @@ import hashlib
 import math
 import os
 import tempfile
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -38,8 +39,8 @@ def lacunary_schedule(rho: float, n_min: int, n_max: int) -> List[int]:
     along every such schedule (rho from a sequence tending to 1) upgrades
     to full convergence for bounded observables.
     """
-    if rho <= 1.0:
-        raise ValueError(f"rho must exceed 1, got {rho}")
+    if not 1.0 < rho < math.inf:
+        raise ValueError(f"rho must be finite and exceed 1, got {rho}")
     if not 1 <= n_min <= n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got [{n_min}, {n_max}]")
     out = set()
@@ -157,8 +158,8 @@ class ExperimentConfig:
         if self.pipeline not in PIPELINES:
             raise ValueError(f"unknown pipeline {self.pipeline!r}")
         for r in self.rho:
-            if r <= 1.0:
-                raise ValueError(f"every rho must exceed 1, got {r}")
+            if not 1.0 < r < math.inf:
+                raise ValueError(f"every rho must be finite and exceed 1, got {r}")
         min_seeds = 1 if self.pipeline in ("average", "chain", "correlation") else 0
         if self.seeds < min_seeds:
             raise ValueError(
@@ -168,6 +169,8 @@ class ExperimentConfig:
             raise ValueError(f"points must be >= 1, got {self.points}")
         if self.instances < 1:
             raise ValueError(f"instances must be >= 1, got {self.instances}")
+        if not 0.0 < self.chernoff_c < math.inf:
+            raise ValueError(f"chernoff_c must be positive and finite, got {self.chernoff_c}")
         # every selecting pipeline needs this; checked before any phase table
         for a in self.a_values or (self.a,):
             if not 0.0 < a < 0.5:
@@ -217,38 +220,29 @@ def parse_config_file(path: str) -> Dict[str, str]:
     return values
 
 
-_LIST_KEYS = {"rho", "a_values"}
-_INT_KEYS = {
-    "seeds", "seed_base", "nmin", "nmax", "bits", "q", "alphabet", "window",
-    "points", "trials", "iterms_n", "n", "seed", "instances", "workers",
-}
-_FLOAT_KEYS = {"a", "eps", "delta", "b", "c", "chernoff_c"}
-
-
 def coerce_config_values(values: Dict[str, str]) -> Dict[str, object]:
-    """Parse textual config values into the types ExperimentConfig expects.
-
-    none, auto and the empty value mean None, which only fields whose
-    default is None accept.
-    """
-    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    """Parse config text into the types ExperimentConfig's annotations name:
+    int, float, str or a comma list of floats.  none, auto and the empty
+    value mean None, which only Optional fields accept."""
+    hints = typing.get_type_hints(ExperimentConfig)
     out: Dict[str, object] = {}
     for key, value in values.items():
-        if key not in defaults:
+        if key not in hints:
             raise ValueError(f"unknown config key {key!r}")
+        kind = hints[key]
+        optional = typing.get_origin(kind) is typing.Union
+        kind = typing.get_args(kind)[0] if optional else kind
         if value.lower() in ("none", "auto", ""):
-            if defaults[key] is not None:
+            if not optional:
                 raise ValueError(f"config key {key!r} needs a value, got {value!r}")
             out[key] = None
             continue
-        if key in _LIST_KEYS:
-            out[key] = tuple(float(v) for v in value.split(","))
-        elif key in _INT_KEYS:
-            out[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            out[key] = float(value)
-        else:
-            out[key] = value
+        is_list = typing.get_origin(kind) is tuple
+        try:
+            out[key] = tuple(float(v) for v in value.split(",")) if is_list else kind(value)
+        except ValueError:
+            expected = "comma-separated floats" if is_list else kind.__name__
+            raise ValueError(f"config key {key!r} expects {expected}, got {value!r}") from None
     return out
 
 
@@ -349,30 +343,39 @@ def _pool_map(fn, items, workers: int, shared: Dict[str, object]):
         return list(pool.map(functools.partial(_worker_call, fn), items))
 
 
-def _resolved_expr(cfg: ExperimentConfig) -> hardy.HardyExpr:
-    return hardy.parse_expression(cfg.p, epsilon_hint=cfg.eps)
-
-
-def _union_schedule(cfg: ExperimentConfig) -> List[int]:
-    out = set()
-    for r in cfg.rho:
-        out.update(lacunary_schedule(r, cfg.nmin, cfg.nmax))
-    if not out:
+def _schedules(cfg: ExperimentConfig) -> Tuple[List[int], Dict[float, List[int]]]:
+    """(union, per_rho): every N of the lacunary schedules, and each one."""
+    per_rho = {r: lacunary_schedule(r, cfg.nmin, cfg.nmax) for r in cfg.rho}
+    union = sorted(set().union(*per_rho.values()))
+    if not union:
         rhos = ",".join(str(r) for r in cfg.rho)
         raise ValueError(f"no N of the rho={rhos} schedule lies in [{cfg.nmin}, {cfg.nmax}]")
-    return sorted(out)
+    return union, per_rho
+
+
+def _system_inputs(cfg: ExperimentConfig) -> Tuple[Dict[str, object], Dict[float, List[int]]]:
+    """(shared, per_rho) for average and chain, built in one order (p, system,
+    schedules, points, phase table), so bad input fails first the same way."""
+    expr = hardy.parse_expression(cfg.p, epsilon_hint=cfg.eps)
+    system = dynamics.make_system(
+        cfg.system, alpha=cfg.alpha, observable=cfg.observable(),
+        q=cfg.q, alphabet=cfg.alphabet, window=cfg.window,
+    )
+    union, per_rho = _schedules(cfg)
+    points = system.sample_points(cfg.points)
+    # the phase table depends on p alone, so one table serves every (a, seed)
+    phases = hardy.phase_fractions(expr, union[-1], cfg.bits)
+    return dict(union=union, system=system, points=points, phases=phases), per_rho
 
 
 # -- expsum ------------------------------------------------------------------
 
 def _run_expsum(cfg: ExperimentConfig) -> Report:
-    expr = _resolved_expr(cfg)
+    expr = hardy.parse_expression(cfg.p, epsilon_hint=cfg.eps)
     if cfg.n is not None:
-        union = [cfg.n]
-        per_rho = {cfg.rho[0]: [cfg.n]}
+        union, per_rho = [cfg.n], {cfg.rho[0]: [cfg.n]}
     else:
-        union = _union_schedule(cfg)
-        per_rho = {r: lacunary_schedule(r, cfg.nmin, cfg.nmax) for r in cfg.rho}
+        union, per_rho = _schedules(cfg)
     fr = hardy.phase_fractions(expr, union[-1], cfg.bits)
     z = hardy.unit_phases(fr)
     means = hardy.prefix_means(z, union)
@@ -405,31 +408,20 @@ def _average_job(ctx: Dict[str, object], item: Tuple[float, int]):
 
 
 def _run_average(cfg: ExperimentConfig) -> Report:
-    expr = _resolved_expr(cfg)
-    system = dynamics.make_system(
-        cfg.system, alpha=cfg.alpha, observable=cfg.observable(),
-        q=cfg.q, alphabet=cfg.alphabet, window=cfg.window,
-    )
-    union = _union_schedule(cfg)
-    per_rho = {r: lacunary_schedule(r, cfg.nmin, cfg.nmax) for r in cfg.rho}
-    points = system.sample_points(cfg.points)
-    # the phase table depends on p alone, so one table serves every (a, seed)
-    phases = hardy.phase_fractions(expr, union[-1], cfg.bits)
-
-    shared = dict(union=union, system=system, points=points, phases=phases)
+    shared, per_rho = _system_inputs(cfg)
     a_list = cfg.a_values if cfg.a_values else (cfg.a,)
     seeds = cfg.seed_list()
     items = [(a, seed) for a in a_list for seed in seeds]
     results = _pool_map(_average_job, items, cfg.resolve_workers(), shared)
 
-    union_index = {N: i for i, N in enumerate(union)}
+    union_index = {N: i for i, N in enumerate(shared["union"])}
     fp = cfg.fingerprint()
     rows = []
     for (a, seed), values in zip(items, results):
         for r in cfg.rho:
             for N in per_rho[r]:
                 col = union_index[N]
-                for j in range(len(points)):
+                for j in range(len(shared["points"])):
                     v = values[j, col]
                     rows.append((fp, a, r, seed, j, N, v.real, v.imag, abs(v)))
     table = Table(
@@ -443,9 +435,8 @@ def _run_average(cfg: ExperimentConfig) -> Report:
 # -- chain -------------------------------------------------------------------
 
 def _chain_job(ctx: Dict[str, object], seed: int):
-    cfg: ExperimentConfig = ctx["cfg"]
     union: List[int] = ctx["union"]
-    params = selectors.SelectorParams(a=cfg.a, seed=seed, n_max=union[-1])
+    params = selectors.SelectorParams(a=ctx["a"], seed=seed, n_max=union[-1])
     r = selectors.generate_realization(params)
     return dynamics.chain_diagnostics(
         ctx["system"], ctx["phases"], r, union, sample_points=ctx["points"],
@@ -453,17 +444,8 @@ def _chain_job(ctx: Dict[str, object], seed: int):
 
 
 def _run_chain(cfg: ExperimentConfig) -> Report:
-    expr = _resolved_expr(cfg)
-    system = dynamics.make_system(
-        cfg.system, alpha=cfg.alpha, observable=cfg.observable(),
-        q=cfg.q, alphabet=cfg.alphabet, window=cfg.window,
-    )
-    union = _union_schedule(cfg)
-    per_rho = {r: set(lacunary_schedule(r, cfg.nmin, cfg.nmax)) for r in cfg.rho}
-    points = system.sample_points(cfg.points)
-    phases = hardy.phase_fractions(expr, union[-1], cfg.bits)
-
-    shared = dict(cfg=cfg, union=union, system=system, points=points, phases=phases)
+    shared, per_rho = _system_inputs(cfg)
+    shared["a"] = cfg.a
     seeds = cfg.seed_list()
     results = _pool_map(_chain_job, seeds, cfg.resolve_workers(), shared)
 
@@ -513,8 +495,8 @@ def _correlation_job(ctx: Dict[str, object], seed: int):
 
 
 def _run_correlation(cfg: ExperimentConfig) -> Report:
-    expr = _resolved_expr(cfg)
-    union = _union_schedule(cfg)
+    expr = hardy.parse_expression(cfg.p, epsilon_hint=cfg.eps)
+    union, _ = _schedules(cfg)
     wp = correlation.default_weight_params(cfg.a, delta=cfg.delta, b=cfg.b, c_exponent=cfg.c)
     iterms_n = cfg.iterms_n
     if iterms_n is None:

@@ -286,6 +286,8 @@ def deviation_statistics(
         raise ValueError("N exceeds n_max")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0.0 < chernoff_c < math.inf:
+        raise ValueError(f"chernoff_c must be positive and finite, got {chernoff_c}")
     w_N = sigma_prefix(params.a, N)
     if thresholds is None:
         root = math.sqrt(w_N)

@@ -40,6 +40,24 @@ def test_config_from_args_overrides_file(tmp_path):
     assert cfg.pipeline == "average"
 
 
+@pytest.mark.parametrize("flag,key,text,value", [
+    ("--seeds", "seeds", "3", 3),  # int
+    ("--a", "a", "0.25", 0.25),  # float
+    ("--b", "b", "auto", None),  # optional float set to None
+    ("--rho", "rho", "2,1.5", (2.0, 1.5)),  # comma list of floats
+    ("--p", "p", "x^(3/2) + x", "x^(3/2) + x"),  # str
+])
+def test_flag_and_config_file_give_equal_configs(tmp_path, flag, key, text, value):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"{key}={text}\n")
+    from_file = config_from_args(
+        build_parser().parse_args(["correlation", "--config", str(cfg_file)])
+    )
+    from_flag = config_from_args(build_parser().parse_args(["correlation", flag, text]))
+    assert from_flag == from_file
+    assert getattr(from_flag, key) == value
+
+
 def test_auto_values_from_cli():
     args = build_parser().parse_args(
         ["correlation", "--b", "auto", "--c", "0.8", "--rho", "2"]
@@ -94,6 +112,15 @@ def test_vdc_selftest_cli():
     ["expsum", "--p", "exp(exp(x))", "--N", "16"],
     ["expsum", "--p", "x + 3^3^15", "--N", "16"],
     ["expsum", "--p", "9^9^9", "--N", "16"],
+    ["deviation", "--chernoff-c", "-1000", "--N", "1000", "--trials", "2"],
+    ["expsum", "--N"],  # argparse: missing value
+    ["expsum", "--bogus", "1"],  # argparse: unknown flag
+    ["average", "--system", "foo"],
+    ["expsum", "--N", "abc"],
+    ["expsum", "--rho", "2,x"],
+    ["average", "--config", "no/such/dir/exp.cfg"],
+    ["expsum", "--rho", "inf"],
+    ["expsum", "--rho", "nan"],
 ])
 def test_bad_input_exits_with_one_line(args):
     r = run_cli(args)

@@ -169,6 +169,25 @@ def test_constant_powers_of_modest_size_still_fold():
         parse_expression("2^8193")
 
 
+@pytest.mark.parametrize("src", [
+    "x + 2^8000*2^8000", "x + 1e5000", "x*1e-5000", "2^8192 + 2^8192", "x*1e99999999",
+])
+def test_oversized_constant_is_rejected_however_built(src):
+    start = time.perf_counter()
+    with pytest.raises(ExpressionError, match="constant with over 8192 bits"):
+        parse_expression(src)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("src,const", [
+    ("x + 2^4000*2^4000", Fraction(2) ** 8000),
+    ("x*1e-2000", Fraction(1, 10**2000)),
+])
+def test_constants_under_the_cap_parse_and_print_their_key(src, const):
+    e = parse_expression(src)
+    assert f"c({const})" in e.key
+
+
 @pytest.mark.parametrize("src", ["exp(exp(x))", "exp(exp(exp(x)))", "x^(10^400)"])
 def test_double_exponential_fails_the_sweep_fast(src):
     start = time.perf_counter()

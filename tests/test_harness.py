@@ -40,6 +40,9 @@ def test_schedule_rejects_bad_rho():
         lacunary_schedule(1.0, 1, 10)
     with pytest.raises(ValueError):
         lacunary_schedule(0.5, 1, 10)
+    for rho in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            lacunary_schedule(rho, 1, 10)
 
 
 @given(st.floats(1.01, 4.0), st.integers(1, 50), st.integers(50, 5000))
@@ -133,6 +136,14 @@ def test_config_none_only_for_optional_keys():
             coerce_config_values({key: value})
 
 
+@pytest.mark.parametrize("key,text", [
+    ("seeds", "abc"), ("a", "0.3x"), ("rho", "2,x"), ("a_values", "0.2,"), ("bits", "1.5"),
+])
+def test_config_text_that_does_not_parse_names_key_and_text(key, text):
+    with pytest.raises(ValueError, match=f"{key!r}.*{text!r}"):
+        coerce_config_values({key: text})
+
+
 def test_fingerprint_ignores_out_and_workers():
     base = ExperimentConfig(pipeline="expsum", n=64)
     assert base.fingerprint() == ExperimentConfig(pipeline="expsum", n=64, out="x.csv", workers=3).fingerprint()
@@ -157,6 +168,9 @@ def test_config_validation():
         ExperimentConfig(pipeline="expsum", seeds=-1)
     with pytest.raises(ValueError, match="instances"):
         ExperimentConfig(pipeline="vdc-selftest", instances=0)
+    for c in (0.0, -1000.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="chernoff_c"):
+            ExperimentConfig(pipeline="deviation", chernoff_c=c)
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,13 @@ def test_deviation_statistics_basics():
     assert np.array_equal(rep.frequencies, rep2.frequencies)
 
 
+@pytest.mark.parametrize("c", [0.0, -1000.0, math.inf, math.nan])
+def test_deviation_statistics_rejects_bad_chernoff_c(c):
+    p = SelectorParams(a=0.3, seed=500, n_max=2000)
+    with pytest.raises(ValueError, match="chernoff_c"):
+        deviation_statistics(p, 2000, trials=2, chernoff_c=c)
+
+
 def test_deviation_statistics_tails():
     # at A = 3 sqrt(W) the normal approximation gives ~0.003; at W/2 the
     # Chernoff envelope is astronomically small - no occurrences expected
