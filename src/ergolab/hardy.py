@@ -31,6 +31,7 @@ correct fractional bits after the integer part cancels.  At desk scale
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -55,7 +56,7 @@ _TOO_LARGE = f"constant with over {_MAX_CONST_BITS} bits is too large"
 # fractional bits kept by the integer-root path for power phases
 _ROOT_BITS = 128
 # largest root degree s of x^(r/s) on that path: its cost grows about
-# linearly in s, and beyond about s = 28 the mpmath tree loop is cheaper
+# linearly in s; larger s take the double-double tree path
 _ROOT_MAX_DEGREE = 24
 
 
@@ -477,6 +478,312 @@ def _required_bits(magnitude) -> int:
         return 64 + int(mp.ceil(mp.log(1 + magnitude, 2)))
 
 
+# ---------------------------------------------------------------------------
+# Double-double phase tables for trees off the integer-root path.
+#
+# A _DD holds one subtree's values over a chunk of arguments: hi + lo in
+# double-double (float64 arrays, |lo| <= ulp(hi)/2) and err, an absolute
+# bound on |hi + lo - v| + |v_P - v|, where v is the exact value and v_P the
+# value the mpmath closure computes at the table's P bits.  So the
+# double-double value and mpmath's lie within err of each other.  Each
+# operation adds its own double-double rounding (Joldes, Muller & Popescu,
+# ACM TOMS 44(2), 2017) and mpmath's (+ and * correctly rounded, exp and log
+# within _MP_ELEM units of u = 2^-P) to the propagated bounds.  err is
+# itself computed in round-to-nearest float64; the factor _SLACK in the
+# decision covers that and the (1 + 2^-52) factors left out below.
+
+_TABLE_CHUNK = 1 << 14
+_SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's split
+_DD_ADD = 2.0**-104  # AccurateDWPlusDW: 3u^2/(1 - 4u) relative, u = 2^-53
+_DD_MUL = 2.0**-102  # DWTimesDW without fma: under 8u^2 relative
+# exp: relative; about 2^-98 from the reduction, the Taylor sum and the
+# _EXP_HALVINGS steps s -> s(s + 2), each with the two bounds above
+_DD_EXP = 2.0**-96
+# log: absolute (the exp of its Newton step) plus relative (three sums)
+_DD_LOG_ABS = 2.0**-95
+_DD_LOG_REL = 2.0**-102
+# mpmath's exp and log work with at least 14 guard bits and round once
+_MP_ELEM = 2.0
+_TINY = 2.0**-1000  # absolute, for underflow in * and exp
+_SLACK = 2.0
+_EXP_HALVINGS = 8
+_EXP_DEGREE = 10  # |s| <= 2^-9.4: truncation under 2^-119 relative
+_EXP_MAX_ARG = 700.0  # larger |arguments| over- or underflow: repaired
+
+
+def _two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _fast_two_sum(a, b):
+    """Exact when |a| >= |b| or a = 0."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def _two_prod(a, b):
+    """Dekker's exact product, no fma: a*b = p + e unless |a| or |b| > 2^995."""
+    p = a * b
+    t = _SPLITTER * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLITTER * b
+    bh = t - (t - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _add_dd(xh, xl, yh, yl):
+    """AccurateDWPlusDW: within 3u^2/(1 - 4u) of x + y, relative."""
+    sh, sl = _two_sum(xh, yh)
+    th, tl = _two_sum(xl, yl)
+    vh, vl = _fast_two_sum(sh, sl + th)
+    return _fast_two_sum(vh, tl + vl)
+
+
+def _mul_dd(xh, xl, yh, yl):
+    """Double-double product within 8u^2 of x * y, relative."""
+    ch, cl = _two_prod(xh, yh)
+    return _fast_two_sum(ch, cl + (xh * yl + xl * yh))
+
+
+@functools.lru_cache(maxsize=None)
+def _ln2_parts() -> Tuple[float, float, float]:
+    """ln 2 as three float64 words, to about 2^-160."""
+    with mp.workprec(256):
+        v = mp.ln2
+        hi = float(v)
+        mid = float(v - hi)
+        return hi, mid, float(v - hi - mid)
+
+
+@functools.lru_cache(maxsize=None)
+def _exp_coefficients() -> Tuple[Tuple[float, float], ...]:
+    """1/(j+1)! in double-double for j < _EXP_DEGREE."""
+    out = []
+    for j in range(_EXP_DEGREE):
+        c = Fraction(1, math.factorial(j + 1))
+        hi = float(c)
+        out.append((hi, float(c - Fraction(hi))))
+    return tuple(out)
+
+
+def _exp_reduced(rh, rl):
+    """exp(r) for |r| <= ln2/2: expm1(r/2^m) by Taylor, m steps of
+    s -> s(s + 2), which keep the relative error of expm1, then 1 + s."""
+    scale = 2.0**-_EXP_HALVINGS
+    sh, sl = rh * scale, rl * scale
+    coeffs = _exp_coefficients()
+    qh, ql = coeffs[-1]
+    for ch, cl in reversed(coeffs[:-1]):
+        qh, ql = _mul_dd(qh, ql, sh, sl)
+        qh, ql = _add_dd(qh, ql, ch, cl)
+    qh, ql = _mul_dd(qh, ql, sh, sl)
+    for _ in range(_EXP_HALVINGS):
+        th, tl = _add_dd(qh, ql, 2.0, 0.0)
+        qh, ql = _mul_dd(qh, ql, th, tl)
+    return _add_dd(qh, ql, 1.0, 0.0)
+
+
+def _exp_dd(h, l):
+    """exp(h + l) = 2^k exp(r), r = h + l - k ln2 with the two products by
+    the leading words of ln 2 exact; |h| > _EXP_MAX_ARG gives NaN."""
+    l1, l2, l3 = _ln2_parts()
+    h = np.where(np.abs(h) <= _EXP_MAX_ARG, h, np.nan)
+    k = np.rint(h / l1)
+    p1, q1 = _two_prod(k, l1)
+    p2, q2 = _two_prod(k, l2)
+    rh, rl = _add_dd(h, l, -p1, -q1)
+    rh, rl = _add_dd(rh, rl, -p2, -q2)
+    rh, rl = _add_dd(rh, rl, -k * l3, 0.0)
+    eh, el = _exp_reduced(rh, rl)
+    k = np.nan_to_num(k).astype(np.int64)
+    return np.ldexp(eh, k), np.ldexp(el, k)
+
+
+def _log_dd(h, l):
+    """log(h + l) for h > 0: e ln2 + log m with m = (h + l)/2^e in
+    [sqrt(1/2), sqrt(2)), log m by one Newton step y0 + m exp(-y0) - 1 from
+    y0 = float64 log m, whose error d leaves d^2/2."""
+    l1, l2, l3 = _ln2_parts()
+    m, e = np.frexp(h)
+    e = np.where(m < math.sqrt(0.5), e - 1, e)
+    mh, ml = np.ldexp(h, -e), np.ldexp(l, -e)
+    y0 = np.log(mh)
+    th, tl = _exp_reduced(-y0, 0.0)
+    wh, wl = _mul_dd(mh, ml, th, tl)
+    wh, wl = _add_dd(wh, wl, -1.0, 0.0)
+    yh, yl = _add_dd(y0, 0.0, wh, wl)
+    e = e.astype(np.float64)
+    p1, q1 = _two_prod(e, l1)
+    p2, q2 = _two_prod(e, l2)
+    nh, nl = _add_dd(p1, q1, p2, q2)
+    nh, nl = _add_dd(nh, nl, e * l3, 0.0)
+    return _add_dd(yh, yl, nh, nl)
+
+
+class _DD:
+    """Values of one subtree over a chunk; see the section comment."""
+
+    __slots__ = ("hi", "lo", "err", "u")
+
+    def __init__(self, hi, lo, err, u: float):
+        self.hi, self.lo, self.err, self.u = hi, lo, err, u
+
+    def __add__(self, other: "_DD") -> "_DD":
+        hi, lo = _add_dd(self.hi, self.lo, other.hi, other.lo)
+        u = self.u
+        prop = self.err + other.err
+        return _DD(hi, lo, prop * (1 + u) + (_DD_ADD + u) * np.abs(hi), u)
+
+    def __mul__(self, other: "_DD") -> "_DD":
+        hi, lo = _mul_dd(self.hi, self.lo, other.hi, other.lo)
+        u, ea, eb = self.u, self.err, other.err
+        # |ab - AB| <= |A| eb + |B| ea + ea eb and |A| <= |a| + ea
+        prop = np.abs(self.hi) * eb + np.abs(other.hi) * ea + 3 * ea * eb
+        return _DD(hi, lo, prop * (1 + u) + (_DD_MUL + u) * np.abs(hi) + _TINY, u)
+
+    def __truediv__(self, den: int) -> "_DD":
+        """Only _compile's constants divide: mpf(num) / den, den an int."""
+        if not np.isfinite(self.hi):
+            return self
+        q = _dd_constant((Fraction(float(self.hi)) + Fraction(float(self.lo))) / den, self.u)
+        return _DD(q.hi, q.lo, float(Fraction(float(self.err)) / den) + q.err, self.u)
+
+    def __gt__(self, other) -> bool:
+        """_compile's chunk-wide domain test passes; log sends each entry
+        whose argument is not provably positive to the repair instead."""
+        return True
+
+
+def _dd_constant(value: Fraction, u: float) -> _DD:
+    """value in double-double; err adds mpmath's rounding of it at P bits."""
+    if abs(value) >= 2**1000:
+        return _DD(np.float64(np.nan), 0.0, np.inf, u)
+    hi = float(value)
+    lo = float(value - Fraction(hi))
+    return _DD(np.float64(hi), np.float64(lo), abs(hi) * (2.0**-105 + u) + _TINY, u)
+
+
+class _DoubleDouble:
+    """The context _compile evaluates a tree in for a phase table at P bits."""
+
+    def __init__(self, precision_bits: int):
+        self.u = 2.0**-precision_bits
+
+    def mpf(self, value: int) -> _DD:
+        return _dd_constant(Fraction(value), self.u)
+
+    def exp(self, a: _DD) -> _DD:
+        hi, lo = _exp_dd(a.hi, a.lo)
+        # |exp(a) - exp(A)| <= exp(A) expm1(ea) and exp(A) <= exp(a) e^ea
+        g = np.expm1(a.err)
+        rel = g * (1 + g) + _DD_EXP + _MP_ELEM * self.u * (1 + 2 * g)
+        return _DD(hi, lo, np.abs(hi) * rel + _TINY, self.u)
+
+    def log(self, a: _DD) -> _DD:
+        # a lower bound on both the exact argument and mpmath's
+        low = a.hi * (1 - 2.0**-50) - a.err
+        hi, lo = _log_dd(np.where(low > 0, a.hi, np.nan), a.lo)
+        # |log a - log A| <= |a - A| / min(a, A)
+        prop = a.err / low
+        err = prop * (1 + _MP_ELEM * self.u) + (_DD_LOG_REL + _MP_ELEM * self.u) * np.abs(hi)
+        return _DD(hi, lo, err + _DD_LOG_ABS, self.u)
+
+
+def _chunk_fractions(v: _DD, size: int):
+    """(frac, ok, abs_hi, slack_err) for one chunk.
+
+    ok marks the entries where round-to-nearest float64 of frac(v_P), the
+    mpmath loop's entry, is decided: frac(hi + lo) lies further than the
+    slacked err from 0, from 1 and from both rounding boundaries of its
+    nearest float64, so every value within err rounds to that float.
+    """
+    h = np.broadcast_to(v.hi, size)
+    whole = np.floor(h)
+    sh, sl = _two_sum(h, -whole)
+    th, tl = _add_dd(sh, sl, v.lo, 0.0)
+    err = _SLACK * (v.err + _DD_ADD * np.abs(th))
+    up = (np.nextafter(th, 2.0) - th) * 0.5 - tl
+    down = (th - np.nextafter(th, -1.0)) * 0.5 + tl
+    ok = (np.minimum(up, down) > err) & (th > err) & (th < 1 - err)
+    return th, ok, np.abs(h), np.broadcast_to(_SLACK * v.err, size)
+
+
+def _check_backstop(required: int, precision_bits: int, N: int) -> None:
+    """The rule against the largest magnitude on the range, for phases
+    whose magnitude peaks before N."""
+    if precision_bits < required:
+        raise InsufficientPrecisionError(
+            f"precision rule needs >= {required} bits on 1..{N}, got {precision_bits}"
+        )
+
+
+def _tree_fractions(p: HardyExpr, start: int, precision_bits: int, out: np.ndarray, N: int) -> None:
+    """out[i] = frac(p(start + i)) exactly as the mpmath closure at
+    precision_bits gives it, rounded to float64.
+
+    One double-double pass over chunks of _TABLE_CHUNK fills every decided
+    entry and brackets max |p|; the precision backstop is applied from that
+    bracket before any per-entry mpmath work.  The closure then repairs
+    every undecided entry: near 0 or 1, non-finite, a log argument not
+    provably positive, or arguments past 2^53.
+    """
+    ctx = _DoubleDouble(precision_bits)
+    fn = _compile(p.root, ctx)
+    count = out.shape[0]
+    repair = []
+    lower = 0.0  # max over entries of a lower bound on |p|
+    candidates, uppers = [], []  # entries that may hold max |p|
+    with np.errstate(all="ignore"):
+        for first in range(0, count, _TABLE_CHUNK):
+            size = min(_TABLE_CHUNK, count - first)
+            n = np.arange(start + first, start + first + size, dtype=np.float64)
+            if start + first + size > 1 << 53:
+                n[:] = np.nan
+            x = _DD(n, 0.0, 0.0, ctx.u)
+            frac, ok, mag, err = _chunk_fractions(fn(x), size)
+            out[first:first + size] = frac
+            repair.append(np.flatnonzero(~ok) + first)
+            known = np.isfinite(mag) & np.isfinite(err)
+            low = np.where(known, mag - err, -np.inf)
+            high = np.where(known, mag + err, np.inf)
+            lower = max(lower, float(low.max()))
+            keep = np.flatnonzero(high >= lower)
+            candidates.append(keep + first)
+            uppers.append(high[keep])
+    candidates = np.concatenate(candidates)
+    uppers = np.concatenate(uppers)
+    keep = uppers >= lower
+    candidates, upper = candidates[keep], float(uppers[keep].max())
+    repair = np.concatenate(repair)
+
+    with mp.workprec(precision_bits):
+        fn = _compile(p.root, mp)
+
+        def evaluate(indices) -> float:
+            """The per-entry repair; returns max float(|v_P|) over indices."""
+            mpf, floor = mp.mpf, mp.floor
+            max_mag = 0.0
+            for i in indices.tolist():
+                v = fn(mpf(start + i))
+                av = abs(v)
+                if av > max_mag:
+                    max_mag = float(av)
+                out[i] = float(v - floor(v))
+            return max_mag
+
+        required = _required_bits(lower)
+        if math.isinf(upper) or _required_bits(upper) != required:
+            # the bracket straddles a step of the rule: evaluate its top
+            required = _required_bits(evaluate(candidates))
+            repair = np.setdiff1d(repair, candidates)
+        _check_backstop(required, precision_bits, N)
+        evaluate(repair)
+
+
 def _validation_exp(v):
     if mp.mag(v) > _VALIDATION_EXP_MAG:
         raise EvalDomainError(f"exp argument beyond 2^{_VALIDATION_EXP_MAG}")
@@ -598,11 +905,16 @@ def phase_fractions(
     x^q, q = r/s with s <= 24, are computed with exact integer roots: each
     entry lies within 2^-128 of frac(p(n)) before the final rounding to
     float64, at any precision_bits.  Every other tree, powers with larger
-    s included, is evaluated point by point in mpmath at precision_bits.
-    Given precision_bits below the rule at x=N fail before the table is
-    built; the rule is enforced again against the largest magnitude on
-    start..N.  precision_bits None picks the rule minimum at x=N plus a
-    16-bit margin.
+    s included, is evaluated in vectorized double-double with an error
+    bound that also covers the mpmath closure at precision_bits.  An entry
+    is emitted only where that bound decides its float64, so it equals the
+    closure's value bit for bit.  The closure repairs the rest, one entry
+    at a time: entries near 0 or 1, non-finite ones, and those with a log
+    argument not provably positive (see _tree_fractions).  Given
+    precision_bits below the rule at x=N fail before the table is built.
+    The rule is enforced again against the largest magnitude on start..N,
+    before any repair.  precision_bits None picks the rule minimum at x=N
+    plus a 16-bit margin.
     """
     if start < 1:
         raise ValueError(f"arguments must be positive integers, got start={start}")
@@ -624,25 +936,9 @@ def phase_fractions(
     if q is not None and q.denominator <= _ROOT_MAX_DEGREE:
         _power_fractions(q, start, out)
         # a power is monotone in n, so |p| peaks at one end of the range
-        required = max(required, minimum_precision(p, start))
+        _check_backstop(max(required, minimum_precision(p, start)), precision_bits, N)
     else:
-        max_mag = 0.0
-        with mp.workprec(precision_bits):
-            floor = mp.floor
-            fn = _compile(p.root, mp)
-            mpf = mp.mpf
-            for i in range(count):
-                v = fn(mpf(start + i))
-                av = abs(v)
-                if av > max_mag:
-                    max_mag = float(av)
-                out[i] = float(v - floor(v))
-        required = _required_bits(max_mag)
-    # backstop for phases whose magnitude peaks before N
-    if precision_bits < required:
-        raise InsufficientPrecisionError(
-            f"precision rule needs >= {required} bits on 1..{N}, got {precision_bits}"
-        )
+        _tree_fractions(p, start, precision_bits, out, N)
     np.clip(out, 0.0, np.nextafter(1.0, 0.0), out=out)
     return out
 

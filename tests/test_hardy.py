@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from ergolab.dynamics import RotationSystem
+from ergolab import hardy
 from ergolab.hardy import (
     EvalDomainError,
     ExpressionError,
     InsufficientPrecisionError,
+    _compile,
     _iroot,
+    _required_bits,
     eval_mod1,
     exp_sum,
     minimum_precision,
@@ -409,6 +412,242 @@ def test_power_table_any_denominator(p, start, N):
     for i, x in enumerate(range(start, N + 1)):
         pv = eval_mod1(p, x, bits)
         assert circle_distance(fr[i], pv.frac) <= pv.error_bound + 2.0**-53
+
+
+# ---------------------------------------------------------------------------
+# Trees off the integer-root path: the double-double table against the
+# mpmath loop it replaced, bit for bit.
+
+def phase_fractions_tree_mpmath(p, N: int, precision_bits: int, start: int = 1) -> np.ndarray:
+    """Reference path for any tree: the mpmath closure at precision_bits at
+    every point, then the precision rule on the largest magnitude."""
+    out = np.empty(N - start + 1, dtype=np.float64)
+    max_mag = 0.0
+    with mp.workprec(precision_bits):
+        fn = _compile(p.root, mp)
+        for i in range(out.shape[0]):
+            v = fn(mp.mpf(start + i))
+            av = abs(v)
+            if av > max_mag:
+                max_mag = float(av)
+            out[i] = float(v - mp.floor(v))
+    required = _required_bits(max_mag)
+    if precision_bits < required:
+        raise InsufficientPrecisionError(
+            f"precision rule needs >= {required} bits on 1..{N}, got {precision_bits}"
+        )
+    return np.clip(out, 0.0, np.nextafter(1.0, 0.0))
+
+
+def outcome(table, *args):
+    """The table's bytes, or the type and text of the error it raised."""
+    try:
+        return table(*args).tobytes()
+    except (InsufficientPrecisionError, EvalDomainError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def tree_path_table(p, N: int, precision_bits: int, start: int = 1) -> np.ndarray:
+    """The double-double table for any tree, power forms included."""
+    out = np.empty(N - start + 1, dtype=np.float64)
+    hardy._tree_fractions(p, start, precision_bits, out, N)
+    return np.clip(out, 0.0, np.nextafter(1.0, 0.0))
+
+
+def on_tree_path(p) -> bool:
+    q = hardy._power_form(p.root)
+    return not p.integer_polynomial and (q is None or q.denominator > hardy._ROOT_MAX_DEGREE)
+
+
+LEAVES = [
+    "x", "1.01", "3/7", "-2", "exp(1/3)", "log(x)", "x^1.01", "x^(26/25)", "x^(1/3)", "x^(3/2)",
+]
+trees = st.recursive(
+    st.sampled_from(LEAVES),
+    lambda sub: st.one_of(
+        st.tuples(sub, sub).map(lambda t: f"({t[0]}) + ({t[1]})"),
+        st.tuples(sub, sub).map(lambda t: f"({t[0]}) * ({t[1]})"),
+        sub.map(lambda u: f"log(2 + ({u})*({u}))"),
+        sub.map(lambda u: f"exp(({u}) / (1 + ({u})*({u})))"),
+        sub.map(lambda u: f"exp(log(x + ({u})*({u}))*1.01)"),
+    ),
+    max_leaves=5,
+)
+
+
+starts = st.integers(1, 10**4) | st.integers(1, 10**12)
+
+
+@given(trees, starts, st.integers(1, 48), st.integers(0, 24))
+@example("x^(3/2) + x*log(x)", 1, 48, 16)
+@example("x^1.01", 10**12 - 47, 48, 0)         # |p| near 2^40
+@example("x^(3/2) + x*log(x)", 10**12, 8, 0)   # |p| >= 2^50: every entry repaired
+@example("x*exp(-x/1000)", 900, 48, 0)         # magnitude peaks inside the range
+@example("exp(x/100)", 69_990, 48, 0)          # exp arguments across 700
+@example("x*x^(1/2)", 1, 48, 0)                # the perfect squares 1, 4, ... 36
+@settings(max_examples=120, deadline=None)
+def test_tree_table_equals_mpmath_loop(src, start, length, extra_bits):
+    p = parse_expression(src)
+    if not on_tree_path(p):
+        return
+    N = start + length - 1
+    bits = minimum_precision(p, N) + extra_bits
+    assert outcome(phase_fractions, p, N, bits, start) == outcome(
+        phase_fractions_tree_mpmath, p, N, bits, start
+    )
+
+
+@pytest.mark.parametrize("start", [1, 10**6 - 100, 10**10 - 100])
+def test_tree_table_repairs_perfect_squares(start):
+    # exp(3/2*log(n)) is the integer k^3 at n = k^2: the mpmath loop's frac
+    # sits a few ulps of the loop's precision from 0 or 1 there, so those
+    # entries go to the repair; called on the tree path directly, since
+    # phase_fractions sends this power form to the integer roots
+    p = parse_expression("exp(3/2*log(x))")
+    N = start + 299
+    bits = minimum_precision(p, N)
+    fr = tree_path_table(p, N, bits, start)
+    assert fr.tobytes() == phase_fractions_tree_mpmath(p, N, bits, start).tobytes()
+    squares = [k * k - start for k in range(isqrt(start - 1) + 1, isqrt(N) + 1)]
+    assert squares and all(circle_distance(fr[i], 0.0) < 2.0**-40 for i in squares)
+
+
+def test_x_to_1_01_table_to_2_20():
+    p = parse_expression("x^1.01")
+    N = 1 << 20
+    t0 = time.perf_counter()
+    fr = phase_fractions(p, N)
+    assert time.perf_counter() - t0 < 5.0
+    bits = minimum_precision(p, N) + 16
+    for start in (1, 1 << 19, N - 511):
+        window = phase_fractions_tree_mpmath(p, start + 511, bits, start)
+        assert fr[start - 1:start + 511].tobytes() == window.tobytes()
+
+
+def test_magnitude_backstop_fails_before_the_repair(monkeypatch):
+    # x e^(-x/1000) peaks at n = 1000 (|p| = 368, 73 bits); at N = 4000 the
+    # rule gives 71, so only the table's own maximum catches it
+    p = parse_expression("x*exp(-x/1000)")
+    assert minimum_precision(p, 4000) == 71
+    calls = []
+    compile_ = hardy._compile
+
+    def counting(node, ctx):
+        fn = compile_(node, ctx)
+        if ctx is not mp or node is not p.root:
+            return fn
+        return lambda x: calls.append(x) or fn(x)
+
+    monkeypatch.setattr(hardy, "_compile", counting)
+    message = r"^precision rule needs >= 73 bits on 1\.\.4000, got 71$"
+    with pytest.raises(InsufficientPrecisionError, match=message):
+        phase_fractions(p, 4000, 71)
+    assert len(calls) <= 4  # the rule at N and the bracket's top entries
+    monkeypatch.undo()
+    with pytest.raises(InsufficientPrecisionError, match="73 bits on 1..4000"):
+        phase_fractions_tree_mpmath(p, 4000, 71)
+    expected = phase_fractions_tree_mpmath(p, 4000, 73)
+    assert phase_fractions(p, 4000, 73).tobytes() == expected.tobytes()
+
+
+# The double-double operations against mpmath at 400 bits.  Each input is
+# hi + lo with err e0; the exact value sits a*e0 below it and the table's
+# mpmath value b*e0 above the exact one, |a| + |b| <= 1.  The output's err
+# must bound |dd - exact| + |mpmath at `bits` - exact|.
+
+def dd_input(hi, lo_frac, rel_err, a, b, u):
+    lo = float(lo_frac * np.spacing(hi) / 2)
+    e0 = abs(hi) * rel_err
+    x = hardy._DD(np.array([hi]), np.array([lo]), np.array([e0]), u)
+    with mp.workprec(400):
+        exact = mp.mpf(hi) + mp.mpf(lo) - a * mp.mpf(e0)
+        loop = exact + b * mp.mpf(e0)
+    return x, exact, loop
+
+
+def within_bound(v, exact, loop_value):
+    with mp.workprec(400):
+        dd = mp.mpf(float(v.hi[0])) + mp.mpf(float(v.lo[0]))
+        return abs(dd - exact) + abs(loop_value - exact) <= mp.mpf(float(v.err[0]))
+
+
+def errors():
+    return st.tuples(
+        st.sampled_from([0.0, 2.0**-60, 2.0**-90, 2.0**-110]),
+        st.floats(-0.5, 0.5),
+        st.floats(-0.5, 0.5),
+    )
+
+
+@given(st.floats(-700, 700), st.floats(-1, 1), errors(), st.integers(65, 400))
+@example(0.34657359027997264, 1.0, (0.0, 0.0, 0.0), 65)
+@example(-700.0, -1.0, (2.0**-60, 0.5, -0.5), 65)
+@settings(max_examples=300, deadline=None)
+def test_double_double_exp_within_bound(hi, lo_frac, err, bits):
+    ctx = hardy._DoubleDouble(bits)
+    x, exact, loop = dd_input(hi, lo_frac, err[0], err[1], err[2], ctx.u)
+    v = ctx.exp(x)
+    with mp.workprec(400):
+        exact_out = mp.exp(exact)
+    with mp.workprec(bits):
+        loop_out = mp.exp(loop)
+    assert within_bound(v, exact_out, loop_out)
+
+
+@given(st.floats(1e-300, 1e300), st.floats(-1, 1), errors(), st.integers(65, 400))
+@example(1.0, 0.0, (0.0, 0.0, 0.0), 65)
+@example(1.0000000000000002, -1.0, (2.0**-60, 0.5, 0.5), 65)
+@example(0.9999999999999999, 1.0, (0.0, 0.0, 0.0), 400)
+@settings(max_examples=300, deadline=None)
+def test_double_double_log_within_bound(hi, lo_frac, err, bits):
+    ctx = hardy._DoubleDouble(bits)
+    x, exact, loop = dd_input(hi, lo_frac, err[0], err[1], err[2], ctx.u)
+    v = ctx.log(x)
+    with mp.workprec(400):
+        exact_out = mp.log(exact)
+    with mp.workprec(bits):
+        loop_out = mp.log(loop)
+    assert within_bound(v, exact_out, loop_out)
+
+
+finite = st.floats(1e-100, 1e100).flatmap(lambda m: st.sampled_from([m, -m]))
+
+
+@given(finite, finite, st.floats(-1, 1), st.floats(-1, 1), errors(), errors(),
+       st.integers(65, 400), st.booleans())
+@example(1.0, -1.0000000000000002, 0.5, 0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 65, True)
+@settings(max_examples=300, deadline=None)
+def test_double_double_add_and_mul_within_bound(h1, h2, f1, f2, err1, err2, bits, add):
+    ctx = hardy._DoubleDouble(bits)
+    x, ex, lx = dd_input(h1, f1, *err1, ctx.u)
+    y, ey, ly = dd_input(h2, f2, *err2, ctx.u)
+    v = x + y if add else x * y
+    with mp.workprec(400):
+        exact_out = ex + ey if add else ex * ey
+    with mp.workprec(bits):
+        loop_out = lx + ly if add else lx * ly
+    assert within_bound(v, exact_out, loop_out)
+
+
+@given(st.fractions(), st.integers(65, 400))
+@example(Fraction(101, 100), 65)
+@example(Fraction(-(3**5000), 7**1000), 65)
+@example(Fraction(1, 3**700), 400)
+@settings(max_examples=200, deadline=None)
+def test_double_double_constants_within_bound(value, bits):
+    # _compile rounds a constant as mpf(numerator) / denominator
+    ctx = hardy._DoubleDouble(bits)
+    num, den = value.numerator, value.denominator
+    v = ctx.mpf(num) if den == 1 else ctx.mpf(num) / den
+    if not np.isfinite(v.hi):
+        assert abs(value) >= 2**1000
+        return
+    with mp.workprec(bits):
+        loop_out = mp.mpf(num) if den == 1 else mp.mpf(num) / den
+    with mp.workprec(8000):
+        v.hi, v.lo, v.err = np.array([v.hi]), np.array([v.lo]), np.array([v.err])
+        exact = mp.mpf(num) / den
+    assert within_bound(v, exact, loop_out)
 
 
 @given(st.integers(0, 1 << 20000), st.integers(1, 300))
