@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from mpmath import mp
@@ -56,6 +56,8 @@ def _resolve_angle(alpha) -> int:
                 val = mp.mpf(name)
         else:
             val = mp.mpf(alpha)
+        if not mp.isfinite(val):
+            raise ValueError(f"alpha must be a finite angle, got {alpha!r}")
         val = val - mp.floor(val)
         return int(mp.floor(val * (1 << _FP_BITS)))
 
@@ -75,6 +77,12 @@ class DynamicalSystem:
         """f(T^k x) for each k in iterates, as complex128."""
         raise NotImplementedError
 
+    def orbits(self, points, iterates: np.ndarray) -> Iterator[np.ndarray]:
+        """orbit_observable(x, iterates) for each x in points in turn, one
+        orbit held at a time; systems override it to share work across points."""
+        for x in points:
+            yield self.orbit_observable(x, iterates)
+
     def iterate(self, x, k: int = 1):
         """The state T^k x."""
         raise NotImplementedError
@@ -92,8 +100,7 @@ class DynamicalSystem:
 
     def _check_bounded(self) -> None:
         pts = self.sample_points(16) + self.random_states(7, 64)
-        for x in pts:
-            vals = self.orbit_observable(x, np.arange(0, 8, dtype=np.int64))
+        for x, vals in zip(pts, self.orbits(pts, np.arange(0, 8, dtype=np.int64))):
             if np.any(np.abs(vals) > 1.0 + 1e-12):
                 raise ValueError(f"observable exceeds modulus 1 at state {x!r}")
 
@@ -127,19 +134,12 @@ class RotationSystem(DynamicalSystem):
             self.known_mean = 0j
         self._check_bounded()
 
-    def _orbit_fracs(self, x: float, iterates: np.ndarray) -> np.ndarray:
-        """frac(x + k alpha) for an int64 array of iterates.
-
-        Computes (x_fp + k * alpha_fp) mod 2^128 in 32-bit limbs with
-        explicit carries, entirely in vectorized uint64 arithmetic; agrees
-        bit for bit (after float64 rounding) with the exact integer path.
-        """
+    def _k_alpha(self, iterates: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """k * alpha mod 2^128 as (low, high) uint64 halves, for an int64 array
+        of iterates: 32-bit limbs with explicit carries, all vectorized."""
         ks = np.asarray(iterates, dtype=np.int64)
-        if ks.size == 0:
-            return np.empty(0, dtype=np.float64)
         if np.any(ks < 0):
             raise ValueError("iterates must be nonnegative")
-        x_fp = int(math.floor((x % 1.0) * (1 << _FP_BITS)))
         a = self.alpha_fp
         m32 = np.uint64(0xFFFFFFFF)
         s32 = np.uint64(32)
@@ -161,13 +161,22 @@ class RotationSystem(DynamicalSystem):
         low = p0 + (mid << s32)
         carry_low = (low < p0).astype(np.uint64)
         high = p3 + (mid >> s32) + (carry_mid << s32) + carry_low
-        # add k * a_hi * 2^64 and the starting point, both mod 2^128
+        # add k * a_hi * 2^64, mod 2^128
         high += k * a_hi
-        x_lo = np.uint64(x_fp & 0xFFFFFFFFFFFFFFFF)
-        x_hi = np.uint64((x_fp >> 64) & 0xFFFFFFFFFFFFFFFF)
-        new_low = low + x_lo
-        high += x_hi + (new_low < low).astype(np.uint64)
-        return high.astype(np.float64) * 2.0 ** -64 + new_low.astype(np.float64) * 2.0 ** -128
+        return low, high
+
+    def _orbit_fracs(self, points, iterates: np.ndarray) -> Iterator[np.ndarray]:
+        """frac(x + k alpha) for each x in points in turn; k * alpha is computed
+        once, each point adds only x_fp with its carry.  Agrees bit for bit
+        (after float64 rounding) with the exact integer path."""
+        low, high = self._k_alpha(iterates)
+        for x in points:
+            x_fp = int(math.floor((float(x) % 1.0) * (1 << _FP_BITS)))
+            x_lo = np.uint64(x_fp & 0xFFFFFFFFFFFFFFFF)
+            x_hi = np.uint64((x_fp >> 64) & 0xFFFFFFFFFFFFFFFF)
+            new_low = low + x_lo
+            new_high = high + (x_hi + (new_low < low).astype(np.uint64))
+            yield new_high.astype(np.float64) * 2.0 ** -64 + new_low.astype(np.float64) * 2.0 ** -128
 
     def _f_of_fracs(self, fr: np.ndarray) -> np.ndarray:
         if self.observable == "const":
@@ -180,8 +189,11 @@ class RotationSystem(DynamicalSystem):
         # coboundary: h - h o T with h = e(.)/2, so f(x) = e(x)(1 - e(alpha))/2
         return ez * (0.5 * (1.0 - np.exp(2j * np.pi * (self.alpha_fp * _FP_INV))))
 
+    def orbits(self, points, iterates: np.ndarray) -> Iterator[np.ndarray]:
+        return map(self._f_of_fracs, self._orbit_fracs(points, iterates))
+
     def orbit_observable(self, x, iterates: np.ndarray) -> np.ndarray:
-        return self._f_of_fracs(self._orbit_fracs(float(x), iterates))
+        return next(self.orbits([x], iterates))
 
     def iterate(self, x, k: int = 1) -> float:
         x_fp = int(math.floor((float(x) % 1.0) * (1 << _FP_BITS)))
@@ -360,8 +372,7 @@ def weighted_average_from_positions(
     z = hardy.unit_phases(phases[:n_top])
 
     values = np.empty((len(sample_points), len(schedule)), dtype=np.complex128)
-    for j, x in enumerate(sample_points):
-        orbit = sys.orbit_observable(x, positions[:n_top])
+    for j, orbit in enumerate(sys.orbits(sample_points, positions[:n_top])):
         values[j] = hardy.prefix_means(z * orbit, schedule)
     return AverageSeries(np.asarray(schedule, dtype=np.int64), list(sample_points), values)
 
@@ -378,8 +389,8 @@ def birkhoff_mean(
         sample_points = sys.sample_points(16)
     ks = np.arange(1, N + 1, dtype=np.int64)
     out = np.empty(len(sample_points), dtype=np.complex128)
-    for j, x in enumerate(sample_points):
-        out[j] = hardy.prefix_means(sys.orbit_observable(x, ks), [N])[0]
+    for j, orbit in enumerate(sys.orbits(sample_points, ks)):
+        out[j] = hardy.prefix_means(orbit, [N])[0]
     return out
 
 
@@ -453,8 +464,7 @@ def chain_diagnostics(
     n_pts = len(sample_points)
     stages = np.empty((len(schedule), n_pts, 6), dtype=np.complex128)
     diffs = np.empty((len(schedule), n_pts, 6), dtype=np.float64)
-    for j, x in enumerate(sample_points):
-        orbit = sys.orbit_observable(x, ks)
+    for j, orbit in enumerate(sys.orbits(sample_points, ks)):
         for i, N in enumerate(schedule):
             s_N, w_N, row = s_Ns[i], w_Ns[i], stages[i, j]
             # stages 0 and 1 sum the same nonzero terms in the same order:

@@ -121,6 +121,8 @@ def test_vdc_selftest_cli():
     ["average", "--config", "no/such/dir/exp.cfg"],
     ["expsum", "--rho", "inf"],
     ["expsum", "--rho", "nan"],
+    ["average", "--alpha", "nan", "--Nmin", "64", "--Nmax", "64", "--seeds", "1"],
+    ["average", "--alpha", "inf", "--Nmin", "64", "--Nmax", "64", "--seeds", "1"],
 ])
 def test_bad_input_exits_with_one_line(args):
     r = run_cli(args)
@@ -128,6 +130,8 @@ def test_bad_input_exits_with_one_line(args):
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("ergolab: error: ")
     assert len(r.stderr.strip().splitlines()) == 1
+    if "--alpha" in args:
+        assert "alpha" in r.stderr
 
 
 def test_required_config_key_set_to_none_exits_with_one_line(tmp_path):

@@ -2,8 +2,9 @@
 
 Runs each quick workload config from benchmarks/workloads.py in-process,
 and the full-size expsum and chain configs (their 2^16 and 2^15 phase
-tables are the largest the power path builds) and correlation (the
-largest double-double tree table), and compares the sha256 of
+tables are the largest the power path builds), average (16 sample points
+sharing one rotation product over each seed's 2^14 positions) and
+correlation (the largest double-double tree table), and compares the sha256 of
 every CSV file it writes with benchmarks/digests.json, so a refactor that
 changes any output byte fails here.  Only reads benchmarks/.
 """
@@ -48,6 +49,6 @@ def test_quick_workload_bytes_match_recorded_digests(tmp_path, name, seed):
     assert _digests(tmp_path, name, seed, True) == DIGESTS["quick"][name][str(seed)]
 
 
-@pytest.mark.parametrize("name", ["expsum", "chain", "correlation"])
+@pytest.mark.parametrize("name", ["expsum", "average", "chain", "correlation"])
 def test_full_workload_bytes_match_recorded_digests(tmp_path, name):
     assert _digests(tmp_path, name, 0, False) == DIGESTS["full"][name]["0"]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ergolab import dynamics, hardy, selectors
 from ergolab.dynamics import (
@@ -92,9 +94,109 @@ def orbit_fracs_exact(sys: RotationSystem, x: float, iterates) -> np.ndarray:
 def test_rotation_orbit_matches_exact_integers():
     sys = RotationSystem("sqrt2m1", "e")
     ks = np.array([1, 2, 10**6, 10**9, 5], dtype=np.int64)
-    fast = sys._orbit_fracs(0.73, ks)
+    fast = next(sys._orbit_fracs([0.73], ks))
     exact = orbit_fracs_exact(sys, 0.73, ks)
     assert np.max(np.abs(fast - exact)) < 1e-15
+
+
+def orbit_fracs_one_point(sys: RotationSystem, x: float, iterates) -> np.ndarray:
+    """Oracle for the shared product: frac(x + k alpha) for one point, with
+    k * alpha and x_fp added in one uint64 pass (32-bit limbs, explicit carries)."""
+    ks = np.asarray(iterates, dtype=np.int64)
+    if ks.size == 0:
+        return np.empty(0, dtype=np.float64)
+    x_fp = int(math.floor((x % 1.0) * (1 << dynamics._FP_BITS)))
+    a = sys.alpha_fp
+    m32 = np.uint64(0xFFFFFFFF)
+    s32 = np.uint64(32)
+    k = ks.astype(np.uint64)
+    k0 = k & m32
+    k1 = k >> s32
+    al0 = np.uint64(a & 0xFFFFFFFF)
+    al1 = np.uint64((a >> 32) & 0xFFFFFFFF)
+    a_hi = np.uint64((a >> 64) & 0xFFFFFFFFFFFFFFFF)
+    p0 = k0 * al0
+    p1 = k0 * al1
+    p2 = k1 * al0
+    p3 = k1 * al1
+    mid = p1 + p2
+    carry_mid = (mid < p1).astype(np.uint64)
+    low = p0 + (mid << s32)
+    carry_low = (low < p0).astype(np.uint64)
+    high = p3 + (mid >> s32) + (carry_mid << s32) + carry_low
+    high += k * a_hi
+    x_lo = np.uint64(x_fp & 0xFFFFFFFFFFFFFFFF)
+    x_hi = np.uint64((x_fp >> 64) & 0xFFFFFFFFFFFFFFFF)
+    new_low = low + x_lo
+    high += x_hi + (new_low < low).astype(np.uint64)
+    return high.astype(np.float64) * 2.0 ** -64 + new_low.astype(np.float64) * 2.0 ** -128
+
+
+@st.composite
+def iterate_arrays(draw):
+    """Unsorted int64 iterates in [0, 2^63 - 1], with repeats."""
+    ks = draw(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=40))
+    ks += draw(st.lists(st.sampled_from(ks), max_size=10))
+    return np.array(draw(st.permutations(ks)), dtype=np.int64)
+
+
+rotation_points = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.just(1.0 - 2.0**-53),
+        st.integers(1, 2**20).map(dynamics._radical_inverse),
+        st.floats(0.0, 1.0, exclude_max=True),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+# Float64 keeps the high limb's last bit only for values below about 2^-11,
+# so two decimal angles make the carries visible: at 1e-25 every k alpha is
+# below 2^-19, and at 1 - 2e-20 the point 2^-65 carries into a wrap to ~0.
+@given(
+    st.sampled_from(
+        ["sqrt2m1", "invphi", "0.318309886183790671537767526745", "1e-25", "0.99999999999999999998"]
+    ),
+    st.sampled_from(["e", "e_shifted", "const", "coboundary"]),
+    rotation_points,
+    iterate_arrays(),
+)
+@example("0.99999999999999999998", "e", [2.0**-65, 0.5, 2.0**-65], np.array([1, 0, 1], dtype=np.int64))
+@settings(max_examples=300, deadline=None)
+def test_rotation_orbits_equal_one_point_path_bit_for_bit(alpha, observable, points, ks):
+    sys = RotationSystem(alpha, observable)
+    got = list(sys.orbits(points, ks))
+    assert len(got) == len(points)
+    for x, orbit in zip(points, got):
+        want = sys._f_of_fracs(orbit_fracs_one_point(sys, x, ks))
+        assert orbit.dtype == np.complex128 and orbit.tobytes() == want.tobytes()
+        assert sys.orbit_observable(x, ks).tobytes() == want.tobytes()
+
+
+def test_rotation_orbits_of_no_iterates_and_no_points():
+    sys = RotationSystem("sqrt2m1", "e")
+    (orbit,) = sys.orbits([0.25], np.zeros(0, dtype=np.int64))
+    assert orbit.shape == (0,) and orbit.dtype == np.complex128
+    assert list(sys.orbits([], np.arange(4, dtype=np.int64))) == []
+    with pytest.raises(ValueError):
+        next(sys.orbits([0.25], np.array([3, -1], dtype=np.int64)))
+
+
+@given(
+    st.sampled_from([CyclicSystem(7, "roots"), CyclicSystem(5, "indicator0"), BernoulliSystem(3, 4)]),
+    st.integers(1, 6),
+    st.lists(st.integers(0, 2**40), min_size=1, max_size=40),
+)
+@settings(max_examples=100, deadline=None)
+def test_base_orbits_equal_orbit_observable_per_point(sys, n_points, ks):
+    ks = np.array(ks, dtype=np.int64)
+    points = sys.random_states(3, n_points)
+    got = list(sys.orbits(points, ks))
+    assert len(got) == n_points
+    for x, orbit in zip(points, got):
+        assert orbit.tobytes() == sys.orbit_observable(x, ks).tobytes()
 
 
 # ---------------------------------------------------------------------------
