@@ -148,10 +148,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         cfg = config_from_args(args)
         report = run_experiment(cfg)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         # ExpressionError, EvalDomainError, InsufficientPrecisionError and
         # OutOfRangeError all subclass ValueError; OSError is an unreadable
-        # --config file or an unwritable --out
+        # --config file or an unwritable --out; MemoryError a table too
+        # large to allocate
         print(f"ergolab: error: {exc}", file=sys.stderr)
         return 2
     main_table = report.table("main")

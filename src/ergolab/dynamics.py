@@ -53,7 +53,12 @@ def _resolve_angle(alpha) -> int:
             elif name == "invphi":
                 val = (mp.sqrt(5) - 1) / 2
             else:
-                val = mp.mpf(name)
+                try:
+                    val = mp.mpf(name)
+                except ValueError:
+                    raise ValueError(
+                        f"alpha must be sqrt2m1|sqrt3m1|invphi|decimal, got {alpha!r}"
+                    ) from None
         else:
             val = mp.mpf(alpha)
         if not mp.isfinite(val):

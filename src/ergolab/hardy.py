@@ -448,8 +448,8 @@ def _iroot(x: int, s: int) -> int:
         y = z
 
 
-def _power_fractions(q: Fraction, start: int, out: np.ndarray) -> None:
-    """out[i] = frac((start + i)^q) to within 2^-_ROOT_BITS, then rounded.
+def _root_fractions(q: Fraction, start: int, out: np.ndarray, indices) -> None:
+    """out[i] = frac((start + i)^q) to within 2^-_ROOT_BITS, then rounded, i in indices.
 
     floor(n^(r/s) 2^K) = iroot_s(n^r 2^(sK)), and for r < 0 the root of
     floor(2^(sK) / n^|r|) (the nested floor is exact); the low K bits of
@@ -464,11 +464,11 @@ def _power_fractions(q: Fraction, start: int, out: np.ndarray) -> None:
     scale = 1 << _ROOT_BITS
     root = math.isqrt if s == 2 else (lambda v: _iroot(v, s))
     if r >= 0:
-        for i in range(out.shape[0]):
+        for i in indices:
             out[i] = (root((start + i) ** r << shift) & mask) / scale
     else:
         one = 1 << shift
-        for i in range(out.shape[0]):
+        for i in indices:
             out[i] = (root(one // (start + i) ** -r) & mask) / scale
 
 
@@ -479,7 +479,7 @@ def _required_bits(magnitude) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Double-double phase tables for trees off the integer-root path.
+# Double-double phase tables.
 #
 # A _DD holds one subtree's values over a chunk of arguments: hi + lo in
 # double-double (float64 arrays, |lo| <= ulp(hi)/2) and err, an absolute
@@ -490,9 +490,12 @@ def _required_bits(magnitude) -> int:
 # ACM TOMS 44(2), 2017) and mpmath's (+ and * correctly rounded, exp and log
 # within _MP_ELEM units of u = 2^-P) to the propagated bounds.  err is
 # itself computed in round-to-nearest float64; the factor _SLACK in the
-# decision covers that and the (1 + 2^-52) factors left out below.
+# decision covers that and the (1 + 2^-52) factors left out below.  With
+# u = 0, as in the power pass, err bounds the distance to v alone.
 
 _TABLE_CHUNK = 1 << 14
+_POWER_CHUNK = 1 << 12  # small, so the power pass barely moves peak memory
+_NEWTON_TINY = 2.0**-40  # larger Newton steps |c| / u0 go to the repair
 _SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's split
 _DD_ADD = 2.0**-104  # AccurateDWPlusDW: 3u^2/(1 - 4u) relative, u = 2^-53
 _DD_MUL = 2.0**-102  # DWTimesDW without fma: under 8u^2 relative
@@ -712,6 +715,71 @@ def _chunk_fractions(v: _DD, size: int):
     return th, ok, np.abs(h), np.broadcast_to(_SLACK * v.err, size)
 
 
+def _dd_power(v: _DD, e: int) -> _DD:
+    """v^e for an integer e >= 1, by binary powering."""
+    result = v if e & 1 else None
+    while e > 1:
+        e >>= 1
+        v = v * v
+        if e & 1:
+            result = v if result is None else result * v
+    return result
+
+
+def _root_dd(n, s: int, u0=None) -> _DD:
+    """n^(1/s) for float64 integers n >= 1, s >= 2, by one Newton step u0 - c,
+    c = (u0^s - n) / (s u0^(s-1)), the residual in double-double (Brent &
+    Zimmermann, 1.5); u0 None is np.sqrt or pow polished in float64.  err
+    bounds the distance to the root: c's 4 roundings, the residual's err,
+    and the step's truncation.  c/u0 = (1 - rho^s)/s, rho = root/u0, so
+    |c| <= _NEWTON_TINY u0 puts rho within 2^-39 of 1 and the truncation
+    under (s-1)/2 c^2/u0 (1 + 2^-30): err takes 2(s-1) c^2/u0; inf beyond.
+    """
+    if u0 is None and s == 2:
+        u0 = np.sqrt(n)
+    elif u0 is None:
+        u0 = np.power(n, 1.0 / s)
+        u0 -= (u0**s - n) / (s * u0 ** (s - 1))
+    x0 = _DD(u0, 0.0, 0.0, 0.0)
+    below = _dd_power(x0, s - 1)
+    res = below * x0 + _DD(-n, 0.0, 0.0, 0.0)
+    den = s * below.hi
+    c = res.hi / den
+    hi, lo = _fast_two_sum(u0, -c)
+    err = np.abs(c) * 2.0**-50 + 2 * res.err / den + 2 * (s - 1) * c * c / u0
+    return _DD(hi, lo, np.where(np.abs(c) <= _NEWTON_TINY * u0, err, np.inf), 0.0)
+
+
+def _power_fractions(q: Fraction, start: int, out: np.ndarray) -> np.ndarray:
+    """_root_fractions' table; returns the indices it had to root.  For q =
+    k + j/s > 0, a double-double pass forms n^k u^j, u = _root_dd(n, s), and
+    emits the entries whose bound decides their float64: the exact root is
+    within 2^-128 of frac(n^q), far inside err, so it rounds the same way.
+    The rest are rooted: near 0 or 1, n > 2^53, non-finite, all of q < 0.
+    """
+    count = out.shape[0]
+    k, j = divmod(q.numerator, q.denominator)
+    if q < 0 or not j:
+        repair = np.arange(count)
+    else:
+        repair = []
+        with np.errstate(all="ignore"):
+            for first in range(0, count, _POWER_CHUNK):
+                size = min(_POWER_CHUNK, count - first)
+                n = np.arange(start + first, start + first + size, dtype=np.float64)
+                if start + first + size > 1 << 53:
+                    n[:] = np.nan
+                v = _dd_power(_root_dd(n, q.denominator), j)
+                if k:
+                    v = v * _dd_power(_DD(n, 0.0, 0.0, 0.0), k)
+                frac, ok, _, _ = _chunk_fractions(v, size)
+                out[first:first + size] = frac
+                repair.append(np.flatnonzero(~ok) + first)
+        repair = np.concatenate(repair)
+    _root_fractions(q, start, out, repair.tolist())
+    return repair
+
+
 def _check_backstop(required: int, precision_bits: int, N: int) -> None:
     """The rule against the largest magnitude on the range, for phases
     whose magnitude peaks before N."""
@@ -902,16 +970,17 @@ def phase_fractions(
     """frac(p(n)) for n = start..N as float64.
 
     The workhorse behind exponential sums and weight tables.  Power phases
-    x^q, q = r/s with s <= 24, are computed with exact integer roots: each
-    entry lies within 2^-128 of frac(p(n)) before the final rounding to
-    float64, at any precision_bits.  Every other tree, powers with larger
-    s included, is evaluated in vectorized double-double with an error
-    bound that also covers the mpmath closure at precision_bits.  An entry
-    is emitted only where that bound decides its float64, so it equals the
-    closure's value bit for bit.  The closure repairs the rest, one entry
-    at a time: entries near 0 or 1, non-finite ones, and those with a log
-    argument not provably positive (see _tree_fractions).  Given
-    precision_bits below the rule at x=N fail before the table is built.
+    x^q, q = r/s with s <= 24, round a value within 2^-128 of frac(p(n)),
+    at any precision_bits: exact integer roots wherever a double-double
+    pass leaves the float64 open (see _power_fractions).  Every other tree,
+    powers with larger s included, is evaluated in vectorized double-double
+    with an error bound that also covers the mpmath closure at
+    precision_bits.  An entry is emitted only where that bound decides its
+    float64, so it equals the closure's value bit for bit.  The closure
+    repairs the rest, one entry at a time: entries near 0 or 1, non-finite
+    ones, and those with a log argument not provably positive (see
+    _tree_fractions).  Given precision_bits below the rule at x=N fail
+    before the table is built.
     The rule is enforced again against the largest magnitude on start..N,
     before any repair.  precision_bits None picks the rule minimum at x=N
     plus a 16-bit margin.

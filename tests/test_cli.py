@@ -123,6 +123,8 @@ def test_vdc_selftest_cli():
     ["expsum", "--rho", "nan"],
     ["average", "--alpha", "nan", "--Nmin", "64", "--Nmax", "64", "--seeds", "1"],
     ["average", "--alpha", "inf", "--Nmin", "64", "--Nmax", "64", "--seeds", "1"],
+    ["average", "--alpha", "abc", "--Nmin", "64", "--Nmax", "64", "--seeds", "1"],
+    ["expsum", "--p", "x^(3/2)", "--N", "9007199254740993"],  # a 64 PiB table
 ])
 def test_bad_input_exits_with_one_line(args):
     r = run_cli(args)
@@ -132,6 +134,8 @@ def test_bad_input_exits_with_one_line(args):
     assert len(r.stderr.strip().splitlines()) == 1
     if "--alpha" in args:
         assert "alpha" in r.stderr
+    if args[1:3] == ["--alpha", "abc"]:
+        assert "sqrt2m1|sqrt3m1|invphi|decimal" in r.stderr
 
 
 def test_required_config_key_set_to_none_exits_with_one_line(tmp_path):

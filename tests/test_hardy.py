@@ -414,6 +414,52 @@ def test_power_table_any_denominator(p, start, N):
         assert circle_distance(fr[i], pv.frac) <= pv.error_bound + 2.0**-53
 
 
+# The power pass (double-double candidates, exact roots for the rest)
+# against the exact integer root at every entry, byte for byte.
+
+def power_pass_table(q: Fraction, start: int, length: int):
+    out = np.empty(length, dtype=np.float64)
+    repair = hardy._power_fractions(q, start, out)
+    return out, repair
+
+
+def exact_root_table(q: Fraction, start: int, length: int) -> np.ndarray:
+    out = np.empty(length, dtype=np.float64)
+    hardy._root_fractions(q, start, out, range(length))
+    return out
+
+
+EXPONENTS = [Fraction(e) for e in ("1/2", "3/2", "5/3", "7/4", "25/24", "7/2", "-3/2")]
+exponents = st.sampled_from(EXPONENTS) | st.builds(
+    Fraction, st.integers(-48, 48).filter(bool), st.integers(1, 24)
+)
+power_starts = (
+    st.just(1)
+    | st.integers(1, 10**12)
+    | st.integers(2**26 - 64, 2**26 + 64)
+    | st.integers(2**35 - 64, 2**35 + 64)
+)
+
+
+@given(exponents, power_starts, st.integers(1, 64))
+@example(Fraction(3, 2), 1, 5000)                  # across a chunk boundary
+@example(Fraction(3, 2), 10_800_000_000, 64)       # |p| near 2^50: all repaired
+@example(Fraction(23, 24), 10**12 - 64, 64)
+@settings(max_examples=150, deadline=None)
+def test_power_pass_equals_exact_roots(q, start, length):
+    out, repair = power_pass_table(q, start, length)
+    assert out.tobytes() == exact_root_table(q, start, length).tobytes()
+    if q < 0 or q.denominator == 1 or (q == Fraction(3, 2) and start >= 10_800_000_000):
+        assert repair.tolist() == list(range(length))
+
+
+def test_power_pass_repairs_perfect_squares_and_few_others():
+    out, repair = power_pass_table(Fraction(3, 2), 1, 1 << 16)
+    squares = [k * k - 1 for k in range(1, 257)]
+    assert set(squares) <= set(repair.tolist())
+    assert len(repair) <= 256 + 8
+
+
 # ---------------------------------------------------------------------------
 # Trees off the integer-root path: the double-double table against the
 # mpmath loop it replaced, bit for bit.
@@ -648,6 +694,30 @@ def test_double_double_constants_within_bound(value, bits):
         v.hi, v.lo, v.err = np.array([v.hi]), np.array([v.lo]), np.array([v.err])
         exact = mp.mpf(num) / den
     assert within_bound(v, exact, loop_out)
+
+
+@given(
+    st.integers(1, (1 << 53) - 64),
+    st.integers(2, 24),
+    st.sampled_from([0.0, 2.0**-45, 2.0**-41]),
+    st.floats(-1, 1),
+)
+@example(1, 2, 0.0, 0.0)
+@example(1, 4, 0.0, 0.0)           # small |c|: the residual's err dominates
+@example((1 << 53) - 64, 24, 2.0**-41, 1.0)
+@settings(max_examples=200, deadline=None)
+def test_newton_root_within_bound(start, s, rel, shift):
+    # from the default estimate (rel = 0) or one off by up to 2^-41, inside
+    # the |c| <= 2^-40 u0 the bound is claimed for
+    n = np.arange(start, start + 64, dtype=np.float64)
+    with mp.workprec(400):
+        roots = [mp.root(start + i, s) for i in range(64)]
+    u0 = None if rel == 0 else np.array([float(r * (1 + rel * shift)) for r in roots])
+    v = hardy._root_dd(n, s, u0)
+    assert np.isfinite(v.err).all()
+    for i, root in enumerate(roots):
+        one = hardy._DD(v.hi[i:i + 1], v.lo[i:i + 1], v.err[i:i + 1], 0.0)
+        assert within_bound(one, root, root)
 
 
 @given(st.integers(0, 1 << 20000), st.integers(1, 300))
