@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from mpmath import mp
@@ -430,62 +430,73 @@ class ChainDiagnostics:
 def chain_diagnostics(
     sys: DynamicalSystem,
     phases: np.ndarray,
-    r: Realization,
+    realizations: Iterable[Realization],
     schedule: Sequence[int],
     sample_points: Optional[list] = None,
-) -> List[ChainDiagnostics]:
-    """Evaluate the comparison chain at each N of the schedule, in sorted order.
+) -> List[List[ChainDiagnostics]]:
+    """The comparison chain at each N of the schedule, in sorted order, for
+    realizations of one exponent a: one list per realization, in input order.
 
     phases is the table frac(p(n)), n = 1, 2, ... (hardy.phase_fractions).
-    Every stage at N reads only the first N entries of arrays built once at
-    the top N, so each sample point's orbit is computed once; one orbit is
-    held at a time.
+    Each realization is checked and cut down to its selected positions up to
+    the top N and a few scalars before the first orbit is built.  Each sample
+    point's orbit is then built once for all of them, one orbit at a time.
     """
     schedule = sorted(int(N) for N in schedule)
-    if not schedule or schedule[0] < 1 or schedule[-1] > r.n_max:
-        raise ValueError(f"schedule must lie in [1, n_max={r.n_max}]")
+    if not schedule or schedule[0] < 1:
+        raise ValueError("schedule must contain positive integers")
     n_top = schedule[-1]
     if phases.shape[0] < n_top:
         raise ValueError("phase table shorter than the schedule top")
-    # e(p(S_n)) needs S_n >= 1; the hash always selects index 1 (sigma_1 = 1)
-    if not r.bits[0]:
-        raise ValueError("the chain needs X_1 = 1")
     if sample_points is None:
         sample_points = sys.sample_points(16)
     e_all = hardy.unit_phases(phases[:n_top])
-    e_at_s = e_all[r.s_prefix[1 : n_top + 1] - 1]
-    weighted = sigma_values(r.params.a, 1, n_top) * e_at_s
     km = complex(sys.known_mean)
-    ks = np.arange(1, n_top + 1, dtype=np.int64)
+    # stages 4 and 5 do not depend on the sample point; stage 5 not on the realization
+    stage5 = [km * (np.sum(e_all[:N]) / N) for N in schedule]
+    states, sigma = [], None
 
-    s_Ns = [r.S(N) for N in schedule]
-    w_Ns = [r.W(N) for N in schedule]
-    # stages 4 and 5 do not depend on the sample point
-    mean_stages = [
-        (km * np.sum(weighted[:N]) / w_N, km * (np.sum(e_all[:N]) / N))
-        for N, w_N in zip(schedule, w_Ns)
-    ]
+    def weighted(pos: np.ndarray) -> np.ndarray:
+        # sigma_n e(p(S_n)): S_n = k + 1 from the k-th selected position to the next
+        return sigma * np.repeat(e_all[: pos.shape[0]], np.diff(pos, append=n_top))
+
+    for r in realizations:
+        if n_top > r.n_max:
+            raise ValueError(f"schedule must lie in [1, n_max={r.n_max}]")
+        # e(p(S_n)) needs S_n >= 1; the hash always selects index 1 (sigma_1 = 1)
+        if not r.bits[0]:
+            raise ValueError("the chain needs X_1 = 1")
+        if sigma is None:
+            a, sigma = r.params.a, sigma_values(r.params.a, 1, n_top)
+        elif r.params.a != a:
+            raise ValueError(f"the realizations must share one a, got {a} and {r.params.a}")
+        pos, w_Ns = r.ones[: r.S(n_top)] - 1, [r.W(N) for N in schedule]
+        w = weighted(pos)
+        stage4 = [km * np.sum(w[:N]) / w_N for N, w_N in zip(schedule, w_Ns)]
+        states.append((pos, [r.S(N) for N in schedule], w_Ns, stage4))
+        del r, w  # hold one realization at a time
 
     n_pts = len(sample_points)
-    stages = np.empty((len(schedule), n_pts, 6), dtype=np.complex128)
-    diffs = np.empty((len(schedule), n_pts, 6), dtype=np.float64)
-    for j, orbit in enumerate(sys.orbits(sample_points, ks)):
-        for i, N in enumerate(schedule):
-            s_N, w_N, row = s_Ns[i], w_Ns[i], stages[i, j]
-            # stages 0 and 1 sum the same nonzero terms in the same order:
-            # at a selected index n, S_n equals its selection rank k and a_k = n
-            sum_sel = np.sum(e_all[:s_N] * orbit[r.ones[:s_N] - 1])
-            row[0] = sum_sel / s_N
-            row[1] = sum_sel / s_N
-            row[2] = sum_sel / w_N
-            row[3] = np.sum(weighted[:N] * orbit[:N]) / w_N
-            row[4], row[5] = mean_stages[i]
-            diffs[i, j, :5] = np.abs(np.diff(row))
-            diffs[i, j, 5] = abs(row[5])
-    return [
-        ChainDiagnostics(N, s_Ns[i], w_Ns[i], list(sample_points), stages[i], diffs[i])
-        for i, N in enumerate(schedule)
-    ]
+    stages = np.empty((len(states), len(schedule), n_pts, 6), dtype=np.complex128)
+    diffs = np.empty((len(states), len(schedule), n_pts, 6), dtype=np.float64)
+    ks = np.arange(1, n_top + 1, dtype=np.int64)
+    for j, orbit in enumerate(sys.orbits(sample_points, ks) if states else ()):
+        for (pos, s_Ns, w_Ns, stage4), st, df in zip(states, stages, diffs):
+            w = weighted(pos)
+            for i, N in enumerate(schedule):
+                s_N, w_N, row = s_Ns[i], w_Ns[i], st[i, j]
+                # stages 0 and 1 sum the same nonzero terms in the same order:
+                # at a selected index n, S_n equals its selection rank k and a_k = n
+                sum_sel = np.sum(e_all[:s_N] * orbit[pos[:s_N]])
+                row[0] = row[1] = sum_sel / s_N
+                row[2] = sum_sel / w_N
+                row[3] = np.sum(w[:N] * orbit[:N]) / w_N
+                row[4], row[5] = stage4[i], stage5[i]
+                df[i, j, :5] = np.abs(np.diff(row))
+                df[i, j, 5] = abs(row[5])
+    return [[ChainDiagnostics(N, s_Ns[i], w_Ns[i], list(sample_points), st[i], df[i])
+             for i, N in enumerate(schedule)]
+            for (_, s_Ns, w_Ns, _), st, df in zip(states, stages, diffs)]
 
 
 def partial_summation_identity(

@@ -171,6 +171,8 @@ class ExperimentConfig:
             raise ValueError(f"instances must be >= 1, got {self.instances}")
         if not 0.0 < self.chernoff_c < math.inf:
             raise ValueError(f"chernoff_c must be positive and finite, got {self.chernoff_c}")
+        if self.a_values is not None and self.pipeline != "average":
+            raise ValueError(f"a_values is a sweep of the average pipeline only, not {self.pipeline}")
         # every selecting pipeline needs this; checked before any phase table
         for a in self.a_values or (self.a,):
             if not 0.0 < a < 0.5:
@@ -434,12 +436,12 @@ def _run_average(cfg: ExperimentConfig) -> Report:
 
 # -- chain -------------------------------------------------------------------
 
-def _chain_job(ctx: Dict[str, object], seed: int):
+def _chain_job(ctx: Dict[str, object], seeds: List[int]):
     union: List[int] = ctx["union"]
-    params = selectors.SelectorParams(a=ctx["a"], seed=seed, n_max=union[-1])
-    r = selectors.generate_realization(params)
+    realizations = (selectors.generate_realization(
+        selectors.SelectorParams(a=ctx["a"], seed=seed, n_max=union[-1])) for seed in seeds)
     return dynamics.chain_diagnostics(
-        ctx["system"], ctx["phases"], r, union, sample_points=ctx["points"],
+        ctx["system"], ctx["phases"], realizations, union, sample_points=ctx["points"],
     )
 
 
@@ -447,7 +449,9 @@ def _run_chain(cfg: ExperimentConfig) -> Report:
     shared, per_rho = _system_inputs(cfg)
     shared["a"] = cfg.a
     seeds = cfg.seed_list()
-    results = _pool_map(_chain_job, seeds, cfg.resolve_workers(), shared)
+    k = min(cfg.resolve_workers(), len(seeds))  # one job per contiguous seed block
+    blocks = [seeds[i * len(seeds) // k : (i + 1) * len(seeds) // k] for i in range(k)]
+    results = [d for block in _pool_map(_chain_job, blocks, k, shared) for d in block]
 
     fp = cfg.fingerprint()
     rows = []

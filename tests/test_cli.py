@@ -1,10 +1,13 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from ergolab.cli import build_parser, config_from_args, main
+
+A_VALUES_CFG = Path(__file__).resolve().parent / "data" / "a_values.cfg"
 
 
 def run_cli(args, env_extra=None):
@@ -125,6 +128,7 @@ def test_vdc_selftest_cli():
     ["average", "--alpha", "inf", "--Nmin", "64", "--Nmax", "64", "--seeds", "1"],
     ["average", "--alpha", "abc", "--Nmin", "64", "--Nmax", "64", "--seeds", "1"],
     ["expsum", "--p", "x^(3/2)", "--N", "9007199254740993"],  # a 64 PiB table
+    ["chain", "--config", str(A_VALUES_CFG)],  # a sweep over a that chain would ignore
 ])
 def test_bad_input_exits_with_one_line(args):
     r = run_cli(args)
@@ -136,6 +140,8 @@ def test_bad_input_exits_with_one_line(args):
         assert "alpha" in r.stderr
     if args[1:3] == ["--alpha", "abc"]:
         assert "sqrt2m1|sqrt3m1|invphi|decimal" in r.stderr
+    if args[-1] == str(A_VALUES_CFG):
+        assert "a_values" in r.stderr and "average" in r.stderr
 
 
 def test_required_config_key_set_to_none_exits_with_one_line(tmp_path):

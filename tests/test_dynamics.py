@@ -290,7 +290,7 @@ def test_chain_first_step_identity_exact(p32):
     sys = RotationSystem("sqrt2m1", "e_shifted")
     r = generate_realization(SelectorParams(a=0.3, seed=13, n_max=4096))
     phases = hardy.phase_fractions(p32, 4096)
-    diag = chain_diagnostics(sys, phases, r, [4096], sample_points=sys.sample_points(5))[0]
+    diag = chain_diagnostics(sys, phases, [r], [4096], sample_points=sys.sample_points(5))[0][0]
     assert np.all(diag.diffs[:, 0] == 0.0)
 
 
@@ -305,7 +305,7 @@ def test_chain_first_step_identity_against_masked_sum(p32):
     x = 0.375
     orbit = sys.orbit_observable(x, np.arange(1, N + 1, dtype=np.int64))
     masked = np.sum(r.bits[:N] * e_all[r.s_prefix[1:N+1] - 1] * orbit) / s_N
-    diag = chain_diagnostics(sys, fr, r, [N], sample_points=[x])[0]
+    diag = chain_diagnostics(sys, fr, [r], [N], sample_points=[x])[0][0]
     assert abs(diag.stages[0, 1] - masked) < 1e-12
 
 
@@ -315,7 +315,7 @@ def test_chain_renormalization_bound(p32):
     sys = RotationSystem("sqrt2m1", "e_shifted")
     r = generate_realization(SelectorParams(a=0.3, seed=29, n_max=8192))
     phases = hardy.phase_fractions(p32, 8192)
-    diag = chain_diagnostics(sys, phases, r, [8192], sample_points=sys.sample_points(4))[0]
+    diag = chain_diagnostics(sys, phases, [r], [8192], sample_points=sys.sample_points(4))[0][0]
     bound = abs(r.S(8192) / r.W(8192) - 1.0) * np.abs(diag.stages[:, 1])
     assert np.all(diag.diffs[:, 1] <= bound * (1 + 1e-9) + 1e-15)
 
@@ -324,7 +324,7 @@ def test_chain_shapes_and_median(p32):
     sys = RotationSystem("sqrt2m1", "e_shifted")
     r = generate_realization(SelectorParams(a=0.3, seed=1, n_max=1024))
     phases = hardy.phase_fractions(p32, 1024)
-    diag = chain_diagnostics(sys, phases, r, [1024], sample_points=sys.sample_points(6))[0]
+    diag = chain_diagnostics(sys, phases, [r], [1024], sample_points=sys.sample_points(6))[0][0]
     assert diag.stages.shape == (6, 6)
     assert diag.diffs.shape == (6, 6)
     assert diag.median_diffs.shape == (6,)
@@ -339,23 +339,23 @@ def test_chain_schedule_matches_single_n_calls(p32):
     phases = hardy.phase_fractions(p32, 4096)
     pts = sys.sample_points(3)
     schedule = [4096, 100, 1, 1024]
-    diags = chain_diagnostics(sys, phases, r, schedule, sample_points=pts)
+    diags = chain_diagnostics(sys, phases, [r], schedule, sample_points=pts)[0]
     assert [d.N for d in diags] == sorted(schedule)
     for d in diags:
-        single = chain_diagnostics(sys, phases[: d.N], r, [d.N], sample_points=pts)[0]
+        single = chain_diagnostics(sys, phases[: d.N], [r], [d.N], sample_points=pts)[0][0]
         assert (d.s_N, d.w_N) == (single.s_N, single.w_N)
         assert np.array_equal(d.stages, single.stages)
         assert np.array_equal(d.diffs, single.diffs)
     with pytest.raises(ValueError):
-        chain_diagnostics(sys, phases[:1000], r, [1024], sample_points=pts)
+        chain_diagnostics(sys, phases[:1000], [r], [1024], sample_points=pts)
     with pytest.raises(ValueError):
-        chain_diagnostics(sys, phases, r, [4097], sample_points=pts)
+        chain_diagnostics(sys, phases, [r], [4097], sample_points=pts)
     # S_1 = 0 would index the phase table at -1
     no_first = np.array(r.bits)
     no_first[0] = False
     synthetic = realization_from_bits(r.params, no_first)
     with pytest.raises(ValueError):
-        chain_diagnostics(sys, phases, synthetic, [1024], sample_points=pts)
+        chain_diagnostics(sys, phases, [synthetic], [1024], sample_points=pts)
 
 
 def test_chain_late_steps_decay_along_schedule(p32):
@@ -370,9 +370,11 @@ def test_chain_late_steps_decay_along_schedule(p32):
 
     def family_medians(base):
         lo_all, hi_all = [], []
-        for seed in range(base, base + 10):
-            r = generate_realization(SelectorParams(a=0.3, seed=seed, n_max=n_hi))
-            lo, hi = chain_diagnostics(sys, phases, r, [n_lo, n_hi], sample_points=pts)
+        family = (
+            generate_realization(SelectorParams(a=0.3, seed=seed, n_max=n_hi))
+            for seed in range(base, base + 10)
+        )
+        for lo, hi in chain_diagnostics(sys, phases, family, [n_lo, n_hi], sample_points=pts):
             lo_all.append(lo.diffs)
             hi_all.append(hi.diffs)
         return np.median(lo_all, axis=0), np.median(hi_all, axis=0)
@@ -383,6 +385,114 @@ def test_chain_late_steps_decay_along_schedule(p32):
         # steps 3..6 (indices 2..5): medians decrease at every sample point
         verdicts.append(bool(np.all(hi_med[:, 2:] < lo_med[:, 2:])))
     assert verdicts[0] and verdicts[1]
+
+
+def chain_diagnostics_one_realization(sys, phases, r, schedule, sample_points):
+    """Oracle for the shared orbits: the chain for one realization, with its
+    own orbit per sample point and its weights gathered through S_n."""
+    schedule = sorted(int(N) for N in schedule)
+    n_top = schedule[-1]
+    e_all = hardy.unit_phases(phases[:n_top])
+    e_at_s = e_all[r.s_prefix[1 : n_top + 1] - 1]
+    weighted = selectors.sigma_values(r.params.a, 1, n_top) * e_at_s
+    km = complex(sys.known_mean)
+    ks = np.arange(1, n_top + 1, dtype=np.int64)
+    s_Ns = [r.S(N) for N in schedule]
+    w_Ns = [r.W(N) for N in schedule]
+    mean_stages = [
+        (km * np.sum(weighted[:N]) / w_N, km * (np.sum(e_all[:N]) / N))
+        for N, w_N in zip(schedule, w_Ns)
+    ]
+    n_pts = len(sample_points)
+    stages = np.empty((len(schedule), n_pts, 6), dtype=np.complex128)
+    diffs = np.empty((len(schedule), n_pts, 6), dtype=np.float64)
+    for j, orbit in enumerate(sys.orbits(sample_points, ks)):
+        for i, N in enumerate(schedule):
+            s_N, w_N, row = s_Ns[i], w_Ns[i], stages[i, j]
+            sum_sel = np.sum(e_all[:s_N] * orbit[r.ones[:s_N] - 1])
+            row[0] = sum_sel / s_N
+            row[1] = sum_sel / s_N
+            row[2] = sum_sel / w_N
+            row[3] = np.sum(weighted[:N] * orbit[:N]) / w_N
+            row[4], row[5] = mean_stages[i]
+            diffs[i, j, :5] = np.abs(np.diff(row))
+            diffs[i, j, 5] = abs(row[5])
+    return [
+        dynamics.ChainDiagnostics(N, s_Ns[i], w_Ns[i], list(sample_points), stages[i], diffs[i])
+        for i, N in enumerate(schedule)
+    ]
+
+
+def assert_chain_equals_oracle(sys, phases, rs, schedule, pts):
+    got = chain_diagnostics(sys, phases, iter(rs), schedule, sample_points=pts)
+    assert len(got) == len(rs)
+    for r, diags in zip(rs, got):
+        want = chain_diagnostics_one_realization(sys, phases, r, schedule, pts)
+        assert [d.N for d in diags] == [w.N for w in want] == sorted(schedule)
+        for d, w in zip(diags, want):
+            assert (d.s_N, d.w_N) == (w.s_N, w.w_N)
+            assert type(d.s_N) is int and type(d.w_N) is float
+            assert d.stages.tobytes() == w.stages.tobytes()
+            assert d.diffs.tobytes() == w.diffs.tobytes()
+
+
+CHAIN_SYSTEMS = [
+    ("rotation", dict(observable="e")),
+    ("rotation", dict(observable="e_shifted")),
+    ("rotation", dict(observable="const")),
+    ("rotation", dict(observable="coboundary")),
+    ("cyclic", dict(q=7, observable="roots")),
+    # a mean that is not 0, 1/2 or 1, so its products round
+    ("cyclic", dict(q=5, observable=np.array([0.9, 0.3j, -0.2, 0.5 + 0.1j, 0.7]))),
+    ("bernoulli", dict(alphabet=3, window=5)),
+]
+
+
+@pytest.mark.parametrize("kind,kwargs", CHAIN_SYSTEMS)
+def test_chain_shared_orbits_equal_one_realization_oracle(p32, kind, kwargs):
+    # several seeds in one call, an unsorted schedule holding N = 1 and
+    # N = n_max, and one realization that runs past the schedule top
+    sys = make_system(kind, **kwargs)
+    n_max = 3000
+    phases = hardy.phase_fractions(p32, n_max)
+    rs = [generate_realization(SelectorParams(a=0.3, seed=s, n_max=n_max)) for s in (3, 8, 40)]
+    rs.append(generate_realization(SelectorParams(a=0.3, seed=11, n_max=5000)))
+    assert_chain_equals_oracle(sys, phases, rs, [1000, 1, n_max, 37, 2048], sys.sample_points(3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    a=st.sampled_from([0.05, 0.3, 0.49]),
+    seeds=st.lists(st.integers(0, 2**40), min_size=1, max_size=4),
+    schedule=st.lists(st.integers(1, 1500), min_size=1, max_size=5),
+)
+def test_chain_shared_orbits_equal_oracle_drawn(p32, a, seeds, schedule):
+    sys = RotationSystem("sqrt2m1", "e_shifted")
+    n_max = max(schedule)
+    phases = hardy.phase_fractions(p32, n_max)
+    rs = [generate_realization(SelectorParams(a=a, seed=s, n_max=n_max)) for s in seeds]
+    assert_chain_equals_oracle(sys, phases, rs, schedule, sys.sample_points(2))
+
+
+def test_chain_checks_every_realization_before_any_orbit(p32):
+    sys = CyclicSystem(5, "roots")
+
+    def no_orbits(points, iterates):
+        raise AssertionError("an orbit was built before the realizations were checked")
+
+    sys.orbits = sys.orbit_observable = no_orbits
+    phases = hardy.phase_fractions(p32, 1024)
+    good = [generate_realization(SelectorParams(a=0.3, seed=s, n_max=1024)) for s in (1, 2)]
+    other_a = generate_realization(SelectorParams(a=0.25, seed=3, n_max=1024))
+    short = generate_realization(SelectorParams(a=0.3, seed=3, n_max=1023))
+    no_first = np.array(good[0].bits)
+    no_first[0] = False
+    synthetic = realization_from_bits(good[0].params, no_first)
+    for bad, match in ((other_a, "one a"), (synthetic, "X_1"), (short, "n_max=1023")):
+        with pytest.raises(ValueError, match=match):
+            chain_diagnostics(sys, phases, good + [bad], [16, 1024])
+    assert chain_diagnostics(sys, phases, [], [16, 1024]) == []
+    assert chain_diagnostics(sys, phases, iter(()), [16, 1024]) == []
 
 
 # ---------------------------------------------------------------------------

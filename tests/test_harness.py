@@ -171,6 +171,10 @@ def test_config_validation():
     for c in (0.0, -1000.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="chernoff_c"):
             ExperimentConfig(pipeline="deviation", chernoff_c=c)
+    # a sweep over a is run by average alone; elsewhere it would be ignored
+    for pipeline in ("chain", "correlation", "deviation", "expsum", "generate", "vdc-selftest"):
+        with pytest.raises(ValueError, match="a_values.*average"):
+            ExperimentConfig(pipeline=pipeline, a_values=(0.2, 0.3))
 
 
 # ---------------------------------------------------------------------------
@@ -225,20 +229,40 @@ def test_average_bytes_stable_across_workers():
     assert seq.csv_bytes() == par.csv_bytes()
 
 
-@pytest.mark.parametrize("method", ["spawn", "forkserver"])
-def test_average_bytes_stable_under_start_method(tmp_path, method):
-    # workers that do not fork start from a fresh import of the package, so
-    # they see the run's shared inputs only if the pool hands them over
-    script = tmp_path / "run_average.py"
-    script.write_text(START_METHOD_SCRIPT.format(kwargs=AVERAGE_SMALL))
-    out = tmp_path / "average.csv"
+def bytes_under_start_method(tmp_path, method, kwargs) -> bytes:
+    """CSV bytes of a two-worker run in a fresh interpreter using method."""
+    script = tmp_path / "run.py"
+    script.write_text(START_METHOD_SCRIPT.format(kwargs=kwargs))
+    out = tmp_path / "run.csv"
     proc = subprocess.run(
         [sys.executable, str(script), method, str(out)],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_average_bytes_stable_under_start_method(tmp_path, method):
+    # workers that do not fork start from a fresh import of the package, so
+    # they see the run's shared inputs only if the pool hands them over
     seq = run_experiment(ExperimentConfig(**AVERAGE_SMALL, workers=1))
-    assert out.read_bytes() == seq.csv_bytes()
+    assert bytes_under_start_method(tmp_path, method, AVERAGE_SMALL) == seq.csv_bytes()
+
+
+CHAIN_SMALL = dict(
+    pipeline="chain", system="rotation", alpha="sqrt2m1", f="(1+e(x))/2",
+    rho=(2.0,), nmin=32, nmax=256, seeds=3, points=2,
+)
+
+
+def test_chain_bytes_stable_across_workers_and_spawn(tmp_path):
+    # one job per contiguous seed block: 3 seeds make blocks of 3, of 1 and 2,
+    # and of 1, 1 and 1; every split, and spawned workers, give the same bytes
+    seq = run_experiment(ExperimentConfig(**CHAIN_SMALL, workers=1)).csv_bytes()
+    for workers in (2, 3):
+        assert run_experiment(ExperimentConfig(**CHAIN_SMALL, workers=workers)).csv_bytes() == seq
+    assert bytes_under_start_method(tmp_path, "spawn", CHAIN_SMALL) == seq
 
 
 def test_report_write_atomic(tmp_path):
