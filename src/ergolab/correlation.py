@@ -227,22 +227,26 @@ def profile_envelope(N: int, a: float) -> float:
     return N ** (2.0 - 4.0 * a)
 
 
-def _autocorrelation(g: np.ndarray, max_lag: int) -> np.ndarray:
-    """A_r = sum_j g_j conj(g_{j+r}) for r = 0..max_lag via zero-padded FFT."""
-    L = g.shape[0]
-    nfft = 1 << int(L + max_lag + 1).bit_length()
-    G = np.fft.fft(g, nfft)
-    acf = np.fft.ifft(np.abs(G) ** 2)
-    # ifft(|G|^2)[r] = sum_j g_{j+r} conj(g_j); conjugate to match A_r
-    return np.conj(acf[: max_lag + 1])
+def _fft_arrays(work: list, nfft: int) -> List[np.ndarray]:
+    """The fft output, the complex |G|^2 input to ifft, the ifft output and
+    the |g|^2 scratch, nfft entries each: views of the arrays in work, made
+    on first use and remade only for a longer FFT."""
+    if not work or work[0].shape[0] < nfft:
+        work[:] = [np.empty(nfft, dtype=np.complex128) for _ in range(3)] + [np.empty(nfft)]
+    return [x[:nfft] for x in work]
 
 
-def i_terms_profile(w: WeightSeries, N: int, m: int) -> ITermsProfile:
+def i_terms_profile(
+    w: WeightSeries, N: int, m: int, _work: Optional[list] = None
+) -> ITermsProfile:
     """Evaluate the three-term decomposition for one realization.
 
     R = floor(N^c) lags enter the third term; the FFT autocorrelation makes
     the whole profile O(N log N) where the literal triple loop would be
     O(N R).  Matches the naive loops to float tolerance (tested at small N).
+    The FFT runs in the arrays of _work, so a caller that passes one list
+    for all the lags of a realization allocates them once; the returned
+    inner is a fresh array either way.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -263,10 +267,18 @@ def i_terms_profile(w: WeightSeries, N: int, m: int) -> ITermsProfile:
     c = w.c
     g = c[n0 - 1 : N - m] * np.conj(c[n0 + m - 1 : N])
     max_lag = min(R, L - 1)
-    inner = _autocorrelation(g, max_lag)
+    # A_r for r = 0..max_lag from the zero-padded FFT: ifft(|G|^2)[r] =
+    # sum_j g_{j+r} conj(g_j), conjugated to match A_r
+    nfft = 1 << int(L + max_lag + 1).bit_length()
+    G, power, acf, g_sq = _fft_arrays([] if _work is None else _work, nfft)
+    np.fft.fft(g, nfft, out=G)
+    np.square(np.abs(G, out=power.real), out=power.real)
+    power.imag = 0.0
+    inner = np.conj(np.fft.ifft(power, out=acf)[: max_lag + 1])
     inner.setflags(write=False)
 
-    i1_sq = factor * float(np.sum(np.abs(g) ** 2))
+    g_sq = np.square(np.abs(g, out=g_sq[:L]), out=g_sq[:L])
+    i1_sq = factor * float(np.sum(g_sq))
     abs_inner = np.abs(inner)
     i2_sq = factor * float(abs_inner[m]) if m <= max_lag else 0.0
     tail = math.fsum(abs_inner[1:].tolist())

@@ -475,6 +475,7 @@ def _run_chain(cfg: ExperimentConfig) -> Report:
 # -- correlation -------------------------------------------------------------
 
 def _correlation_job(ctx: Dict[str, object], seed: int):
+    """One seed's detail rows, growth ratios, partial sums and profile sums."""
     union: List[int] = ctx["union"]
     wp: correlation.WeightParams = ctx["wparams"]
     params = selectors.SelectorParams(a=wp.a, seed=seed, n_max=ctx["n_need"])
@@ -491,10 +492,11 @@ def _correlation_job(ctx: Dict[str, object], seed: int):
     iterms_n = ctx["iterms_n"]
     profile = None
     if iterms_n is not None:
-        profile = [
-            correlation.i_terms_profile(w, iterms_n, m)
-            for m in range(1, correlation.lag_count(iterms_n, wp.b) + 1)
-        ]
+        work: list = []  # the FFT arrays, allocated once for all the lags
+        profile = []  # (i1_sq, i2_sq, i3_sq) per lag; no (R+1)-long inner is kept
+        for m in range(1, correlation.lag_count(iterms_n, wp.b) + 1):
+            q = correlation.i_terms_profile(w, iterms_n, m, work)
+            profile.append((q.i1_sq, q.i2_sq, q.i3_sq))
     return detail, ratios, partials, profile
 
 
@@ -538,10 +540,8 @@ def _run_correlation(cfg: ExperimentConfig) -> Report:
             detail_rows.append((fp,) + rec)
         for i, N in enumerate(union):
             if N == iterms_n:
-                worst = max(q.i1_sq + q.i2_sq + q.i3_sq for q in profiles)
-                i1 = max(q.i1_sq for q in profiles)
-                i2 = max(q.i2_sq for q in profiles)
-                i3 = max(q.i3_sq for q in profiles)
+                worst = max(i1 + i2 + i3 for i1, i2, i3 in profiles)
+                i1, i2, i3 = (max(terms) for terms in zip(*profiles))
                 env = correlation.profile_envelope(N, cfg.a)
             else:
                 worst = i1 = i2 = i3 = env = None

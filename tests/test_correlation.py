@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
 from ergolab import hardy
 from ergolab.correlation import (
+    ITermsProfile,
     WeightParams,
     WeightSeries,
     aggregate_i_terms,
@@ -15,7 +16,9 @@ from ergolab.correlation import (
     correlation_sum,
     correlation_window,
     default_weight_params,
+    has_profile,
     i_terms_profile,
+    lag_count,
     profile_envelope,
     summability_statistic,
     vdc_inequality_check,
@@ -336,6 +339,105 @@ def test_i_terms_brute_force_all_three(p32, wparams):
     i3 = fac * math.fsum(abs(lag_sum(r)) for r in range(1, R + 1) if r != m)
     assert abs(prof.i2_sq - i2) < 1e-12 * max(1.0, i2)
     assert abs(prof.i3_sq - i3) < 1e-12 * max(1.0, i3)
+
+
+def oracle_i_terms_profile(w, N, m):
+    """The one-lag profile as it was before the FFT arrays were shared: every
+    array fresh, the autocorrelation of a real |G|^2."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    R = lag_count(N, w.params.c_exponent)
+    if not has_profile(N, w.params.c_exponent):
+        raise ValueError(f"R = floor(N^c) = {R} too small; need >= 2")
+    if w.n_max < N + m + R:
+        raise OutOfRangeError(
+            f"realization length {w.n_max} < N + m + R = {N + m + R}"
+        )
+    n0 = correlation_window(N, w.params.delta)
+    factor = (N - m) / R
+    L = N - m - n0 + 1
+    if L <= 0:
+        empty = np.zeros(1, dtype=np.complex128)
+        return ITermsProfile(N, m, R, n0, factor, empty, 0.0, 0.0, 0.0)
+
+    c = w.c
+    g = c[n0 - 1 : N - m] * np.conj(c[n0 + m - 1 : N])
+    max_lag = min(R, L - 1)
+    nfft = 1 << int(L + max_lag + 1).bit_length()
+    G = np.fft.fft(g, nfft)
+    acf = np.fft.ifft(np.abs(G) ** 2)
+    inner = np.conj(acf[: max_lag + 1])
+    inner.setflags(write=False)
+
+    i1_sq = factor * float(np.sum(np.abs(g) ** 2))
+    abs_inner = np.abs(inner)
+    i2_sq = factor * float(abs_inner[m]) if m <= max_lag else 0.0
+    tail = math.fsum(abs_inner[1:].tolist())
+    if m <= max_lag:
+        tail -= float(abs_inner[m])
+    i3_sq = factor * tail
+    return ITermsProfile(N, m, R, n0, factor, inner, i1_sq, i2_sq, i3_sq)
+
+
+def fft_length(w, N, m):
+    """The FFT length i_terms_profile uses at lag m; 0 for an empty window."""
+    L = N - m - correlation_window(N, w.params.delta) + 1
+    if L <= 0:
+        return 0
+    return 1 << int(L + min(lag_count(N, w.params.c_exponent), L - 1) + 1).bit_length()
+
+
+def assert_shared_work_matches_oracle(w, N, lags):
+    """Run the lags in order on one list of work arrays, keeping every
+    profile; each equals the oracle bit for bit, and none changes later."""
+    work = []
+    kept, snapshots = [], []
+    for m in lags:
+        prof = i_terms_profile(w, N, m, work)
+        kept.append(prof)
+        snapshots.append(prof.inner.tobytes())
+        assert not any(np.shares_memory(prof.inner, x) for x in work)
+    for m, prof, snap in zip(lags, kept, snapshots):
+        want = oracle_i_terms_profile(w, N, m)
+        assert (prof.N, prof.m, prof.R, prof.n0, prof.factor) == (
+            want.N, want.m, want.R, want.n0, want.factor)
+        for got, exp in ((prof.i1_sq, want.i1_sq), (prof.i2_sq, want.i2_sq),
+                         (prof.i3_sq, want.i3_sq)):
+            assert type(got) is float and got.hex() == exp.hex()
+        assert prof.inner.dtype == want.inner.dtype
+        assert prof.inner.tobytes() == want.inner.tobytes() == snap
+
+
+@pytest.mark.parametrize("N", [170, 1 << 15])
+def test_i_terms_shared_work_equals_oracle(p32, wparams, N):
+    # N = 170: the FFT length falls from 256 to 128 within the lags;
+    # N = 2^15: windows of 21,000+ products, where numpy elides the conj
+    # temporary; both orders of the lags, so the arrays also grow
+    lags = list(range(1, lag_count(N, wparams.b) + 1))
+    w = small_series(21, N + lags[-1] + lag_count(N, wparams.c_exponent) + 1, p32, wparams)
+    if N == 170:
+        assert len({fft_length(w, N, m) for m in lags}) == 2
+    assert_shared_work_matches_oracle(w, N, lags)
+    assert_shared_work_matches_oracle(w, N, lags[::-1])
+
+
+def test_i_terms_shared_work_across_an_empty_window(p32, wparams):
+    # at N = 64 the window [n0, N - m] is empty from m = 22 on; a lag after
+    # the empty ones still reads the arrays the earlier lags left
+    w = small_series(3, 4096, p32, wparams)
+    lags = list(range(1, 25)) + [1, 23, 2]
+    assert fft_length(w, 64, 24) == 0 < fft_length(w, 64, 21)
+    assert_shared_work_matches_oracle(w, 64, lags)
+
+
+@given(st.floats(0.05, 0.45), st.integers(8, 3000), st.integers(0, 2**32))
+@settings(max_examples=25, deadline=None)
+def test_i_terms_shared_work_equals_oracle_property(p32, a, N, seed):
+    wp = default_weight_params(a)
+    assume(has_profile(N, wp.c_exponent))
+    lags = list(range(1, lag_count(N, wp.b) + 1))
+    w = small_series(seed, N + lags[-1] + lag_count(N, wp.c_exponent) + 1, p32, wp)
+    assert_shared_work_matches_oracle(w, N, lags)
 
 
 def test_i_terms_envelope_ensemble(p32, wparams):

@@ -307,6 +307,53 @@ def test_correlation_profile_skips_n_without_two_lags():
     assert all(row[-1] is None for row in rows)
 
 
+def test_correlation_bytes_stable_across_workers_and_spawn(tmp_path):
+    # one job per seed; the summary rows carry each seed's profile maxima
+    small = dict(CORRELATION_SMALL, seeds=3)
+    seq = run_experiment(ExperimentConfig(**small, workers=1))
+    tables = (seq.csv_bytes(), seq.csv_bytes("summary"))
+    assert [row[2] for row in seq.table("summary").rows if row[-1] is not None] == [1024] * 3
+    for workers in (2, 3):
+        par = run_experiment(ExperimentConfig(**small, workers=workers))
+        assert (par.csv_bytes(), par.csv_bytes("summary")) == tables
+    assert bytes_under_start_method(tmp_path, "spawn", small) == tables[0]
+    assert (tmp_path / "run.summary.csv").read_bytes() == tables[1]
+
+
+def test_correlation_job_keeps_three_floats_per_lag(monkeypatch):
+    # a job returns each lag of its profile as three sums; no array as long
+    # as R = floor(N^c) travels back to the parent
+    from ergolab import correlation, harness
+
+    results = []
+    job = harness._correlation_job
+
+    def recording_job(ctx, seed):
+        results.append(job(ctx, seed))
+        return results[-1]
+
+    monkeypatch.setattr(harness, "_correlation_job", recording_job)
+    run_experiment(ExperimentConfig(**CORRELATION_SMALL, iterms_n=512, workers=1))
+    R = correlation.lag_count(512, CORRELATION_SMALL["c"])
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                yield from arrays(item)
+        else:
+            assert isinstance(obj, (int, float, complex)), type(obj)
+
+    assert len(results) == CORRELATION_SMALL["seeds"]
+    for result in results:
+        profile = result[-1]
+        assert len(profile) == correlation.lag_count(512, CORRELATION_SMALL["b"])
+        assert all(type(lag) is tuple and len(lag) == 3 for lag in profile)
+        assert all(type(v) is float for lag in profile for v in lag)
+        assert all(x.size < R for x in arrays(result))
+
+
 def _forbid_work(monkeypatch):
     from ergolab import hardy, selectors
 
