@@ -327,13 +327,15 @@ def make_system(
     alpha applies to the rotation, q to the cyclic shift, alphabet and
     window to the Bernoulli shift.  observable None picks the system's
     default ("e" on the rotation, "roots" on the cyclic shift); the
-    Bernoulli shift has one observable and ignores it.
+    Bernoulli shift has the one observable "e".
     """
     if kind == "rotation":
         return RotationSystem(alpha, "e" if observable is None else observable)
     if kind == "cyclic":
         return CyclicSystem(int(q), "roots" if observable is None else observable)
     if kind == "bernoulli":
+        if observable not in (None, "e"):
+            raise ValueError(f"the bernoulli system observes only e (e(w)), not {observable!r}")
         return BernoulliSystem(int(alphabet), int(window))
     raise ValueError(f"unknown system kind {kind!r}")
 

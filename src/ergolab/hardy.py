@@ -31,6 +31,7 @@ correct fractional bits after the integer part cancels.  At desk scale
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -483,15 +484,11 @@ def _required_bits(magnitude) -> int:
 #
 # A _DD holds one subtree's values over a chunk of arguments: hi + lo in
 # double-double (float64 arrays, |lo| <= ulp(hi)/2) and err, an absolute
-# bound on |hi + lo - v| + |v_P - v|, where v is the exact value and v_P the
-# value the mpmath closure computes at the table's P bits.  So the
-# double-double value and mpmath's lie within err of each other.  Each
-# operation adds its own double-double rounding (Joldes, Muller & Popescu,
-# ACM TOMS 44(2), 2017) and mpmath's (+ and * correctly rounded, exp and log
-# within _MP_ELEM units of u = 2^-P) to the propagated bounds.  err is
-# itself computed in round-to-nearest float64; the factor _SLACK in the
-# decision covers that and the (1 + 2^-52) factors left out below.  With
-# u = 0, as in the power pass, err bounds the distance to v alone.
+# bound on |hi + lo - v|, v the exact value.  Each operation adds its own
+# double-double rounding (Joldes, Muller & Popescu, ACM TOMS 44(2), 2017) to
+# the propagated bounds.  err is itself computed in round-to-nearest
+# float64; the factor _SLACK in the decision covers that and the (1 + 2^-52)
+# factors left out below.
 
 _TABLE_CHUNK = 1 << 14
 _POWER_CHUNK = 1 << 12  # small, so the power pass barely moves peak memory
@@ -505,8 +502,6 @@ _DD_EXP = 2.0**-96
 # log: absolute (the exp of its Newton step) plus relative (three sums)
 _DD_LOG_ABS = 2.0**-95
 _DD_LOG_REL = 2.0**-102
-# mpmath's exp and log work with at least 14 guard bits and round once
-_MP_ELEM = 2.0
 _TINY = 2.0**-1000  # absolute, for underflow in * and exp
 _SLACK = 2.0
 _EXP_HALVINGS = 8
@@ -538,9 +533,12 @@ def _two_prod(a, b):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _add_dd(xh, xl, yh, yl):
-    """AccurateDWPlusDW: within 3u^2/(1 - 4u) of x + y, relative."""
+def _add_dd(xh, xl, yh, yl=None):
+    """AccurateDWPlusDW: within 3u^2/(1 - 4u) of x + y, relative.  yl None,
+    y a float64, skips the sums that yl = 0 leaves exact: same result."""
     sh, sl = _two_sum(xh, yh)
+    if yl is None:
+        return _fast_two_sum(sh, sl + xl)
     th, tl = _two_sum(xl, yl)
     vh, vl = _fast_two_sum(sh, sl + th)
     return _fast_two_sum(vh, tl + vl)
@@ -585,75 +583,81 @@ def _exp_reduced(rh, rl):
         qh, ql = _add_dd(qh, ql, ch, cl)
     qh, ql = _mul_dd(qh, ql, sh, sl)
     for _ in range(_EXP_HALVINGS):
-        th, tl = _add_dd(qh, ql, 2.0, 0.0)
+        th, tl = _add_dd(qh, ql, 2.0)
         qh, ql = _mul_dd(qh, ql, th, tl)
-    return _add_dd(qh, ql, 1.0, 0.0)
+    return _add_dd(qh, ql, 1.0)
 
 
-def _exp_dd(h, l):
-    """exp(h + l) = 2^k exp(r), r = h + l - k ln2 with the two products by
+def _exp_dd(a: _DD) -> _DD:
+    """exp(a), a = h + l: 2^k exp(r), r = a - k ln2 with the two products by
     the leading words of ln 2 exact; |h| > _EXP_MAX_ARG gives NaN."""
     l1, l2, l3 = _ln2_parts()
-    h = np.where(np.abs(h) <= _EXP_MAX_ARG, h, np.nan)
+    h = np.where(np.abs(a.hi) <= _EXP_MAX_ARG, a.hi, np.nan)
     k = np.rint(h / l1)
     p1, q1 = _two_prod(k, l1)
     p2, q2 = _two_prod(k, l2)
-    rh, rl = _add_dd(h, l, -p1, -q1)
+    rh, rl = _add_dd(h, a.lo, -p1, -q1)
     rh, rl = _add_dd(rh, rl, -p2, -q2)
-    rh, rl = _add_dd(rh, rl, -k * l3, 0.0)
+    rh, rl = _add_dd(rh, rl, -k * l3)
     eh, el = _exp_reduced(rh, rl)
     k = np.nan_to_num(k).astype(np.int64)
-    return np.ldexp(eh, k), np.ldexp(el, k)
+    hi = np.ldexp(eh, k)
+    # |exp(a) - exp(A)| <= exp(A) expm1(ea) and exp(A) <= exp(a) e^ea
+    g = np.expm1(a.err)
+    return _DD(hi, np.ldexp(el, k), np.abs(hi) * (g * (1 + g) + _DD_EXP) + _TINY)
 
 
-def _log_dd(h, l):
-    """log(h + l) for h > 0: e ln2 + log m with m = (h + l)/2^e in
+def _log_dd(a: _DD) -> _DD:
+    """log(a), a = h + l: e ln2 + log m with m = a/2^e in
     [sqrt(1/2), sqrt(2)), log m by one Newton step y0 + m exp(-y0) - 1 from
     y0 = float64 log m, whose error d leaves d^2/2."""
     l1, l2, l3 = _ln2_parts()
+    # a lower bound on the exact argument
+    low = a.hi * (1 - 2.0**-50) - a.err
+    h, l = np.where(low > 0, a.hi, np.nan), a.lo
     m, e = np.frexp(h)
     e = np.where(m < math.sqrt(0.5), e - 1, e)
     mh, ml = np.ldexp(h, -e), np.ldexp(l, -e)
     y0 = np.log(mh)
     th, tl = _exp_reduced(-y0, 0.0)
     wh, wl = _mul_dd(mh, ml, th, tl)
-    wh, wl = _add_dd(wh, wl, -1.0, 0.0)
-    yh, yl = _add_dd(y0, 0.0, wh, wl)
+    wh, wl = _add_dd(wh, wl, -1.0)
+    yh, yl = _add_dd(wh, wl, y0)
     e = e.astype(np.float64)
     p1, q1 = _two_prod(e, l1)
     p2, q2 = _two_prod(e, l2)
     nh, nl = _add_dd(p1, q1, p2, q2)
-    nh, nl = _add_dd(nh, nl, e * l3, 0.0)
-    return _add_dd(yh, yl, nh, nl)
+    nh, nl = _add_dd(nh, nl, e * l3)
+    hi, lo = _add_dd(yh, yl, nh, nl)
+    # |log a - log A| <= |a - A| / min(a, A)
+    return _DD(hi, lo, a.err / low + _DD_LOG_REL * np.abs(hi) + _DD_LOG_ABS)
 
 
 class _DD:
     """Values of one subtree over a chunk; see the section comment."""
 
-    __slots__ = ("hi", "lo", "err", "u")
+    __slots__ = ("hi", "lo", "err")
 
-    def __init__(self, hi, lo, err, u: float):
-        self.hi, self.lo, self.err, self.u = hi, lo, err, u
+    def __init__(self, hi, lo, err):
+        self.hi, self.lo, self.err = hi, lo, err
 
     def __add__(self, other: "_DD") -> "_DD":
         hi, lo = _add_dd(self.hi, self.lo, other.hi, other.lo)
-        u = self.u
-        prop = self.err + other.err
-        return _DD(hi, lo, prop * (1 + u) + (_DD_ADD + u) * np.abs(hi), u)
+        return _DD(hi, lo, self.err + other.err + _DD_ADD * np.abs(hi))
 
     def __mul__(self, other: "_DD") -> "_DD":
         hi, lo = _mul_dd(self.hi, self.lo, other.hi, other.lo)
-        u, ea, eb = self.u, self.err, other.err
+        ea, eb = self.err, other.err
         # |ab - AB| <= |A| eb + |B| ea + ea eb and |A| <= |a| + ea
         prop = np.abs(self.hi) * eb + np.abs(other.hi) * ea + 3 * ea * eb
-        return _DD(hi, lo, prop * (1 + u) + (_DD_MUL + u) * np.abs(hi) + _TINY, u)
+        return _DD(hi, lo, prop + _DD_MUL * np.abs(hi) + _TINY)
 
     def __truediv__(self, den: int) -> "_DD":
         """Only _compile's constants divide: mpf(num) / den, den an int."""
         if not np.isfinite(self.hi):
             return self
-        q = _dd_constant((Fraction(float(self.hi)) + Fraction(float(self.lo))) / den, self.u)
-        return _DD(q.hi, q.lo, float(Fraction(float(self.err)) / den) + q.err, self.u)
+        q = _dd_constant((Fraction(float(self.hi)) + Fraction(float(self.lo))) / den)
+        return _DD(q.hi, q.lo, float(Fraction(float(self.err)) / den) + q.err)
 
     def __gt__(self, other) -> bool:
         """_compile's chunk-wide domain test passes; log sends each entry
@@ -661,39 +665,16 @@ class _DD:
         return True
 
 
-def _dd_constant(value: Fraction, u: float) -> _DD:
-    """value in double-double; err adds mpmath's rounding of it at P bits."""
+def _dd_constant(value: Fraction) -> _DD:
     if abs(value) >= 2**1000:
-        return _DD(np.float64(np.nan), 0.0, np.inf, u)
+        return _DD(np.float64(np.nan), 0.0, np.inf)
     hi = float(value)
     lo = float(value - Fraction(hi))
-    return _DD(np.float64(hi), np.float64(lo), abs(hi) * (2.0**-105 + u) + _TINY, u)
+    return _DD(np.float64(hi), np.float64(lo), abs(hi) * 2.0**-105 + _TINY)
 
 
-class _DoubleDouble:
-    """The context _compile evaluates a tree in for a phase table at P bits."""
-
-    def __init__(self, precision_bits: int):
-        self.u = 2.0**-precision_bits
-
-    def mpf(self, value: int) -> _DD:
-        return _dd_constant(Fraction(value), self.u)
-
-    def exp(self, a: _DD) -> _DD:
-        hi, lo = _exp_dd(a.hi, a.lo)
-        # |exp(a) - exp(A)| <= exp(A) expm1(ea) and exp(A) <= exp(a) e^ea
-        g = np.expm1(a.err)
-        rel = g * (1 + g) + _DD_EXP + _MP_ELEM * self.u * (1 + 2 * g)
-        return _DD(hi, lo, np.abs(hi) * rel + _TINY, self.u)
-
-    def log(self, a: _DD) -> _DD:
-        # a lower bound on both the exact argument and mpmath's
-        low = a.hi * (1 - 2.0**-50) - a.err
-        hi, lo = _log_dd(np.where(low > 0, a.hi, np.nan), a.lo)
-        # |log a - log A| <= |a - A| / min(a, A)
-        prop = a.err / low
-        err = prop * (1 + _MP_ELEM * self.u) + (_DD_LOG_REL + _MP_ELEM * self.u) * np.abs(hi)
-        return _DD(hi, lo, err + _DD_LOG_ABS, self.u)
+# the context _compile evaluates a tree in for a double-double table
+_DD_CTX = SimpleNamespace(mpf=lambda v: _dd_constant(Fraction(v)), exp=_exp_dd, log=_log_dd)
 
 
 def _chunk_fractions(v: _DD, size: int):
@@ -740,14 +721,14 @@ def _root_dd(n, s: int, u0=None) -> _DD:
     elif u0 is None:
         u0 = np.power(n, 1.0 / s)
         u0 -= (u0**s - n) / (s * u0 ** (s - 1))
-    x0 = _DD(u0, 0.0, 0.0, 0.0)
+    x0 = _DD(u0, 0.0, 0.0)
     below = _dd_power(x0, s - 1)
-    res = below * x0 + _DD(-n, 0.0, 0.0, 0.0)
+    res = below * x0 + _DD(-n, 0.0, 0.0)
     den = s * below.hi
     c = res.hi / den
     hi, lo = _fast_two_sum(u0, -c)
     err = np.abs(c) * 2.0**-50 + 2 * res.err / den + 2 * (s - 1) * c * c / u0
-    return _DD(hi, lo, np.where(np.abs(c) <= _NEWTON_TINY * u0, err, np.inf), 0.0)
+    return _DD(hi, lo, np.where(np.abs(c) <= _NEWTON_TINY * u0, err, np.inf))
 
 
 def _power_fractions(q: Fraction, start: int, out: np.ndarray) -> np.ndarray:
@@ -771,7 +752,7 @@ def _power_fractions(q: Fraction, start: int, out: np.ndarray) -> np.ndarray:
                     n[:] = np.nan
                 v = _dd_power(_root_dd(n, q.denominator), j)
                 if k:
-                    v = v * _dd_power(_DD(n, 0.0, 0.0, 0.0), k)
+                    v = v * _dd_power(_DD(n, 0.0, 0.0), k)
                 frac, ok, _, _ = _chunk_fractions(v, size)
                 out[first:first + size] = frac
                 repair.append(np.flatnonzero(~ok) + first)
@@ -781,28 +762,75 @@ def _power_fractions(q: Fraction, start: int, out: np.ndarray) -> np.ndarray:
 
 
 def _check_backstop(required: int, precision_bits: int, N: int) -> None:
-    """The rule against the largest magnitude on the range, for phases
-    whose magnitude peaks before N."""
+    """The rule against the largest magnitude on the range."""
     if precision_bits < required:
         raise InsufficientPrecisionError(
             f"precision rule needs >= {required} bits on 1..{N}, got {precision_bits}"
         )
 
 
+@contextlib.contextmanager
+def _interval_closure(root: Node, bits: int):
+    """root's iv closure (p(x) in an outward-rounded interval) at bits;
+    mpmath's iv context has no workprec, hence this one save/restore."""
+    old, iv.prec = iv.prec, bits
+    try:
+        yield _compile(root, iv)
+    finally:
+        iv.prec = old
+
+
+def _round_fractions(root: Node, start: int, out: np.ndarray, indices, bits: int) -> int:
+    """out[i] = frac(p(start + i)) correctly rounded, i in indices; returns
+    an integer bound on |p| there.  Ziv's strategy: enclosures at bits, 2
+    bits, then the cap 4 bits, until both endpoints' fractional parts round
+    to one float64 with no integer between them.  At the cap an integer
+    inside gives 0.0 (exact at integers such as n^(3/2) at perfect squares,
+    else within the width, under 2^-bits), a tie the midpoint, and a log
+    argument not provably positive EvalDomainError."""
+    mag, cap, pending = 0, 4 * bits, indices.tolist()
+    for prec in (bits, 2 * bits, cap):
+        with _interval_closure(root, prec) as fn:
+            todo, pending = pending, []
+            for i in todo:
+                try:
+                    (s_a, a, e_a, _), (s_b, b, e_b, _) = fn(iv.mpf(start + i))._mpi_
+                except EvalDomainError:
+                    if prec == cap:
+                        raise
+                    pending.append(i)
+                    continue
+                # p lies in [a, b] / unit for integers a, b; less floor(a /
+                # unit) below, and int / int is correctly rounded
+                e = min(e_a, e_b, 0)
+                a, b, unit = (-a if s_a else a) << (e_a - e), (-b if s_b else b) << (e_b - e), 1 << -e
+                top = max(abs(a), abs(b))
+                a, b = a % unit, b - (a - a % unit)
+                if b < unit and a / unit == b / unit:
+                    out[i] = a / unit
+                elif prec < cap:
+                    pending.append(i)
+                    continue
+                elif (b - a) << bits >= unit:
+                    raise InsufficientPrecisionError(f"enclosure of p({start + i}) too wide at {cap} bits")
+                else:  # 0.0 where an integer lies inside; else a tie
+                    out[i] = 0.0 if a == 0 or b >= unit else (a + b) / (2 * unit)
+                # from the enclosure that settled the entry, not a looser one
+                mag = max(mag, -(-top // unit))
+    return mag
+
+
 def _tree_fractions(p: HardyExpr, start: int, precision_bits: int, out: np.ndarray, N: int) -> None:
-    """out[i] = frac(p(start + i)) exactly as the mpmath closure at
-    precision_bits gives it, rounded to float64.
+    """out[i] = frac(p(start + i)) correctly rounded to float64.
 
     One double-double pass over chunks of _TABLE_CHUNK fills every decided
-    entry and brackets max |p|; the precision backstop is applied from that
-    bracket before any per-entry mpmath work.  The closure then repairs
-    every undecided entry: near 0 or 1, non-finite, a log argument not
-    provably positive, or arguments past 2^53.
+    entry and brackets max |p|, and the backstop checks the rule from that
+    bracket.  _round_fractions repairs the rest (near 0, 1 or a rounding
+    boundary, non-finite, a log argument not provably positive, past 2^53)
+    from 128 bits, or precision_bits if more, so no byte depends on it.
     """
-    ctx = _DoubleDouble(precision_bits)
-    fn = _compile(p.root, ctx)
-    count = out.shape[0]
-    repair = []
+    fn = _compile(p.root, _DD_CTX)
+    count, undecided = out.shape[0], []
     lower = 0.0  # max over entries of a lower bound on |p|
     candidates, uppers = [], []  # entries that may hold max |p|
     with np.errstate(all="ignore"):
@@ -811,45 +839,26 @@ def _tree_fractions(p: HardyExpr, start: int, precision_bits: int, out: np.ndarr
             n = np.arange(start + first, start + first + size, dtype=np.float64)
             if start + first + size > 1 << 53:
                 n[:] = np.nan
-            x = _DD(n, 0.0, 0.0, ctx.u)
-            frac, ok, mag, err = _chunk_fractions(fn(x), size)
+            frac, ok, mag, err = _chunk_fractions(fn(_DD(n, 0.0, 0.0)), size)
             out[first:first + size] = frac
-            repair.append(np.flatnonzero(~ok) + first)
+            undecided.append(np.flatnonzero(~ok) + first)
             known = np.isfinite(mag) & np.isfinite(err)
-            low = np.where(known, mag - err, -np.inf)
             high = np.where(known, mag + err, np.inf)
-            lower = max(lower, float(low.max()))
+            lower = max(lower, float(np.where(known, mag - err, -np.inf).max()))
             keep = np.flatnonzero(high >= lower)
             candidates.append(keep + first)
             uppers.append(high[keep])
-    candidates = np.concatenate(candidates)
-    uppers = np.concatenate(uppers)
-    keep = uppers >= lower
-    candidates, upper = candidates[keep], float(uppers[keep].max())
-    repair = np.concatenate(repair)
-
-    with mp.workprec(precision_bits):
-        fn = _compile(p.root, mp)
-
-        def evaluate(indices) -> float:
-            """The per-entry repair; returns max float(|v_P|) over indices."""
-            mpf, floor = mp.mpf, mp.floor
-            max_mag = 0.0
-            for i in indices.tolist():
-                v = fn(mpf(start + i))
-                av = abs(v)
-                if av > max_mag:
-                    max_mag = float(av)
-                out[i] = float(v - floor(v))
-            return max_mag
-
-        required = _required_bits(lower)
-        if math.isinf(upper) or _required_bits(upper) != required:
-            # the bracket straddles a step of the rule: evaluate its top
-            required = _required_bits(evaluate(candidates))
-            repair = np.setdiff1d(repair, candidates)
-        _check_backstop(required, precision_bits, N)
-        evaluate(repair)
+    candidates, uppers = np.concatenate(candidates), np.concatenate(uppers)
+    candidates, upper = candidates[uppers >= lower], float(uppers.max())
+    undecided = np.concatenate(undecided)
+    bits = max(precision_bits, _ROOT_BITS)
+    required = _required_bits(lower)
+    if math.isinf(upper) or _required_bits(upper) != required:
+        # the bracket straddles a step of the rule: enclose its top entries
+        required = _required_bits(_round_fractions(p.root, start, out, candidates, bits))
+        undecided = np.setdiff1d(undecided, candidates)
+    _check_backstop(required, precision_bits, N)
+    _round_fractions(p.root, start, out, undecided, bits)
 
 
 def _validation_exp(v):
@@ -917,11 +926,11 @@ def minimum_precision(p: HardyExpr, x: Union[int, float]) -> int:
 def eval_mod1(p: HardyExpr, x: int, precision_bits: int) -> PhaseValue:
     """Fractional part of p(x) with a rigorous (interval) error bound.
 
-    Uses outward-rounded interval arithmetic at precision_bits, so
-    error_bound genuinely encloses |computed - true| in the circle metric.
-    Raises InsufficientPrecisionError when precision_bits fails the rule
-    for the value actually encountered; integer polynomials at integer
-    arguments short-circuit to an exact zero.
+    One enclosure at precision_bits from the interval closure that also
+    repairs phase tables, so error_bound genuinely encloses |computed -
+    true| in the circle metric.  Raises InsufficientPrecisionError when
+    precision_bits fails the rule for the value actually encountered;
+    integer polynomials at integer arguments short-circuit to an exact zero.
     """
     if x < 1 or int(x) != x:
         raise ValueError(f"argument must be a positive integer, got {x!r}")
@@ -930,14 +939,8 @@ def eval_mod1(p: HardyExpr, x: int, precision_bits: int) -> PhaseValue:
     if p.integer_polynomial:
         return PhaseValue(0.0, precision_bits, 0.0)
 
-    # mpmath's iv context has no workprec, hence the one save/restore
-    old = iv.prec
-    iv.prec = precision_bits
-    try:
-        enclosure = _compile(p.root, iv)(iv.mpf(int(x)))
-    finally:
-        iv.prec = old
-
+    with _interval_closure(p.root, precision_bits) as fn:
+        enclosure = fn(iv.mpf(int(x)))
     # the endpoints carry precision_bits; 8 more keep them, their sum and
     # the midpoint exact
     with mp.workprec(precision_bits + 8):
@@ -967,23 +970,16 @@ def phase_fractions(
     precision_bits: Optional[int] = None,
     start: int = 1,
 ) -> np.ndarray:
-    """frac(p(n)) for n = start..N as float64.
+    """frac(p(n)) for n = start..N as float64, each entry correctly rounded.
 
-    The workhorse behind exponential sums and weight tables.  Power phases
-    x^q, q = r/s with s <= 24, round a value within 2^-128 of frac(p(n)),
-    at any precision_bits: exact integer roots wherever a double-double
-    pass leaves the float64 open (see _power_fractions).  Every other tree,
-    powers with larger s included, is evaluated in vectorized double-double
-    with an error bound that also covers the mpmath closure at
-    precision_bits.  An entry is emitted only where that bound decides its
-    float64, so it equals the closure's value bit for bit.  The closure
-    repairs the rest, one entry at a time: entries near 0 or 1, non-finite
-    ones, and those with a log argument not provably positive (see
-    _tree_fractions).  Given precision_bits below the rule at x=N fail
-    before the table is built.
-    The rule is enforced again against the largest magnitude on start..N,
-    before any repair.  precision_bits None picks the rule minimum at x=N
-    plus a 16-bit margin.
+    The workhorse behind exponential sums and weight tables.  A vectorized
+    double-double pass emits every entry whose error bound decides its
+    float64.  Power phases x^q, q = r/s with s <= 24, repair the rest by
+    exact integer roots (_power_fractions), every other tree by interval
+    enclosures (_tree_fractions).  precision_bits below the rule at x=N
+    fails before the table is built, and below the rule at the largest
+    |p| on start..N before any repair; None picks the minimum at x=N plus
+    16 bits.  It changes no entry.
     """
     if start < 1:
         raise ValueError(f"arguments must be positive integers, got start={start}")

@@ -129,6 +129,7 @@ def test_vdc_selftest_cli():
     ["average", "--alpha", "abc", "--Nmin", "64", "--Nmax", "64", "--seeds", "1"],
     ["expsum", "--p", "x^(3/2)", "--N", "9007199254740993"],  # a 64 PiB table
     ["chain", "--config", str(A_VALUES_CFG)],  # a sweep over a that chain would ignore
+    ["average", "--system", "bernoulli", "--f", "const"],  # the shift observes e(w) only
 ])
 def test_bad_input_exits_with_one_line(args):
     r = run_cli(args)

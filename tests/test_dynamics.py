@@ -84,6 +84,13 @@ def test_make_system_factory():
         make_system("doubling")
 
 
+@pytest.mark.parametrize("observable", ["const", "e_shifted", "coboundary", "roots"])
+def test_bernoulli_rejects_other_observables(observable):
+    assert make_system("bernoulli", observable="e").kind == "bernoulli"
+    with pytest.raises(ValueError, match="bernoulli system observes only e"):
+        make_system("bernoulli", observable=observable)
+
+
 def orbit_fracs_exact(sys: RotationSystem, x: float, iterates) -> np.ndarray:
     """Reference path: arbitrary-precision integers, one k at a time."""
     x_fp = int(math.floor((x % 1.0) * (1 << dynamics._FP_BITS)))
