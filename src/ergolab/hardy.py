@@ -54,10 +54,12 @@ _VALIDATION_EXP_MAG = 1024
 # 2,500 digits, under Python's 4,300-digit limit for printing an int
 _MAX_CONST_BITS = 1 << 13
 _TOO_LARGE = f"constant with over {_MAX_CONST_BITS} bits is too large"
-# fractional bits kept by the integer-root path for power phases
+# fractional bits kept by the exact integer roots, and the interval
+# repair's least starting precision
 _ROOT_BITS = 128
-# largest root degree s of x^(r/s) on that path: its cost grows about
-# linearly in s; larger s take the double-double tree path
+# largest root degree s of the powers x^(r/s), r > 0, whose tables take the
+# Newton-root evaluator and the exact roots: a root's cost grows about
+# linearly in s, so larger s, and r < 0, take the compiled tree
 _ROOT_MAX_DEGREE = 24
 
 
@@ -449,28 +451,23 @@ def _iroot(x: int, s: int) -> int:
         y = z
 
 
-def _root_fractions(q: Fraction, start: int, out: np.ndarray, indices) -> None:
-    """out[i] = frac((start + i)^q) to within 2^-_ROOT_BITS, then rounded, i in indices.
+def _root_fractions(q: Fraction, start: int, out: np.ndarray, indices: np.ndarray) -> None:
+    """out[i] = frac((start + i)^q) to within 2^-_ROOT_BITS, then rounded, i
+    in indices, for q = r/s > 0.
 
-    floor(n^(r/s) 2^K) = iroot_s(n^r 2^(sK)), and for r < 0 the root of
-    floor(2^(sK) / n^|r|) (the nested floor is exact); the low K bits of
-    the root are frac(n^q) 2^K truncated.  int / int is correctly rounded,
-    so the conversion to float64 adds no error of its own.  The radicand
-    carries s (K + bits of the root) bits, so the cost grows with s; only
-    s <= _ROOT_MAX_DEGREE comes here.
+    floor(n^(r/s) 2^K) = iroot_s(n^r 2^(sK)), and its low K bits are
+    frac(n^q) 2^K truncated.  int / int is correctly rounded, so the
+    conversion to float64 adds no error of its own.  The radicand carries
+    s (K + bits of the root) bits, so the cost grows with s; only s <=
+    _ROOT_MAX_DEGREE comes here.
     """
     r, s = q.numerator, q.denominator
     shift = s * _ROOT_BITS
     mask = (1 << _ROOT_BITS) - 1
     scale = 1 << _ROOT_BITS
     root = math.isqrt if s == 2 else (lambda v: _iroot(v, s))
-    if r >= 0:
-        for i in indices:
-            out[i] = (root((start + i) ** r << shift) & mask) / scale
-    else:
-        one = 1 << shift
-        for i in indices:
-            out[i] = (root(one // (start + i) ** -r) & mask) / scale
+    for i in indices.tolist():
+        out[i] = (root((start + i) ** r << shift) & mask) / scale
 
 
 def _required_bits(magnitude) -> int:
@@ -482,16 +479,17 @@ def _required_bits(magnitude) -> int:
 # ---------------------------------------------------------------------------
 # Double-double phase tables.
 #
-# A _DD holds one subtree's values over a chunk of arguments: hi + lo in
-# double-double (float64 arrays, |lo| <= ulp(hi)/2) and err, an absolute
-# bound on |hi + lo - v|, v the exact value.  Each operation adds its own
+# Every table takes one pass over chunks of _TABLE_CHUNK arguments.  A _DD
+# holds one subtree's values over a chunk: hi + lo in double-double
+# (float64 arrays, |lo| <= ulp(hi)/2) and err, an absolute bound on
+# |hi + lo - v|, v the exact value.  Each operation adds its own
 # double-double rounding (Joldes, Muller & Popescu, ACM TOMS 44(2), 2017) to
 # the propagated bounds.  err is itself computed in round-to-nearest
 # float64; the factor _SLACK in the decision covers that and the (1 + 2^-52)
 # factors left out below.
 
-_TABLE_CHUNK = 1 << 14
-_POWER_CHUNK = 1 << 12  # small, so the power pass barely moves peak memory
+# the fastest of 2^12..2^14 for both evaluators, with a lower peak than 2^14
+_TABLE_CHUNK = 1 << 13
 _NEWTON_TINY = 2.0**-40  # larger Newton steps |c| / u0 go to the repair
 _SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's split
 _DD_ADD = 2.0**-104  # AccurateDWPlusDW: 3u^2/(1 - 4u) relative, u = 2^-53
@@ -680,10 +678,10 @@ _DD_CTX = SimpleNamespace(mpf=lambda v: _dd_constant(Fraction(v)), exp=_exp_dd, 
 def _chunk_fractions(v: _DD, size: int):
     """(frac, ok, abs_hi, slack_err) for one chunk.
 
-    ok marks the entries where round-to-nearest float64 of frac(v_P), the
-    mpmath loop's entry, is decided: frac(hi + lo) lies further than the
-    slacked err from 0, from 1 and from both rounding boundaries of its
-    nearest float64, so every value within err rounds to that float.
+    ok marks the entries whose correctly rounded float64 is decided:
+    frac(hi + lo) lies further than the slacked err from 0, from 1 and from
+    both rounding boundaries of its nearest float64, so every value within
+    err rounds to that float.
     """
     h = np.broadcast_to(v.hi, size)
     whole = np.floor(h)
@@ -729,44 +727,6 @@ def _root_dd(n, s: int, u0=None) -> _DD:
     hi, lo = _fast_two_sum(u0, -c)
     err = np.abs(c) * 2.0**-50 + 2 * res.err / den + 2 * (s - 1) * c * c / u0
     return _DD(hi, lo, np.where(np.abs(c) <= _NEWTON_TINY * u0, err, np.inf))
-
-
-def _power_fractions(q: Fraction, start: int, out: np.ndarray) -> np.ndarray:
-    """_root_fractions' table; returns the indices it had to root.  For q =
-    k + j/s > 0, a double-double pass forms n^k u^j, u = _root_dd(n, s), and
-    emits the entries whose bound decides their float64: the exact root is
-    within 2^-128 of frac(n^q), far inside err, so it rounds the same way.
-    The rest are rooted: near 0 or 1, n > 2^53, non-finite, all of q < 0.
-    """
-    count = out.shape[0]
-    k, j = divmod(q.numerator, q.denominator)
-    if q < 0 or not j:
-        repair = np.arange(count)
-    else:
-        repair = []
-        with np.errstate(all="ignore"):
-            for first in range(0, count, _POWER_CHUNK):
-                size = min(_POWER_CHUNK, count - first)
-                n = np.arange(start + first, start + first + size, dtype=np.float64)
-                if start + first + size > 1 << 53:
-                    n[:] = np.nan
-                v = _dd_power(_root_dd(n, q.denominator), j)
-                if k:
-                    v = v * _dd_power(_DD(n, 0.0, 0.0), k)
-                frac, ok, _, _ = _chunk_fractions(v, size)
-                out[first:first + size] = frac
-                repair.append(np.flatnonzero(~ok) + first)
-        repair = np.concatenate(repair)
-    _root_fractions(q, start, out, repair.tolist())
-    return repair
-
-
-def _check_backstop(required: int, precision_bits: int, N: int) -> None:
-    """The rule against the largest magnitude on the range."""
-    if precision_bits < required:
-        raise InsufficientPrecisionError(
-            f"precision rule needs >= {required} bits on 1..{N}, got {precision_bits}"
-        )
 
 
 @contextlib.contextmanager
@@ -818,47 +778,6 @@ def _round_fractions(root: Node, start: int, out: np.ndarray, indices, bits: int
                 # from the enclosure that settled the entry, not a looser one
                 mag = max(mag, -(-top // unit))
     return mag
-
-
-def _tree_fractions(p: HardyExpr, start: int, precision_bits: int, out: np.ndarray, N: int) -> None:
-    """out[i] = frac(p(start + i)) correctly rounded to float64.
-
-    One double-double pass over chunks of _TABLE_CHUNK fills every decided
-    entry and brackets max |p|, and the backstop checks the rule from that
-    bracket.  _round_fractions repairs the rest (near 0, 1 or a rounding
-    boundary, non-finite, a log argument not provably positive, past 2^53)
-    from 128 bits, or precision_bits if more, so no byte depends on it.
-    """
-    fn = _compile(p.root, _DD_CTX)
-    count, undecided = out.shape[0], []
-    lower = 0.0  # max over entries of a lower bound on |p|
-    candidates, uppers = [], []  # entries that may hold max |p|
-    with np.errstate(all="ignore"):
-        for first in range(0, count, _TABLE_CHUNK):
-            size = min(_TABLE_CHUNK, count - first)
-            n = np.arange(start + first, start + first + size, dtype=np.float64)
-            if start + first + size > 1 << 53:
-                n[:] = np.nan
-            frac, ok, mag, err = _chunk_fractions(fn(_DD(n, 0.0, 0.0)), size)
-            out[first:first + size] = frac
-            undecided.append(np.flatnonzero(~ok) + first)
-            known = np.isfinite(mag) & np.isfinite(err)
-            high = np.where(known, mag + err, np.inf)
-            lower = max(lower, float(np.where(known, mag - err, -np.inf).max()))
-            keep = np.flatnonzero(high >= lower)
-            candidates.append(keep + first)
-            uppers.append(high[keep])
-    candidates, uppers = np.concatenate(candidates), np.concatenate(uppers)
-    candidates, upper = candidates[uppers >= lower], float(uppers.max())
-    undecided = np.concatenate(undecided)
-    bits = max(precision_bits, _ROOT_BITS)
-    required = _required_bits(lower)
-    if math.isinf(upper) or _required_bits(upper) != required:
-        # the bracket straddles a step of the rule: enclose its top entries
-        required = _required_bits(_round_fractions(p.root, start, out, candidates, bits))
-        undecided = np.setdiff1d(undecided, candidates)
-    _check_backstop(required, precision_bits, N)
-    _round_fractions(p.root, start, out, undecided, bits)
 
 
 def _validation_exp(v):
@@ -972,14 +891,20 @@ def phase_fractions(
 ) -> np.ndarray:
     """frac(p(n)) for n = start..N as float64, each entry correctly rounded.
 
-    The workhorse behind exponential sums and weight tables.  A vectorized
-    double-double pass emits every entry whose error bound decides its
-    float64.  Power phases x^q, q = r/s with s <= 24, repair the rest by
-    exact integer roots (_power_fractions), every other tree by interval
-    enclosures (_tree_fractions).  precision_bits below the rule at x=N
-    fails before the table is built, and below the rule at the largest
-    |p| on start..N before any repair; None picks the minimum at x=N plus
-    16 bits.  It changes no entry.
+    The workhorse behind exponential sums and weight tables.  One
+    double-double pass over chunks of _TABLE_CHUNK emits every entry whose
+    error bound decides its float64 and brackets max |p|.  The tree picks
+    the pass's evaluator and the repair of the other entries (near 0, 1 or
+    a rounding boundary, non-finite, a log argument not provably positive,
+    past 2^53).  A power x^q, q = k + j/s > 0 with s <= _ROOT_MAX_DEGREE,
+    forms n^k u^j, u = _root_dd(n, s), and repairs by exact integer roots;
+    the root is within 2^-128 of frac(n^q), far inside err, so it rounds
+    the way every decided entry does.  Every other tree, q < 0 included,
+    runs compiled in _DD_CTX and repairs by interval enclosures from 128
+    bits, or precision_bits if more, so no byte depends on precision_bits.
+    precision_bits below the rule at x=N fails before the table is built,
+    and below the rule at the bracketed max |p| before any repair; None
+    picks the minimum at x=N plus 16 bits.
     """
     if start < 1:
         raise ValueError(f"arguments must be positive integers, got start={start}")
@@ -998,12 +923,49 @@ def phase_fractions(
 
     out = np.empty(count, dtype=np.float64)
     q = _power_form(p.root)
-    if q is not None and q.denominator <= _ROOT_MAX_DEGREE:
-        _power_fractions(q, start, out)
-        # a power is monotone in n, so |p| peaks at one end of the range
-        _check_backstop(max(required, minimum_precision(p, start)), precision_bits, N)
+    roots = q is not None and q > 0 and q.denominator <= _ROOT_MAX_DEGREE
+    if roots:
+        k, j = divmod(q.numerator, q.denominator)  # j >= 1: integer q is a polynomial
+
+        def fn(x: _DD) -> _DD:
+            v = _dd_power(_root_dd(x.hi, q.denominator), j)
+            return v * _dd_power(x, k) if k else v
     else:
-        _tree_fractions(p, start, precision_bits, out, N)
+        fn = _compile(p.root, _DD_CTX)
+    undecided, candidates, uppers = [], [], []  # candidates may hold max |p|
+    lower = 0.0  # max over entries of a lower bound on |p|
+    with np.errstate(all="ignore"):
+        for first in range(0, count, _TABLE_CHUNK):
+            size = min(_TABLE_CHUNK, count - first)
+            n = np.arange(start + first, start + first + size, dtype=np.float64)
+            if start + first + size > 1 << 53:
+                n[:] = np.nan
+            frac, ok, mag, err = _chunk_fractions(fn(_DD(n, 0.0, 0.0)), size)
+            out[first:first + size] = frac
+            undecided.append(np.flatnonzero(~ok) + first)
+            # NaN where |p| is not bounded: no lower bound, an unknown upper
+            high = mag + err
+            lower = max(lower, float(np.fmax.reduce(mag - err)))
+            keep = np.flatnonzero(~(high < lower))
+            candidates.append(keep + first)
+            uppers.append(high[keep])
+    candidates, uppers = np.concatenate(candidates), np.concatenate(uppers)
+    candidates, upper = candidates[~(uppers < lower)], float(uppers.max())
+    undecided = np.concatenate(undecided)
+    bits = max(precision_bits, _ROOT_BITS)
+    required = _required_bits(lower)
+    if not math.isfinite(upper) or _required_bits(upper) != required:
+        # the bracket straddles a step of the rule: enclose its top entries
+        required = _required_bits(_round_fractions(p.root, start, out, candidates, bits))
+        undecided = np.setdiff1d(undecided, candidates)
+    if precision_bits < required:
+        raise InsufficientPrecisionError(
+            f"precision rule needs >= {required} bits on 1..{N}, got {precision_bits}"
+        )
+    if roots:
+        _root_fractions(q, start, out, undecided)
+    else:
+        _round_fractions(p.root, start, out, undecided, bits)
     np.clip(out, 0.0, np.nextafter(1.0, 0.0), out=out)
     return out
 

@@ -43,16 +43,19 @@ def lacunary_schedule(rho: float, n_min: int, n_max: int) -> List[int]:
         raise ValueError(f"rho must be finite and exceed 1, got {rho}")
     if not 1 <= n_min <= n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got [{n_min}, {n_max}]")
-    out = set()
-    k = 0
+    out, k, v = [], 0, n_min - 1
     while True:
+        # the first k whose floor(rho^k) exceeds v: jump to the estimate
+        # log(v + 1) / log(rho), then settle on the exact expression
+        k = max(k, math.ceil(math.log(v + 1) / math.log1p(rho - 1)))
+        while k > 0 and math.floor(rho ** (k - 1)) > v:
+            k -= 1
+        while math.floor(rho ** k) <= v:
+            k += 1
         v = math.floor(rho ** k)
         if v > n_max:
-            break
-        if v >= n_min:
-            out.add(v)
-        k += 1
-    return sorted(out)
+            return out
+        out.append(v)
 
 
 @dataclass(frozen=True)
@@ -165,6 +168,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"{self.pipeline} needs seeds >= {min_seeds}, got {self.seeds}"
             )
+        if self.seeds > 0 and not 0 <= self.seed_base <= (1 << 64) - self.seeds:
+            raise ValueError(
+                "seeds seed_base..seed_base+seeds-1 must lie in [0, 2^64), "
+                f"got seed_base={self.seed_base}, seeds={self.seeds}"
+            )
+        self.resolve_workers()  # a bad count, flag or ERGOLAB_WORKERS, fails here
         if self.points < 1:
             raise ValueError(f"points must be >= 1, got {self.points}")
         if self.instances < 1:
@@ -188,10 +197,17 @@ class ExperimentConfig:
         return OBSERVABLE_ALIASES[key]
 
     def resolve_workers(self) -> int:
-        if self.workers is not None:
-            return max(1, self.workers)
-        env = os.environ.get(WORKERS_ENV)
-        return max(1, int(env)) if env else 1
+        """workers, else ERGOLAB_WORKERS, else 1; a count below 1 is rejected."""
+        name, workers = "workers", self.workers
+        if workers is None:
+            name, env = WORKERS_ENV, os.environ.get(WORKERS_ENV) or "1"
+            try:
+                workers = int(env)
+            except ValueError:
+                raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+        if workers < 1:
+            raise ValueError(f"{name} must be >= 1, got {workers}")
+        return workers
 
     def fingerprint(self) -> str:
         """Stable id over everything that can affect report *content*.

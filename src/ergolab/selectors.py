@@ -216,6 +216,8 @@ def select_first(a: float, seed: int, count: int) -> np.ndarray:
     """
     if not 0.0 < a < 0.5:
         raise ValueError(f"exponent a must lie in (0, 1/2), got {a}")
+    if not 0 <= seed <= MASK64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
     if count < 1:
         raise ValueError("count must be >= 1")
     found = []

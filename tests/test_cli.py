@@ -130,6 +130,12 @@ def test_vdc_selftest_cli():
     ["expsum", "--p", "x^(3/2)", "--N", "9007199254740993"],  # a 64 PiB table
     ["chain", "--config", str(A_VALUES_CFG)],  # a sweep over a that chain would ignore
     ["average", "--system", "bernoulli", "--f", "const"],  # the shift observes e(w) only
+    # seeds outside [0, 2^64) would wrap onto others
+    ["average", "--seed-base", "18446744073709551616", "--Nmin", "64", "--Nmax", "64",
+     "--seeds", "1", "--points", "1"],
+    ["average", "--seed-base", "-1", "--Nmin", "64", "--Nmax", "64", "--seeds", "1", "--points", "1"],
+    ["expsum", "--N", "64", "--workers", "0"],
+    ["average", "--Nmin", "64", "--Nmax", "64", "--seeds", "1", "--workers", "-3"],
 ])
 def test_bad_input_exits_with_one_line(args):
     r = run_cli(args)
@@ -143,6 +149,17 @@ def test_bad_input_exits_with_one_line(args):
         assert "sqrt2m1|sqrt3m1|invphi|decimal" in r.stderr
     if args[-1] == str(A_VALUES_CFG):
         assert "a_values" in r.stderr and "average" in r.stderr
+    if "--seed-base" in args:
+        assert "seed_base" in r.stderr
+    if "--workers" in args:
+        assert "workers must be >= 1" in r.stderr
+
+
+@pytest.mark.parametrize("pipeline", ["expsum", "average"])
+def test_bad_worker_env_exits_with_one_line(pipeline):
+    r = run_cli([pipeline, "--Nmin", "64", "--Nmax", "64"], {"ERGOLAB_WORKERS": "abc"})
+    assert r.returncode == 2
+    assert r.stderr == "ergolab: error: ERGOLAB_WORKERS must be an integer, got 'abc'\n"
 
 
 def test_required_config_key_set_to_none_exits_with_one_line(tmp_path):

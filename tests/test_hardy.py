@@ -414,19 +414,29 @@ def test_power_table_any_denominator(p, start, N):
         assert circle_distance(fr[i], pv.frac) <= pv.error_bound + 2.0**-53
 
 
-# The power pass (double-double candidates, exact roots for the rest)
-# against the exact integer root at every entry, byte for byte.
-
-def power_pass_table(q: Fraction, start: int, length: int):
-    out = np.empty(length, dtype=np.float64)
-    repair = hardy._power_fractions(q, start, out)
-    return out, repair
-
+# Powers x^q, q > 0 with s <= 24: the Newton-root pass and the exact roots
+# for the entries it leaves open, against the exact root at every entry.
 
 def exact_root_table(q: Fraction, start: int, length: int) -> np.ndarray:
     out = np.empty(length, dtype=np.float64)
-    hardy._root_fractions(q, start, out, range(length))
-    return out
+    hardy._root_fractions(q, start, out, np.arange(length))
+    return np.clip(out, 0.0, np.nextafter(1.0, 0.0))
+
+
+def rooted_table(q: Fraction, start: int, length: int):
+    """The table of x^q on start..start+length-1, and the indices it hands
+    to the exact integer roots."""
+    rooted = []
+    root_fractions = hardy._root_fractions
+
+    def capture(q, start, out, indices):
+        rooted.extend(indices.tolist())
+        root_fractions(q, start, out, indices)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hardy, "_root_fractions", capture)
+        fr = phase_fractions(parse_expression(f"x^({q})"), start + length - 1, start=start)
+    return fr, rooted
 
 
 EXPONENTS = [Fraction(e) for e in ("1/2", "3/2", "5/3", "7/4", "25/24", "7/2", "-3/2")]
@@ -441,23 +451,45 @@ power_starts = (
 )
 
 
-@given(exponents, power_starts, st.integers(1, 64))
-@example(Fraction(3, 2), 1, 5000)                  # across a chunk boundary
-@example(Fraction(3, 2), 10_800_000_000, 64)       # |p| near 2^50: all repaired
+@given(exponents.filter(lambda q: q > 0), power_starts, st.integers(1, 64))
+@example(Fraction(3, 2), 1, 20000)                 # across a chunk boundary
+@example(Fraction(3, 2), 10_800_000_000, 64)       # |p| near 2^50: all rooted
 @example(Fraction(23, 24), 10**12 - 64, 64)
 @settings(max_examples=150, deadline=None)
 def test_power_pass_equals_exact_roots(q, start, length):
-    out, repair = power_pass_table(q, start, length)
-    assert out.tobytes() == exact_root_table(q, start, length).tobytes()
-    if q < 0 or q.denominator == 1 or (q == Fraction(3, 2) and start >= 10_800_000_000):
-        assert repair.tolist() == list(range(length))
+    fr, rooted = rooted_table(q, start, length)
+    assert fr.tobytes() == exact_root_table(q, start, length).tobytes()
+    if q.denominator == 1:  # a polynomial: zeros, no roots
+        assert rooted == []
+    if q == Fraction(3, 2) and start >= 10_800_000_000:
+        assert rooted == list(range(length))
 
 
 def test_power_pass_repairs_perfect_squares_and_few_others():
-    out, repair = power_pass_table(Fraction(3, 2), 1, 1 << 16)
+    _, rooted = rooted_table(Fraction(3, 2), 1, 1 << 16)
     squares = [k * k - 1 for k in range(1, 257)]
-    assert set(squares) <= set(repair.tolist())
-    assert len(repair) <= 256 + 8
+    assert set(squares) <= set(rooted)
+    assert len(rooted) <= 256 + 8
+
+
+def test_negative_power_table_is_exact():
+    # n^(-28) is its own fraction; roots at 2^-128 absolute left 292 of
+    # these 300 entries a few units in the last place low
+    fr = phase_fractions(parse_expression("x^(-28)"), 300)
+    assert fr.tolist() == [0.0] + [float(Fraction(1, n**28)) for n in range(2, 301)]
+
+
+@given(st.integers(-48, -1), st.integers(1, 24), power_starts, st.integers(1, 64))
+@example(-28, 1, 1, 64)
+@example(-3, 2, 10**12, 8)
+@example(-48, 1, 3 * 10**6, 64)       # fractions under 2^-1022: subnormal
+@settings(max_examples=80, deadline=None)
+def test_negative_power_table_equals_mpmath(r, s, start, length):
+    # x^q for q < 0 takes the interval route; its largest |p| is at start
+    p = parse_expression(f"x^({Fraction(r, s)})")
+    N = start + length - 1
+    expected = correctly_rounded_table(p, N, minimum_precision(p, start), start)
+    assert phase_fractions(p, N, start=start).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -488,15 +520,20 @@ def phase_fractions_tree_mpmath(p, N: int, precision_bits: int, start: int = 1) 
 def correctly_rounded_table(p, N: int, precision_bits: int, start: int = 1) -> np.ndarray:
     """The table's contract: frac(p(n)) correctly rounded to float64, from
     the mpmath closure 256 bits above a precision_bits that meets the rule,
-    so within about 2^-320 of p(n); exactly 0.0 within 2^-128 of an
-    integer, which only the exact integers come that close to here."""
+    so within about 2^-320 of p(n), rounded once from its exact binary
+    value, subnormals included.  Exactly 0.0 within 2^-128 of a nonzero
+    integer, which only the exact integers come that close to here; values
+    near 0 keep their own, since n^q for q < 0 falls under 2^-128 without
+    being an integer."""
     out = np.empty(N - start + 1, dtype=np.float64)
     with mp.workprec(precision_bits + 256):
         fn = _compile(p.root, mp)
         for i in range(out.shape[0]):
             v = fn(mp.mpf(start + i))
-            near = abs(v - mp.nint(v)) < mp.ldexp(1, -128)
-            out[i] = 0.0 if near else float(v - mp.floor(v))
+            whole = mp.nint(v)
+            near = whole != 0 and abs(v - whole) < mp.ldexp(1, -128)
+            man, exp = (v - mp.floor(v)).man_exp
+            out[i] = 0.0 if near else float(man * Fraction(2) ** exp)
     return np.clip(out, 0.0, np.nextafter(1.0, 0.0))
 
 
@@ -508,16 +545,12 @@ def outcome(table, *args):
         return type(exc).__name__, str(exc)
 
 
-def tree_path_table(p, N: int, precision_bits: int, start: int = 1) -> np.ndarray:
-    """The double-double table for any tree, power forms included."""
-    out = np.empty(N - start + 1, dtype=np.float64)
-    hardy._tree_fractions(p, start, precision_bits, out, N)
-    return np.clip(out, 0.0, np.nextafter(1.0, 0.0))
-
-
 def on_tree_path(p) -> bool:
+    """Whether p's table takes the compiled tree and the interval repair."""
     q = hardy._power_form(p.root)
-    return not p.integer_polynomial and (q is None or q.denominator > hardy._ROOT_MAX_DEGREE)
+    return not p.integer_polynomial and (
+        q is None or q < 0 or q.denominator > hardy._ROOT_MAX_DEGREE
+    )
 
 
 LEAVES = [
@@ -563,14 +596,13 @@ def test_tree_table_equals_mpmath_loop(src, start, length, extra_bits):
 
 @pytest.mark.parametrize("start", [1, 10**6 - 100, 10**10 - 100])
 def test_tree_table_repairs_perfect_squares(start):
-    # exp(3/2*log(n)) is the integer k^3 at n = k^2: every enclosure holds
-    # it, so those entries are exactly 0.0; called on the tree path
-    # directly, since phase_fractions sends this power form to the integer
-    # roots
-    p = parse_expression("exp(3/2*log(x))")
+    # x*x^(1/2) is the integer k^3 at n = k^2: every enclosure holds it, so
+    # those entries are exactly 0.0; no power form, so the interval route
+    p = parse_expression("x*x^(1/2)")
+    assert on_tree_path(p)
     N = start + 299
     bits = minimum_precision(p, N)
-    fr = tree_path_table(p, N, bits, start)
+    fr = phase_fractions(p, N, bits, start)
     assert fr.tobytes() == correctly_rounded_table(p, N, bits, start).tobytes()
     squares = [k * k - start for k in range(isqrt(start - 1) + 1, isqrt(N) + 1)]
     assert squares and all(fr[i] == 0.0 for i in squares)
@@ -593,12 +625,14 @@ THREE_HALVES = ["x^(3/2)", "x*x^(1/2)", "exp(3/2*log(x))", "exp(log(x)*1.5)"]
 
 @pytest.mark.parametrize("start, N", [(1, 1 << 16), (10**10 - 2048, 10**10 + 2047)])
 def test_one_function_one_table(start, N):
-    # every spelling of x^(3/2), forced through the tree path, gives the
-    # integer-root table byte for byte, perfect squares included
+    # every spelling of x^(3/2) gives one table byte for byte, perfect
+    # squares included: the power forms by exact roots, x*x^(1/2) by the
+    # interval repair
     expected = phase_fractions(parse_expression("x^(3/2)"), N, start=start).tobytes()
+    assert [on_tree_path(parse_expression(src)) for src in THREE_HALVES] == [False, True, False, False]
     for src in THREE_HALVES:
         p = parse_expression(src)
-        assert tree_path_table(p, N, minimum_precision(p, N), start).tobytes() == expected
+        assert phase_fractions(p, N, minimum_precision(p, N), start).tobytes() == expected
 
 
 @given(st.integers(1, 48), st.integers(1, 24), power_starts, st.integers(1, 64))
@@ -606,26 +640,29 @@ def test_one_function_one_table(start, N):
 @example(5, 1, 10**12 - 63, 64)    # integers everywhere: every entry at the cap
 @settings(max_examples=80, deadline=None)
 def test_tree_path_equals_power_path(r, s, start, length):
-    # q > 0 only: the integer roots keep 2^-128 absolute, which decides
-    # the float64 of a fraction unless it is under about 2^-75, as n^q for
-    # q < 0 often is
+    # x^(q/2) * x^(q/2) is no power form: the interval route against the
+    # root route of x^q.  q > 0 only: the roots keep 2^-128 absolute, which
+    # decides the float64 of a fraction unless it is under about 2^-75
     q = Fraction(r, s)
-    p = parse_expression(f"x^({q})")
+    p = parse_expression(f"x^({q / 2}) * x^({q / 2})")
     N = start + length - 1
-    out, _ = power_pass_table(q, start, length)
-    bits = max(minimum_precision(p, start), minimum_precision(p, N))
-    expected = np.clip(out, 0.0, np.nextafter(1.0, 0.0)).tobytes()
-    assert tree_path_table(p, N, bits, start).tobytes() == expected
+    expected = phase_fractions(parse_expression(f"x^({q})"), N, start=start)
+    assert phase_fractions(p, N, start=start).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
     "src, N",
-    [("x^(3/2) + x*log(x)", 9125), ("x^1.01", 1 << 14), ("exp(3/2*log(x))", 1 << 14)],
+    [
+        ("x^(3/2) + x*log(x)", 9125),
+        ("x^1.01", 1 << 14),
+        ("exp(3/2*log(x))", 1 << 14),   # the exact roots
+        ("x*x^(1/2)", 1 << 14),         # the interval repair at perfect squares
+    ],
 )
 def test_tree_table_ignores_precision_bits(src, N):
     p = parse_expression(src)
     bits = minimum_precision(p, N)
-    assert tree_path_table(p, N, bits).tobytes() == tree_path_table(p, N, bits + 48).tobytes()
+    assert phase_fractions(p, N, bits).tobytes() == phase_fractions(p, N, bits + 48).tobytes()
 
 
 def test_magnitude_backstop_fails_before_the_repair(monkeypatch):

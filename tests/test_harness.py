@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -45,23 +46,39 @@ def test_schedule_rejects_bad_rho():
             lacunary_schedule(rho, 1, 10)
 
 
-@given(st.floats(1.01, 4.0), st.integers(1, 50), st.integers(50, 5000))
-@settings(max_examples=50, deadline=None)
-def test_schedule_sorted_within_bounds(rho, nmin, nmax):
-    sched = lacunary_schedule(rho, nmin, nmax)
-    assert sched == sorted(set(sched))
-    assert all(nmin <= v <= nmax for v in sched)
-    # direct power iteration oracle
-    expected = set()
+def stepwise_schedule(rho, nmin, nmax):
+    """The schedule by direct power iteration, one k at a time."""
+    out = set()
     k = 0
     while True:
         v = math.floor(rho ** k)
         if v > nmax:
             break
         if v >= nmin:
-            expected.add(v)
+            out.add(v)
         k += 1
-    assert sched == sorted(expected)
+    return sorted(out)
+
+
+@given(
+    st.floats(1.0001, 1.01) | st.floats(1.01, 1e3) | st.sampled_from([2.0, 10.0, 1e300]),
+    st.integers(1, 10**4),
+    st.integers(0, 10**5),
+)
+@settings(max_examples=150, deadline=None)
+def test_schedule_sorted_within_bounds(rho, nmin, width):
+    nmax = nmin + width
+    sched = lacunary_schedule(rho, nmin, nmax)
+    assert sched == sorted(set(sched))
+    assert all(nmin <= v <= nmax for v in sched)
+    assert sched == stepwise_schedule(rho, nmin, nmax)
+
+
+def test_schedule_with_rho_next_to_one_is_fast():
+    # stepping k one at a time would take about 4e12 steps to reach 64
+    t0 = time.perf_counter()
+    assert lacunary_schedule(1 + 1e-12, 1, 64) == list(range(1, 65))
+    assert time.perf_counter() - t0 < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +161,18 @@ def test_config_text_that_does_not_parse_names_key_and_text(key, text):
         coerce_config_values({key: text})
 
 
+def test_worker_env_is_checked_when_the_config_is_built(monkeypatch):
+    # a non-integer value is covered end to end in test_cli
+    monkeypatch.setenv("ERGOLAB_WORKERS", "0")
+    with pytest.raises(ValueError, match="^ERGOLAB_WORKERS must be >= 1, got 0$"):
+        ExperimentConfig(pipeline="expsum")
+    assert ExperimentConfig(pipeline="expsum", workers=2).resolve_workers() == 2
+    monkeypatch.setenv("ERGOLAB_WORKERS", "3")
+    assert ExperimentConfig(pipeline="expsum").resolve_workers() == 3
+    monkeypatch.delenv("ERGOLAB_WORKERS")
+    assert ExperimentConfig(pipeline="expsum").resolve_workers() == 1
+
+
 def test_fingerprint_ignores_out_and_workers():
     base = ExperimentConfig(pipeline="expsum", n=64)
     assert base.fingerprint() == ExperimentConfig(pipeline="expsum", n=64, out="x.csv", workers=3).fingerprint()
@@ -171,6 +200,14 @@ def test_config_validation():
     for c in (0.0, -1000.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="chernoff_c"):
             ExperimentConfig(pipeline="deviation", chernoff_c=c)
+    # every seed of seed_list() is a 64-bit unsigned integer
+    for base, seeds in ((-1, 1), (1 << 64, 1), ((1 << 64) - 2, 3)):
+        with pytest.raises(ValueError, match="seed_base"):
+            ExperimentConfig(pipeline="average", seed_base=base, seeds=seeds)
+    assert ExperimentConfig(seed_base=(1 << 64) - 3, seeds=3).seed_list()[-1] == (1 << 64) - 1
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            ExperimentConfig(workers=workers)
     # a sweep over a is run by average alone; elsewhere it would be ignored
     for pipeline in ("chain", "correlation", "deviation", "expsum", "generate", "vdc-selftest"):
         with pytest.raises(ValueError, match="a_values.*average"):

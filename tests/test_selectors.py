@@ -166,6 +166,14 @@ def test_select_first_agrees_with_dense_realization():
     assert np.array_equal(pos, r.ones)
 
 
+def test_select_first_rejects_seeds_outside_64_bits():
+    # the hash would wrap them onto the seeds below 2^64
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="64-bit unsigned"):
+            select_first(0.3, seed, 10)
+    assert select_first(0.3, (1 << 64) - 1, 10).shape == (10,)
+
+
 def test_scans_agree_across_chunk_boundaries():
     # a window spanning several chunks: the dense, streaming and counting
     # scans agree with each other and, at the chunk edges, with the
