@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import hardy
-from .selectors import OutOfRangeError, Realization
+from .selectors import DEFAULT_CHUNK, OutOfRangeError, Realization
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,10 @@ def default_weight_params(
 
 @dataclass(frozen=True)
 class WeightSeries:
-    """c_n = Y_n e(p(S_n)) for n <= n_max, with its sources kept alongside."""
+    """c_n = Y_n e(p(S_n)) for n <= n_max and its exponents; it keeps no
+    reference to the realization, so a caller can free that once c exists."""
 
     c: np.ndarray
-    realization: Realization
     params: WeightParams
 
     @property
@@ -84,7 +84,7 @@ def weight_series(
     phases is the table frac(p(k)), k = 1, 2, ... (hardy.phase_fractions),
     covering k up to S_{n_max}; the counts S_n repeat, the table does not,
     so the per-n cost is a lookup.  It does not depend on the seed, so one
-    table serves every realization.
+    table serves every realization.  c is filled in blocks of DEFAULT_CHUNK.
     """
     if params.a != r.params.a:
         raise ValueError(
@@ -97,9 +97,13 @@ def weight_series(
     # e(p(S_n)) needs S_n >= 1; the hash always selects index 1 (sigma_1 = 1)
     if not r.bits[0]:
         raise ValueError("the weight series needs X_1 = 1")
-    c = r.y_values(r.n_max) * hardy.unit_phases(phases[:s_max])[counts - 1]
+    z = hardy.unit_phases(phases[:s_max])
+    c = np.empty(r.n_max, dtype=np.complex128)
+    for lo in range(0, r.n_max, DEFAULT_CHUNK):
+        hi = min(lo + DEFAULT_CHUNK, r.n_max)
+        np.multiply(r.y_values(hi, lo + 1), z[counts[lo:hi] - 1], out=c[lo:hi])
     c.setflags(write=False)
-    return WeightSeries(c, r, params)
+    return WeightSeries(c, params)
 
 
 def c_sum_check(w: WeightSeries, schedule: Sequence[int]) -> np.ndarray:
@@ -228,11 +232,11 @@ def profile_envelope(N: int, a: float) -> float:
 
 
 def _fft_arrays(work: list, nfft: int) -> List[np.ndarray]:
-    """The fft output, the complex |G|^2 input to ifft, the ifft output and
-    the |g|^2 scratch, nfft entries each: views of the arrays in work, made
-    on first use and remade only for a longer FFT."""
+    """The fft output (reused as the ifft output), the complex |G|^2 input
+    to ifft and the |g|^2 scratch, nfft entries each: views of the arrays in
+    work, made on first use and remade only for a longer FFT."""
     if not work or work[0].shape[0] < nfft:
-        work[:] = [np.empty(nfft, dtype=np.complex128) for _ in range(3)] + [np.empty(nfft)]
+        work[:] = [np.empty(nfft, dtype=np.complex128) for _ in range(2)] + [np.empty(nfft)]
     return [x[:nfft] for x in work]
 
 
@@ -270,11 +274,12 @@ def i_terms_profile(
     # A_r for r = 0..max_lag from the zero-padded FFT: ifft(|G|^2)[r] =
     # sum_j g_{j+r} conj(g_j), conjugated to match A_r
     nfft = 1 << int(L + max_lag + 1).bit_length()
-    G, power, acf, g_sq = _fft_arrays([] if _work is None else _work, nfft)
+    G, power, g_sq = _fft_arrays([] if _work is None else _work, nfft)
     np.fft.fft(g, nfft, out=G)
     np.square(np.abs(G, out=power.real), out=power.real)
     power.imag = 0.0
-    inner = np.conj(np.fft.ifft(power, out=acf)[: max_lag + 1])
+    # G is dead once |G|^2 is formed, so the ifft writes over it
+    inner = np.conj(np.fft.ifft(power, out=G)[: max_lag + 1])
     inner.setflags(write=False)
 
     g_sq = np.square(np.abs(g, out=g_sq[:L]), out=g_sq[:L])

@@ -495,8 +495,8 @@ def _correlation_job(ctx: Dict[str, object], seed: int):
     union: List[int] = ctx["union"]
     wp: correlation.WeightParams = ctx["wparams"]
     params = selectors.SelectorParams(a=wp.a, seed=seed, n_max=ctx["n_need"])
-    r = selectors.generate_realization(params)
-    w = correlation.weight_series(r, ctx["phases"], wp)
+    # no name holds the realization, so it is freed once c exists
+    w = correlation.weight_series(selectors.generate_realization(params), ctx["phases"], wp)
 
     ratios = correlation.c_sum_check(w, union)
     sums, partials = correlation.summability_statistic(w, union)

@@ -70,21 +70,30 @@ class Realization:
         """Total number of selected indices, S_{n_max}."""
         return int(self.s_prefix[-1])
 
+    def _check(self, n: int, m: int = 1) -> None:
+        """Raise unless the block m..n (empty for m = n + 1) lies in 1..n_max."""
+        if not (1 <= m <= n + 1 and n <= self.n_max):
+            raise OutOfRangeError(f"need 1 <= m <= n + 1 and n <= n_max={self.n_max}; got m={m}, n={n}")
+
     def S(self, n: int) -> int:
         """Prefix count S_n."""
+        self._check(n)
         return int(self.s_prefix[n])
 
     def W(self, n: int) -> float:
         """Deterministic mean W_n."""
+        self._check(n)
         return float(self.w_prefix[n])
 
     def S_range(self, m: int, n: int) -> int:
         """Block count S_{m,n} = X_m + ... + X_n."""
+        self._check(n, m)
         return int(self.s_prefix[n] - self.s_prefix[m - 1])
 
-    def y_values(self, n: int) -> np.ndarray:
-        """Centered selectors Y_1..Y_n = X - sigma as float64."""
-        return self.bits[:n].astype(np.float64) - sigma_values(self.params.a, 1, n)
+    def y_values(self, n: int, m: int = 1) -> np.ndarray:
+        """Centered selectors Y_m..Y_n = X - sigma as float64."""
+        self._check(n, m)
+        return self.bits[m - 1 : n].astype(np.float64) - sigma_values(self.params.a, m, n)
 
 
 def _sigma(a: float, n: np.ndarray) -> np.ndarray:
@@ -162,8 +171,13 @@ def _realization(params: SelectorParams, bits: np.ndarray) -> Realization:
     """Freeze bits (length n_max, bool) and derive the prefix arrays from them."""
     s_prefix = np.zeros(params.n_max + 1, dtype=np.int64)
     np.cumsum(bits, out=s_prefix[1:])
+    # cumsum adds in sequence, so carrying W_{lo-1} into each block keeps every W_n
     w_prefix = np.zeros(params.n_max + 1, dtype=np.float64)
-    np.cumsum(sigma_values(params.a, 1, params.n_max), out=w_prefix[1:])
+    for lo in range(1, params.n_max + 1, DEFAULT_CHUNK):
+        hi = min(lo + DEFAULT_CHUNK - 1, params.n_max)
+        block = sigma_values(params.a, lo, hi)
+        block[0] += w_prefix[lo - 1]
+        np.cumsum(block, out=w_prefix[lo : hi + 1])
     ones = np.flatnonzero(bits).astype(np.int64) + 1
     for arr in (bits, s_prefix, w_prefix, ones):
         arr.setflags(write=False)

@@ -25,6 +25,7 @@ from ergolab.correlation import (
     weight_series,
 )
 from ergolab.selectors import (
+    DEFAULT_CHUNK,
     OutOfRangeError,
     SelectorParams,
     generate_realization,
@@ -43,16 +44,19 @@ def wparams():
     return WeightParams(a=0.3, delta=0.1, b=0.35, c_exponent=0.8)
 
 
-def small_series(seed, n_max, p, wp):
+def small_pair(seed, n_max, p, wp):
+    """A realization and its weight series."""
     r = generate_realization(SelectorParams(a=wp.a, seed=seed, n_max=n_max))
-    return weight_series(r, hardy.phase_fractions(p, r.selection_count), wp)
+    return r, weight_series(r, hardy.phase_fractions(p, r.selection_count), wp)
+
+
+def small_series(seed, n_max, p, wp):
+    return small_pair(seed, n_max, p, wp)[1]
 
 
 def synthetic_series(c_values, wp):
     """WeightSeries wrapper around explicit weights, for closed-form cases."""
-    n = len(c_values)
-    r = generate_realization(SelectorParams(a=wp.a, seed=0, n_max=n))
-    return WeightSeries(np.asarray(c_values, dtype=np.complex128), r, wp)
+    return WeightSeries(np.asarray(c_values, dtype=np.complex128), wp)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +111,7 @@ def test_first_weight_vanishes(p32, wparams):
 
 def test_unselected_weight_value(p32, wparams):
     # X_n = 0 forces c_n = -sigma_n e(p(S_n)) with S_n = S_{n-1}
-    w = small_series(5, 400, p32, wparams)
-    r = w.realization
+    r, w = small_pair(5, 400, p32, wparams)
     fr = hardy.phase_fractions(p32, int(r.s_prefix[-1]))
     phases = hardy.unit_phases(fr)
     for n in range(2, 401):
@@ -120,15 +123,14 @@ def test_unselected_weight_value(p32, wparams):
 
 def test_weight_modulus_is_centered_selector(p32, wparams):
     # |c_n| = |Y_n| in {sigma_n, 1 - sigma_n}; |e(.)| = 1 to a rounding
-    w = small_series(7, 1000, p32, wparams)
-    y = np.abs(w.realization.y_values(1000))
+    r, w = small_pair(7, 1000, p32, wparams)
+    y = np.abs(r.y_values(1000))
     assert np.max(np.abs(np.abs(w.c) - y)) < 1e-15
 
 
 def test_weight_series_against_independent_recomputation(p32, wparams):
     # oracle: rebuild each c_n from scratch with 200-bit mpmath phases
-    w = small_series(11, 200, p32, wparams)
-    r = w.realization
+    r, w = small_pair(11, 200, p32, wparams)
     for n in range(1, 201):
         s = r.S(n)
         with mp.workprec(200):
@@ -137,6 +139,17 @@ def test_weight_series_against_independent_recomputation(p32, wparams):
         y = float(r.bits[n - 1]) - n ** -0.3
         oracle = y * complex(math.cos(2 * math.pi * fr), math.sin(2 * math.pi * fr))
         assert abs(w.c[n - 1] - oracle) <= 1e-12 * max(1.0, abs(oracle))
+
+
+@pytest.mark.parametrize("n_max", [1000, 3 * DEFAULT_CHUNK + 5])
+def test_weight_series_blocks_equal_one_shot_formula(p32, wparams, n_max):
+    # the oracle is the whole-length formula (X - sigma) e(p(S_n)), compared
+    # bit for bit; the blocks must not move a byte
+    r, w = small_pair(2, n_max, p32, wparams)
+    counts = r.s_prefix[1:]
+    z = hardy.unit_phases(hardy.phase_fractions(p32, r.selection_count))
+    y = r.bits.astype(np.float64) - sigma_values(wparams.a, 1, n_max)
+    assert w.c.tobytes() == (y * z[counts - 1]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +322,10 @@ def test_i_terms_requires_length(p32, wparams):
 
 def test_i1_brute_force_exact(p32, wparams):
     # phases cancel in the squared moduli: I1^2 = ((N-m)/R) sum |Y_n Y_{n+m}|^2
-    w = small_series(8, 2048, p32, wparams)
+    r, w = small_pair(8, 2048, p32, wparams)
     N, m = 64, 2
     prof = i_terms_profile(w, N, m)
-    y = w.realization.y_values(w.n_max)
+    y = r.y_values(w.n_max)
     brute = (N - m) / prof.R * sum(
         (y[n - 1] * y[n + m - 1]) ** 2 for n in range(prof.n0, N - m + 1)
     )

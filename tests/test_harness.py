@@ -391,6 +391,38 @@ def test_correlation_job_keeps_three_floats_per_lag(monkeypatch):
         assert all(x.size < R for x in arrays(result))
 
 
+def test_correlation_job_frees_realization_before_the_sums(monkeypatch):
+    # the weight series keeps no realization and the job keeps no name for
+    # it, so its arrays are gone before the correlation sums and the profile
+    import dataclasses
+    import weakref
+
+    from ergolab import correlation, selectors
+
+    assert "realization" not in {f.name for f in dataclasses.fields(correlation.WeightSeries)}
+    refs, checked = [], []
+    generate = selectors.generate_realization
+
+    def recording_generate(params):
+        r = generate(params)
+        refs.append(weakref.ref(r))
+        return r
+
+    def freed_first(fn):
+        def wrapper(*args, **kwargs):
+            assert refs and refs[-1]() is None
+            checked.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(selectors, "generate_realization", recording_generate)
+    for name in ("summability_statistic", "i_terms_profile"):
+        monkeypatch.setattr(correlation, name, freed_first(getattr(correlation, name)))
+    run_experiment(ExperimentConfig(**CORRELATION_SMALL, iterms_n=512, workers=1))
+    assert len(refs) == CORRELATION_SMALL["seeds"]
+    assert {"summability_statistic", "i_terms_profile"} <= set(checked)
+
+
 def _forbid_work(monkeypatch):
     from ergolab import hardy, selectors
 

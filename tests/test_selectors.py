@@ -85,6 +85,31 @@ def test_w_prefix_strictly_increasing():
     assert np.all(np.diff(r.w_prefix) > 0)
 
 
+def test_accessors_reject_indices_outside_the_window():
+    # negative n used to wrap to the end, S_range(0, n) read s_prefix[-1],
+    # and a too-long y_values failed with a numpy broadcast error
+    r = generate_realization(SelectorParams(a=0.3, seed=1, n_max=100))
+    assert (r.S(0), r.W(0), r.S(100), r.S_range(11, 10)) == (0, 0.0, r.selection_count, 0)
+    assert r.y_values(0).shape == (0,) and r.y_values(100, 101).shape == (0,)
+    for call in (
+        lambda: r.S(-1), lambda: r.S(101), lambda: r.W(-1), lambda: r.W(101),
+        lambda: r.S_range(0, 10), lambda: r.S_range(12, 10), lambda: r.S_range(1, 101),
+        lambda: r.y_values(101), lambda: r.y_values(-1), lambda: r.y_values(10, 0),
+        lambda: r.y_values(10, 12),
+    ):
+        with pytest.raises(OutOfRangeError):
+            call()
+
+
+@pytest.mark.parametrize("n_max", [1000, 3 * DEFAULT_CHUNK + 5])
+def test_w_prefix_blocks_equal_one_cumsum(n_max):
+    # the oracle is the one-shot cumsum over 1..n_max, compared bit for bit
+    r = generate_realization(SelectorParams(a=0.3, seed=6, n_max=n_max))
+    oracle = np.cumsum(sigma_values(0.3, 1, n_max))
+    assert r.w_prefix[0] == 0.0
+    assert r.w_prefix[1:].tobytes() == oracle.tobytes()
+
+
 def test_y_sum_bound_exact():
     # sum |Y_n| <= S_N + W_N holds term by term, hence for every prefix
     r = generate_realization(SelectorParams(a=0.35, seed=77, n_max=20000))
