@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-from mpmath import mp
 
 from . import hardy
 from .rng import _mix_block, child_seed, uniform01_block
@@ -42,29 +42,37 @@ def _radical_inverse(k: int) -> float:
 
 
 def _resolve_angle(alpha) -> int:
-    """Angle as a 128-bit fixed-point integer in [0, 2^128)."""
-    with mp.workprec(_FP_BITS + 64):
-        if isinstance(alpha, str):
-            name = alpha.strip()
-            if name == "sqrt2m1":
-                val = mp.sqrt(2) - 1
-            elif name == "sqrt3m1":
-                val = mp.sqrt(3) - 1
-            elif name == "invphi":
-                val = (mp.sqrt(5) - 1) / 2
-            else:
-                try:
-                    val = mp.mpf(name)
-                except ValueError:
-                    raise ValueError(
-                        f"alpha must be sqrt2m1|sqrt3m1|invphi|decimal, got {alpha!r}"
-                    ) from None
+    """Angle as a 128-bit fixed-point integer in [0, 2^128): floor(frac(alpha)
+    2^128), in exact integers.  floor(sqrt(d) 2^128) is isqrt(d 2^256)."""
+    text = alpha.strip() if isinstance(alpha, str) else alpha
+    if text == "sqrt2m1":
+        return math.isqrt(2 << 2 * _FP_BITS) - (1 << _FP_BITS)
+    if text == "sqrt3m1":
+        return math.isqrt(3 << 2 * _FP_BITS) - (1 << _FP_BITS)
+    if text == "invphi":
+        return (math.isqrt(5 << 2 * _FP_BITS) - (1 << _FP_BITS)) // 2
+    try:
+        if not isinstance(text, str):
+            val = Fraction(text)
+        elif "/" in text:
+            num, den = text.split("/")
+            val = Fraction(int(num), int(den))
         else:
-            val = mp.mpf(alpha)
-        if not mp.isfinite(val):
-            raise ValueError(f"alpha must be a finite angle, got {alpha!r}")
-        val = val - mp.floor(val)
-        return int(mp.floor(val * (1 << _FP_BITS)))
+            # Fraction would build 10^|exponent|.  An exponent of at least
+            # the mantissa's length gives an integer, one below -(length +
+            # 40) a value under 10^-40 < 2^-128: clamping changes no angle.
+            mantissa, e, exponent = text.lower().partition("e")
+            if e:
+                cap = len(mantissa) + 40
+                text = f"{mantissa}e{max(-cap, min(int(exponent), cap))}"
+            val = Fraction(text)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        if str(alpha).strip().lower().lstrip("+-") in ("nan", "inf", "infinity"):
+            raise ValueError(f"alpha must be a finite angle, got {alpha!r}") from None
+        raise ValueError(
+            f"alpha must be sqrt2m1|sqrt3m1|invphi|decimal, got {alpha!r}"
+        ) from None
+    return (val.numerator % val.denominator << _FP_BITS) // val.denominator
 
 
 class DynamicalSystem:

@@ -41,7 +41,6 @@ from types import SimpleNamespace
 from typing import Optional, Tuple, Union
 
 import numpy as np
-from mpmath import iv, mp
 
 _VALIDATION_PREC = 128
 _VALIDATION_POINTS = 25
@@ -471,9 +470,11 @@ def _root_fractions(q: Fraction, start: int, out: np.ndarray, indices: np.ndarra
 
 
 def _required_bits(magnitude) -> int:
-    """The precision rule: 64 + ceil(log2(1 + magnitude)) bits."""
-    with mp.workprec(96):
-        return 64 + int(mp.ceil(mp.log(1 + magnitude, 2)))
+    """The precision rule: 64 + ceil(log2(1 + magnitude)) bits, exactly.
+    ceil(log2(1 + m)) is the bit length of ceil(m) for real m >= 0; int()
+    truncates an mpf exactly, where math.ceil would round it to a float."""
+    ceil = int(magnitude)
+    return 64 + (ceil + (ceil < magnitude)).bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +552,7 @@ def _mul_dd(xh, xl, yh, yl):
 @functools.lru_cache(maxsize=None)
 def _ln2_parts() -> Tuple[float, float, float]:
     """ln 2 as three float64 words, to about 2^-160."""
+    from mpmath import mp
     with mp.workprec(256):
         v = mp.ln2
         hi = float(v)
@@ -733,6 +735,7 @@ def _root_dd(n, s: int, u0=None) -> _DD:
 def _interval_closure(root: Node, bits: int):
     """root's iv closure (p(x) in an outward-rounded interval) at bits;
     mpmath's iv context has no workprec, hence this one save/restore."""
+    from mpmath import iv
     old, iv.prec = iv.prec, bits
     try:
         yield _compile(root, iv)
@@ -748,6 +751,7 @@ def _round_fractions(root: Node, start: int, out: np.ndarray, indices, bits: int
     inside gives 0.0 (exact at integers such as n^(3/2) at perfect squares,
     else within the width, under 2^-bits), a tie the midpoint, and a log
     argument not provably positive EvalDomainError."""
+    from mpmath import iv
     mag, cap, pending = 0, 4 * bits, indices.tolist()
     for prec in (bits, 2 * bits, cap):
         with _interval_closure(root, prec) as fn:
@@ -780,20 +784,18 @@ def _round_fractions(root: Node, start: int, out: np.ndarray, indices, bits: int
     return mag
 
 
-def _validation_exp(v):
-    if mp.mag(v) > _VALIDATION_EXP_MAG:
-        raise EvalDomainError(f"exp argument beyond 2^{_VALIDATION_EXP_MAG}")
-    return mp.exp(v)
-
-
-# mp with the sweep's guard on exp; phase tables compile against plain mp
-_VALIDATION_CTX = SimpleNamespace(mpf=mp.mpf, exp=_validation_exp, log=mp.log)
-
-
 def _validate_domain(root: Node, source: str, domain_start: float) -> None:
+    from mpmath import mp
+
+    def exp(v):
+        if mp.mag(v) > _VALIDATION_EXP_MAG:
+            raise EvalDomainError(f"exp argument beyond 2^{_VALIDATION_EXP_MAG}")
+        return mp.exp(v)
+
     xs = np.geomspace(max(domain_start, 1e-9), _VALIDATION_TOP, _VALIDATION_POINTS)
     with mp.workprec(_VALIDATION_PREC):
-        fn = _compile(root, _VALIDATION_CTX)
+        # mp with the sweep's guard on exp; phase tables compile against plain mp
+        fn = _compile(root, SimpleNamespace(mpf=mp.mpf, exp=exp, log=mp.log))
         for xv in [domain_start, *xs.tolist()]:
             try:
                 fn(mp.mpf(xv))
@@ -838,6 +840,7 @@ def power_phase(exponent: Union[str, float, Fraction], epsilon_hint: Optional[fl
 
 def minimum_precision(p: HardyExpr, x: Union[int, float]) -> int:
     """Smallest precision_bits satisfying the rule at argument x."""
+    from mpmath import mp
     with mp.workprec(96):
         return _required_bits(abs(_compile(p.root, mp)(mp.mpf(x))))
 
@@ -857,7 +860,7 @@ def eval_mod1(p: HardyExpr, x: int, precision_bits: int) -> PhaseValue:
         raise ValueError("precision_bits must be positive")
     if p.integer_polynomial:
         return PhaseValue(0.0, precision_bits, 0.0)
-
+    from mpmath import iv, mp
     with _interval_closure(p.root, precision_bits) as fn:
         enclosure = fn(iv.mpf(int(x)))
     # the endpoints carry precision_bits; 8 more keep them, their sum and
@@ -1010,6 +1013,7 @@ def second_difference_ratio(
         raise ValueError("expression has no epsilon_hint and no epsilon was given")
     if not (x > 0 and y > 0 and z > 0):
         raise ValueError("x, y, z must all be positive")
+    from mpmath import mp
 
     def second_difference(bits: int):
         with mp.workprec(bits):

@@ -15,7 +15,6 @@ import math
 import os
 import tempfile
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -353,6 +352,7 @@ def _pool_map(fn, items, workers: int, shared: Dict[str, object]):
     workers > 1; results come back in item order."""
     if workers <= 1 or len(items) <= 1:
         return [fn(shared, item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(
         max_workers=min(workers, len(items)),
         initializer=_init_worker,

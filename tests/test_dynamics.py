@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,6 +83,74 @@ def test_make_system_factory():
     assert make_system("bernoulli", alphabet=4, window=3).alphabet == 4
     with pytest.raises(ValueError):
         make_system("doubling")
+
+
+# Angles as the former 192-bit mpmath path resolved them; every one of these
+# lies far enough from a multiple of 2^-128 for that path to floor exactly.
+@pytest.mark.parametrize("alpha, alpha_fp", [
+    ("sqrt2m1", 140949571415070559626692937523481902398),
+    ("sqrt3m1", 249103981505922019304800303939765943177),
+    (" invphi ", 210306068529402873165736369884012333108),
+    ("0.5", 1 << 127),
+    (" 0.5 ", 1 << 127),
+    ("+.5", 1 << 127),
+    ("5.", 0),
+    ("1/3", 113427455640312821154458202477256070485),
+    ("1 / 3", 113427455640312821154458202477256070485),
+    ("-1/3", 226854911280625642308916404954512140970),
+    ("1/-3", 226854911280625642308916404954512140970),
+    ("1e5", 0),
+    ("1e-5", 3402823669209384634633746074317682),
+    ("0.1", 34028236692093846346337460743176821145),
+    ("-0.25", 255211775190703847597530955573826158592),
+    ("2.75", 255211775190703847597530955573826158592),
+    ("12345.678e-3", 117628128032496166173092407547798771799),
+    ("0.318309886183790671537767526745", 108315241484954818046902227470551173642),
+    ("1e-25", 34028236692093),
+    ("0.99999999999999999998", 340282366920938463456568960093349442186),
+    (0.1, 34028236692093848235284053891034906624),
+    (-0.1, 306254130228844615228090553540733304832),
+    (1e-300, 0),
+    (7, 0),
+])
+def test_rotation_angle_resolution(alpha, alpha_fp):
+    assert dynamics._resolve_angle(alpha) == alpha_fp
+
+
+@pytest.mark.parametrize("alpha, alpha_fp", [
+    # 200 bits: the mpmath path rounded the .5 away and rotated by 0
+    ("123456789012345678901234567890123456789012345678901234567890.5", 1 << 127),
+    # exponents are clamped, not expanded into 10^(10^8)
+    ("1e100000000", 0),
+    ("1e-100000000", 0),
+    ("-1e-100000000", (1 << 128) - 1),
+])
+def test_rotation_angle_exact_at_any_magnitude(alpha, alpha_fp):
+    assert dynamics._resolve_angle(alpha) == alpha_fp
+
+
+@given(
+    st.sampled_from(["", "-", "+"]),
+    st.text("0123456789", min_size=1, max_size=60),
+    st.integers(0, 60),
+    st.integers(-300, 300),
+)
+@settings(max_examples=300, deadline=None)
+def test_rotation_angle_equals_exact_fraction(sign, digits, point, exponent):
+    # the clamped exponent changes no angle: the oracle expands 10^exponent
+    point = min(point, len(digits))
+    text = f"{sign}{digits[:point]}.{digits[point:]}e{exponent}"
+    val = Fraction(text)
+    assert dynamics._resolve_angle(text) == math.floor((val - math.floor(val)) * 2**128)
+
+
+@pytest.mark.parametrize("alpha, message", [
+    ("nan", "finite angle"), ("-inf", "finite angle"), (float("inf"), "finite angle"),
+    (float("nan"), "finite angle"), ("abc", "decimal"), ("1/0", "decimal"), ("1/2/3", "decimal"),
+])
+def test_rotation_angle_rejects(alpha, message):
+    with pytest.raises(ValueError, match=message):
+        dynamics._resolve_angle(alpha)
 
 
 @pytest.mark.parametrize("observable", ["const", "e_shifted", "coboundary", "roots"])

@@ -253,6 +253,46 @@ def test_precision_monotonicity():
     assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
 
 
+def required_bits_exact(m: Fraction) -> int:
+    """Oracle for the rule: 64 + the least k with 2^k >= 1 + m."""
+    k = 0
+    while (1 << k) < 1 + m:
+        k += 1
+    return 64 + k
+
+
+def mpf_value(v) -> Fraction:
+    man, exp = v.man_exp
+    return Fraction(int(man)) * Fraction(2) ** int(exp)
+
+
+def check_required_bits(m) -> None:
+    assert _required_bits(m) == required_bits_exact(Fraction(m))
+    with mp.workprec(512):  # holds m exactly, 2^300 + 1 too
+        v = mp.mpf(m)
+    assert _required_bits(v) == required_bits_exact(mpf_value(v))
+
+
+def test_required_bits_at_powers_of_two():
+    # log2 at 96 bits rounded 2^k + 1 down to 2^k for every k >= 91
+    for k in range(301):
+        for m in (2**k - 1, 2**k, 2**k + 1):
+            check_required_bits(m)
+            check_required_bits(float(m))
+
+
+@given(
+    st.one_of(
+        st.integers(0, 2**400),
+        st.floats(0.0, 2.0**1000),
+        st.builds(lambda man, e: man * 2.0**e, st.integers(1, 2**53), st.integers(-80, 900)),
+    )
+)
+@settings(max_examples=400, deadline=None)
+def test_required_bits_matches_exact_rule(m):
+    check_required_bits(m)
+
+
 def test_eval_domain_error_at_runtime():
     e = parse_expression("log(x - 1.5)", domain_start=3.0)
     with pytest.raises(EvalDomainError):

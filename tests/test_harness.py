@@ -287,6 +287,36 @@ def test_average_bytes_stable_under_start_method(tmp_path, method):
     assert bytes_under_start_method(tmp_path, method, AVERAGE_SMALL) == seq.csv_bytes()
 
 
+IMPORT_CONTRACT_SCRIPT = """
+import sys
+
+import ergolab
+from ergolab.harness import ExperimentConfig, run_experiment
+
+heavy = ("mpmath", "concurrent.futures.process")
+run_experiment(ExperimentConfig(pipeline="deviation", a=0.3, seed=2, n=2000, trials=4))
+run_experiment(ExperimentConfig(pipeline="generate", a=0.3, seed=11, n=300, out=sys.argv[1]))
+print(*[m for m in heavy if m in sys.modules], sep=",")
+run_experiment(ExperimentConfig(**{kwargs!r}, workers=2, out=sys.argv[2]))
+print(*[m for m in heavy if m in sys.modules], sep=",")
+"""
+
+
+def test_runs_load_only_what_they_call(tmp_path):
+    # the test process holds mpmath already, so a fresh interpreter checks
+    # that deviation and generate never load it, nor a process pool, and
+    # that a later two-worker run loads both and still gives the same bytes
+    dump, out = tmp_path / "dump.csv", tmp_path / "average.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_CONTRACT_SCRIPT.format(kwargs=AVERAGE_SMALL), str(dump), str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["", "mpmath,concurrent.futures.process"]
+    assert load_realization_csv(str(dump)).params.seed == 11
+    assert out.read_bytes() == run_experiment(ExperimentConfig(**AVERAGE_SMALL, workers=1)).csv_bytes()
+
+
 CHAIN_SMALL = dict(
     pipeline="chain", system="rotation", alpha="sqrt2m1", f="(1+e(x))/2",
     rho=(2.0,), nmin=32, nmax=256, seeds=3, points=2,
