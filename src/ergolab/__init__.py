@@ -38,7 +38,6 @@ from .hardy import (
     ExpressionError,
     HardyExpr,
     InsufficientPrecisionError,
-    PhaseValue,
     eval_mod1,
     exp_sum,
     minimum_precision,

@@ -1,8 +1,8 @@
 """Logarithmico-exponential phase functions.
 
 Parses the closed expression class built from real constants, the variable
-x, +, *, exp and log (with ^, /, and unary minus as sugar), evaluates such
-functions mod 1 at large arguments with a rigorous error bound, measures
+x, +, *, exp and log (with ^, /, and unary minus as sugar), tabulates such
+functions mod 1 at large arguments, correctly rounded, measures
 their second-order difference behaviour, and computes normalized
 exponential sums (1/N) sum e(p(n)).
 
@@ -31,9 +31,9 @@ correct fractional bits after the integer part cancels.  At desk scale
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -155,20 +155,6 @@ class HardyExpr:
         """Polynomial with integer coefficients, so frac(p(n)) = 0 exactly;
         read off the tree, so every spelling of one function agrees."""
         return _is_integer_polynomial(self.root)
-
-
-@dataclass(frozen=True)
-class PhaseValue:
-    """p(x) mod 1 with the precision actually used and a rigorous bound.
-
-    error_bound measures distance on the circle: for values within
-    error_bound of an integer, frac may legitimately sit near 1 instead
-    of 0.
-    """
-
-    frac: float
-    precision_bits: int
-    error_bound: float
 
 
 # ---------------------------------------------------------------------------
@@ -707,40 +693,29 @@ def _dd_power(v: _DD, e: int) -> _DD:
     return result
 
 
-def _root_dd(n, s: int, u0=None) -> _DD:
-    """n^(1/s) for float64 integers n >= 1, s >= 2, by one Newton step u0 - c,
-    c = (u0^s - n) / (s u0^(s-1)), the residual in double-double (Brent &
-    Zimmermann, 1.5); u0 None is np.sqrt or pow polished in float64.  err
-    bounds the distance to the root: c's 4 roundings, the residual's err,
-    and the step's truncation.  c/u0 = (1 - rho^s)/s, rho = root/u0, so
-    |c| <= _NEWTON_TINY u0 puts rho within 2^-39 of 1 and the truncation
-    under (s-1)/2 c^2/u0 (1 + 2^-30): err takes 2(s-1) c^2/u0; inf beyond.
+def _root_dd(n: _DD, s: int, u0=None) -> _DD:
+    """n^(1/s) for integers n = n.hi + n.lo >= 1, exact double-doubles, s >=
+    2, by one Newton step u0 - c, c = (u0^s - n) / (s u0^(s-1)), the
+    residual in double-double (Brent & Zimmermann, 1.5); u0 None is np.sqrt
+    or pow of n.hi polished in float64.  err bounds the distance to the
+    root: c's 4 roundings, the residual's err, and the step's truncation.
+    c/u0 = (1 - rho^s)/s, rho = root/u0, so |c| <= _NEWTON_TINY u0 puts rho
+    within 2^-39 of 1 and the truncation under (s-1)/2 c^2/u0 (1 + 2^-30):
+    err takes 2(s-1) c^2/u0; inf beyond.
     """
     if u0 is None and s == 2:
-        u0 = np.sqrt(n)
+        u0 = np.sqrt(n.hi)
     elif u0 is None:
-        u0 = np.power(n, 1.0 / s)
-        u0 -= (u0**s - n) / (s * u0 ** (s - 1))
+        u0 = np.power(n.hi, 1.0 / s)
+        u0 -= (u0**s - n.hi) / (s * u0 ** (s - 1))
     x0 = _DD(u0, 0.0, 0.0)
     below = _dd_power(x0, s - 1)
-    res = below * x0 + _DD(-n, 0.0, 0.0)
+    res = below * x0 + _DD(-n.hi, -n.lo, 0.0)
     den = s * below.hi
     c = res.hi / den
     hi, lo = _fast_two_sum(u0, -c)
     err = np.abs(c) * 2.0**-50 + 2 * res.err / den + 2 * (s - 1) * c * c / u0
     return _DD(hi, lo, np.where(np.abs(c) <= _NEWTON_TINY * u0, err, np.inf))
-
-
-@contextlib.contextmanager
-def _interval_closure(root: Node, bits: int):
-    """root's iv closure (p(x) in an outward-rounded interval) at bits;
-    mpmath's iv context has no workprec, hence this one save/restore."""
-    from mpmath import iv
-    old, iv.prec = iv.prec, bits
-    try:
-        yield _compile(root, iv)
-    finally:
-        iv.prec = old
 
 
 def _round_fractions(root: Node, start: int, out: np.ndarray, indices, bits: int) -> int:
@@ -753,9 +728,11 @@ def _round_fractions(root: Node, start: int, out: np.ndarray, indices, bits: int
     argument not provably positive EvalDomainError."""
     from mpmath import iv
     mag, cap, pending = 0, 4 * bits, indices.tolist()
-    for prec in (bits, 2 * bits, cap):
-        with _interval_closure(root, prec) as fn:
-            todo, pending = pending, []
+    old = iv.prec  # mpmath's iv context has no workprec
+    try:
+        for prec in (bits, 2 * bits, cap):
+            iv.prec = prec  # before _compile, which rounds constants at it
+            fn, todo, pending = _compile(root, iv), pending, []
             for i in todo:
                 try:
                     (s_a, a, e_a, _), (s_b, b, e_b, _) = fn(iv.mpf(start + i))._mpi_
@@ -781,6 +758,8 @@ def _round_fractions(root: Node, start: int, out: np.ndarray, indices, bits: int
                     out[i] = 0.0 if a == 0 or b >= unit else (a + b) / (2 * unit)
                 # from the enclosure that settled the entry, not a looser one
                 mag = max(mag, -(-top // unit))
+    finally:
+        iv.prec = old
     return mag
 
 
@@ -845,45 +824,16 @@ def minimum_precision(p: HardyExpr, x: Union[int, float]) -> int:
         return _required_bits(abs(_compile(p.root, mp)(mp.mpf(x))))
 
 
-def eval_mod1(p: HardyExpr, x: int, precision_bits: int) -> PhaseValue:
-    """Fractional part of p(x) with a rigorous (interval) error bound.
+def eval_mod1(p: HardyExpr, x: int, precision_bits: int) -> float:
+    """frac(p(x)) correctly rounded: the phase table of the one argument x."""
+    return float(phase_fractions(p, x, precision_bits, start=x)[0])
 
-    One enclosure at precision_bits from the interval closure that also
-    repairs phase tables, so error_bound genuinely encloses |computed -
-    true| in the circle metric.  Raises InsufficientPrecisionError when
-    precision_bits fails the rule for the value actually encountered;
-    integer polynomials at integer arguments short-circuit to an exact zero.
-    """
-    if x < 1 or int(x) != x:
-        raise ValueError(f"argument must be a positive integer, got {x!r}")
-    if precision_bits < 1:
-        raise ValueError("precision_bits must be positive")
-    if p.integer_polynomial:
-        return PhaseValue(0.0, precision_bits, 0.0)
-    from mpmath import iv, mp
-    with _interval_closure(p.root, precision_bits) as fn:
-        enclosure = fn(iv.mpf(int(x)))
-    # the endpoints carry precision_bits; 8 more keep them, their sum and
-    # the midpoint exact
-    with mp.workprec(precision_bits + 8):
-        lo, hi = mp.mpf(enclosure.a), mp.mpf(enclosure.b)
-        required = _required_bits(max(abs(lo), abs(hi)))
-        if precision_bits < required:
-            raise InsufficientPrecisionError(
-                f"precision rule needs >= {required} bits at x={x}, got {precision_bits}"
-            )
-        width = hi - lo
-        if width >= 0.5:
-            raise InsufficientPrecisionError(
-                f"enclosure width {width} too wide to resolve a fractional part"
-            )
-        mid = (lo + hi) / 2
-        frac = mid - mp.floor(mid)
-    fr = float(frac)
-    if fr >= 1.0:
-        fr = 0.0
-    error_bound = float(width) / 2.0 + 2.0 ** -53
-    return PhaseValue(fr, precision_bits, error_bound)
+
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def phase_fractions(
@@ -895,20 +845,22 @@ def phase_fractions(
     """frac(p(n)) for n = start..N as float64, each entry correctly rounded.
 
     The workhorse behind exponential sums and weight tables.  One
-    double-double pass over chunks of _TABLE_CHUNK emits every entry whose
-    error bound decides its float64 and brackets max |p|.  The tree picks
-    the pass's evaluator and the repair of the other entries (near 0, 1 or
-    a rounding boundary, non-finite, a log argument not provably positive,
-    past 2^53).  A power x^q, q = k + j/s > 0 with s <= _ROOT_MAX_DEGREE,
-    forms n^k u^j, u = _root_dd(n, s), and repairs by exact integer roots;
-    the root is within 2^-128 of frac(n^q), far inside err, so it rounds
-    the way every decided entry does.  Every other tree, q < 0 included,
+    double-double pass over chunks of _TABLE_CHUNK, each argument n an exact
+    double-double, emits every entry whose error bound decides its float64
+    and brackets max |p|.  The tree picks the pass's evaluator and the
+    repair of the other entries (near 0, 1 or a rounding boundary,
+    non-finite, a log argument not provably positive, n past 2^106).  A
+    power x^q, q = k + j/s > 0 with s <= _ROOT_MAX_DEGREE, forms n^k u^j,
+    u = _root_dd(n, s), and repairs by exact integer roots; the root is
+    within 2^-128 of frac(n^q), far inside err, so it rounds the way every
+    decided entry does.  Every other tree, q < 0 included,
     runs compiled in _DD_CTX and repairs by interval enclosures from 128
     bits, or precision_bits if more, so no byte depends on precision_bits.
     precision_bits below the rule at x=N fails before the table is built,
     and below the rule at the bracketed max |p| before any repair; None
     picks the minimum at x=N plus 16 bits.
     """
+    N, start = _integer("N", N), _integer("start", start)
     if start < 1:
         raise ValueError(f"arguments must be positive integers, got start={start}")
     if N < start:
@@ -931,7 +883,7 @@ def phase_fractions(
         k, j = divmod(q.numerator, q.denominator)  # j >= 1: integer q is a polynomial
 
         def fn(x: _DD) -> _DD:
-            v = _dd_power(_root_dd(x.hi, q.denominator), j)
+            v = _dd_power(_root_dd(x, q.denominator), j)
             return v * _dd_power(x, k) if k else v
     else:
         fn = _compile(p.root, _DD_CTX)
@@ -939,11 +891,13 @@ def phase_fractions(
     lower = 0.0  # max over entries of a lower bound on |p|
     with np.errstate(all="ignore"):
         for first in range(0, count, _TABLE_CHUNK):
-            size = min(_TABLE_CHUNK, count - first)
-            n = np.arange(start + first, start + first + size, dtype=np.float64)
-            if start + first + size > 1 << 53:
-                n[:] = np.nan
-            frac, ok, mag, err = _chunk_fractions(fn(_DD(n, 0.0, 0.0)), size)
+            size, base = min(_TABLE_CHUNK, count - first), start + first
+            if base < 1 << 106:  # the rest is an integer under 2^53: n = hi + lo exactly
+                head = float(base)
+                hi, lo = _two_sum(head, (base - int(head)) + np.arange(size, dtype=np.float64))
+            else:
+                hi = lo = np.full(size, np.nan)
+            frac, ok, mag, err = _chunk_fractions(fn(_DD(hi, lo, 0.0)), size)
             out[first:first + size] = frac
             undecided.append(np.flatnonzero(~ok) + first)
             # NaN where |p| is not bounded: no lower bound, an unknown upper

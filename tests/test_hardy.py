@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 from math import isqrt
@@ -144,7 +145,7 @@ def test_equal_trees_give_equal_flags(a, b):
     ea, eb = parse_expression(a), parse_expression(b)
     assert ea.integer_polynomial and eb.integer_polynomial
     for e in (ea, eb):
-        assert eval_mod1(e, 7, 96).error_bound == 0.0
+        assert eval_mod1(e, 7, 96) == 0.0
 
 
 def test_domain_validation_sweep():
@@ -212,45 +213,36 @@ def test_epsilon_hint_validation():
 
 
 # ---------------------------------------------------------------------------
-# eval_mod1.
+# eval_mod1: the one-entry phase table.
 
 def test_integer_polynomial_exact_zero():
     e = parse_expression("x^2")
-    pv = eval_mod1(e, 3, 96)
-    assert pv.frac == 0.0
-    assert pv.error_bound == 0.0
+    assert eval_mod1(e, 3, 96) == 0.0
 
 
 def test_power_three_halves_at_two():
-    # oracle: independent high-precision square root
+    # oracle: independent high-precision square root, rounded once
     with mp.workprec(200):
         expected = float(mp.sqrt(8) - 2)
-    pv = eval_mod1(parse_expression("x^(3/2)"), 2, 96)
-    assert abs(pv.frac - expected) < 1e-15
-    assert pv.error_bound < 2.0**-50
+    value = eval_mod1(parse_expression("x^(3/2)"), 2, 96)
+    assert type(value) is float and value == expected
 
 
 def test_precision_rule_enforced():
     e = parse_expression("x^(3/2)")
     with pytest.raises(InsufficientPrecisionError):
         eval_mod1(e, 10**6, 70)  # rule needs 64 + 30 bits
-    pv = eval_mod1(e, 10**6, 96)
-    assert pv.error_bound < 2.0**-50
+    assert eval_mod1(e, 10**6, 94) == 0.0  # 10^6 is a perfect square
 
 
-def test_doubling_precision_stability():
-    # doubling the bits moves the fractional part by < 2^-50 on the circle
-    e = parse_expression("x^(3/2)")
-    base = minimum_precision(e, 10**6)
-    lo = eval_mod1(e, 10**6, base)
-    hi = eval_mod1(e, 10**6, 2 * base)
-    assert circle_distance(lo.frac, hi.frac) < 2.0**-50
-
-
-def test_precision_monotonicity():
-    e = parse_expression("x^(3/2)")
-    bounds = [eval_mod1(e, 10**4, bits).error_bound for bits in (96, 128, 192, 256)]
-    assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
+@pytest.mark.parametrize("src", ["x^(3/2)", "x^(3/2) + x*log(x)", "x^1.01"])
+def test_eval_mod1_ignores_precision_bits(src):
+    # one correctly rounded value: no bit count moves it
+    e = parse_expression(src)
+    for x in (10**4 + 1, 12345678901):
+        base = minimum_precision(e, x)
+        values = {eval_mod1(e, x, bits) for bits in (base, base + 1, 128, 2 * base, 256)}
+        assert len(values) == 1
 
 
 def required_bits_exact(m: Fraction) -> int:
@@ -301,36 +293,38 @@ def test_eval_domain_error_at_runtime():
 
 def test_eval_mod1_rejects_bad_arguments():
     e = parse_expression("x")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive"):
         eval_mod1(e, 0, 96)
+    with pytest.raises(ValueError, match="^N must be an integer, got 2.5$"):
+        eval_mod1(e, 2.5, 96)
 
 
 @given(st.integers(2, 10**6))
 @settings(max_examples=40, deadline=None)
 def test_additivity_of_fractional_parts(x):
-    # frac(p + q) = frac(frac(p) + frac(q)) within combined error bounds
+    # frac(p + q) = frac(frac(p) + frac(q)) up to the three roundings to
+    # float64 and the one of the sum; p and q take the exact roots, p + q
+    # the compiled tree
     p = parse_expression("x^(3/2)")
     q = parse_expression("x^(5/4)")
     s = parse_expression("x^(3/2) + x^(5/4)")
     bits = minimum_precision(s, x) + 16
     fp, fq, fs = (eval_mod1(expr, x, bits) for expr in (p, q, s))
-    combined = (fp.frac + fq.frac) % 1.0
-    tol = fp.error_bound + fq.error_bound + fs.error_bound + 1e-15
-    assert circle_distance(fs.frac, combined) < tol
+    assert circle_distance(fs, (fp + fq) % 1.0) <= 2.0**-51
 
 
 @given(st.integers(1, 10**13), st.integers(0, 64))
 @example(12345678901, 0)
 @settings(max_examples=150, deadline=None)
 def test_eval_mod1_against_exact_integer_oracle(x, extra_bits):
-    # frac(x^(3/2)) from floor(x^(3/2) 2^K) = isqrt(x^3 4^K), exact to 2^-K;
-    # runs at the default global precision, which must not leak into eval_mod1
-    K = 96
+    # frac(x^(3/2)) from floor(x^(3/2) 2^K) = isqrt(x^3 4^K), exact to 2^-K
+    # and rounded once; runs at the default global precision, which must not
+    # leak into eval_mod1
+    K = 192
     e = parse_expression("x^(3/2)")
-    pv = eval_mod1(e, x, minimum_precision(e, x) + extra_bits)
     oracle = Fraction(isqrt(x**3 << (2 * K)) % (1 << K), 1 << K)
-    d = abs(Fraction(pv.frac) - oracle) % 1
-    assert min(d, 1 - d) <= Fraction(pv.error_bound) + Fraction(1, 1 << K)
+    expected = min(float(oracle), np.nextafter(1.0, 0.0))
+    assert eval_mod1(e, x, minimum_precision(e, x) + extra_bits) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +380,19 @@ def test_phase_fractions_rejects_nonpositive_start():
             phase_fractions(e, 8, start=start)
 
 
-def test_phase_fractions_match_eval_mod1():
+@pytest.mark.parametrize("args, error", [
+    ((8.0,), "N must be an integer, got 8.0"),
+    ((8, None, 1.0), "start must be an integer, got 1.0"),
+    ((np.int64(8), None, np.int64(1)), None),
+])
+def test_phase_fractions_reads_integer_arguments(args, error):
+    # one line naming the argument, before the precision rule runs
     e = parse_expression("x^(3/2)")
-    fr = phase_fractions(e, 64, 128)
-    for x in (1, 2, 33, 64):
-        pv = eval_mod1(e, x, 128)
-        assert circle_distance(fr[x - 1], pv.frac) < 1e-14
+    if error is None:
+        assert phase_fractions(e, *args).tobytes() == phase_fractions(e, 8).tobytes()
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            phase_fractions(e, *args)
 
 
 def phase_fractions_mpmath(q: Fraction, N: int, precision_bits: int, start: int = 1) -> np.ndarray:
@@ -426,13 +427,11 @@ def test_power_table_matches_mpmath_loop(start, N):
 @example(-3, 2, 10**12, 8)
 @settings(max_examples=60, deadline=None)
 def test_power_table_within_eval_mod1_bound(r, s, start, length):
+    # the bound is half an ulp: every entry is the correctly rounded one
     e = parse_expression(f"x^({r}/{s})")
     N = start + length - 1
-    fr = phase_fractions(e, N, start=start)
-    bits = minimum_precision(e, N) + 16
-    for i, x in enumerate(range(start, N + 1)):
-        pv = eval_mod1(e, x, bits)
-        assert circle_distance(fr[i], pv.frac) <= pv.error_bound + 2.0**-53
+    expected = correctly_rounded_table(e, N, minimum_precision(e, N), start)
+    assert phase_fractions(e, N, start=start).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -447,11 +446,8 @@ def test_power_table_within_eval_mod1_bound(r, s, start, length):
 )
 @pytest.mark.parametrize("start, N", [(1, 40), (10**9, 10**9 + 7)])
 def test_power_table_any_denominator(p, start, N):
-    fr = phase_fractions(p, N, start=start)
-    bits = minimum_precision(p, N) + 16
-    for i, x in enumerate(range(start, N + 1)):
-        pv = eval_mod1(p, x, bits)
-        assert circle_distance(fr[i], pv.frac) <= pv.error_bound + 2.0**-53
+    expected = correctly_rounded_table(p, N, minimum_precision(p, N), start)
+    assert phase_fractions(p, N, start=start).tobytes() == expected.tobytes()
 
 
 # Powers x^q, q > 0 with s <= 24: the Newton-root pass and the exact roots
@@ -503,6 +499,25 @@ def test_power_pass_equals_exact_roots(q, start, length):
         assert rooted == []
     if q == Fraction(3, 2) and start >= 10_800_000_000:
         assert rooted == list(range(length))
+
+
+@pytest.mark.parametrize("q", [Fraction(3, 2), Fraction(5, 3), Fraction(1, 2)])
+@pytest.mark.parametrize("start", [2**53 + 1, 2**63 - 100, 2**70 + 3])
+def test_power_table_past_2_53_takes_the_roots(q, start, monkeypatch):
+    # the pass reads n as an exact double-double, so the bracket of max |p|
+    # stays finite and no entry is enclosed before the exact roots; x^(1/2)
+    # stays under 2^50, so most of its entries are decided by the pass
+    enclosed = []
+    round_fractions = hardy._round_fractions
+
+    def capture(root, start, out, indices, bits):
+        enclosed.extend(indices.tolist())
+        return round_fractions(root, start, out, indices, bits)
+
+    monkeypatch.setattr(hardy, "_round_fractions", capture)
+    fr = phase_fractions(parse_expression(f"x^({q})"), start + 255, start=start)
+    assert enclosed == []
+    assert fr.tobytes() == exact_root_table(q, start, 256).tobytes()
 
 
 def test_power_pass_repairs_perfect_squares_and_few_others():
@@ -646,6 +661,18 @@ def test_tree_table_repairs_perfect_squares(start):
     assert fr.tobytes() == correctly_rounded_table(p, N, bits, start).tobytes()
     squares = [k * k - start for k in range(isqrt(start - 1) + 1, isqrt(N) + 1)]
     assert squares and all(fr[i] == 0.0 for i in squares)
+
+
+@pytest.mark.parametrize("src", ["x*x^(1/2)", "x^(1/3) + log(x)"])
+@pytest.mark.parametrize("start", [2**53 - 100, 2**54 - 100, 2**70 - 100])
+def test_tree_table_past_2_53(src, start):
+    # x*x^(1/2) is the integer 2^81 at 2^54 and 2^105 at 2^70; the other
+    # tree stays under 2^50, so the pass decides most of its entries
+    p = parse_expression(src)
+    N = start + 255
+    bits = minimum_precision(p, N)
+    fr = phase_fractions(p, N, bits, start)
+    assert fr.tobytes() == correctly_rounded_table(p, N, bits, start).tobytes()
 
 
 def test_x_to_1_01_table_to_2_20():
@@ -826,7 +853,7 @@ def test_double_double_constants_within_bound(value):
 
 
 @given(
-    st.integers(1, (1 << 53) - 64),
+    st.integers(1, (1 << 53) - 64) | st.integers(1 << 53, 1 << 100),
     st.integers(2, 24),
     st.sampled_from([0.0, 2.0**-45, 2.0**-41]),
     st.floats(-1, 1),
@@ -834,11 +861,15 @@ def test_double_double_constants_within_bound(value):
 @example(1, 2, 0.0, 0.0)
 @example(1, 4, 0.0, 0.0)           # small |c|: the residual's err dominates
 @example((1 << 53) - 64, 24, 2.0**-41, 1.0)
+@example((1 << 53) - 31, 2, 0.0, 0.0)      # across 2^53: lo = +-1 from there on
+@example(1 << 100, 24, 2.0**-41, -1.0)
 @settings(max_examples=200, deadline=None)
 def test_newton_root_within_bound(start, s, rel, shift):
-    # from the default estimate (rel = 0) or one off by up to 2^-41, inside
-    # the |c| <= 2^-40 u0 the bound is claimed for
-    n = np.arange(start, start + 64, dtype=np.float64)
+    # n as exact pairs hi + lo, from the default estimate (rel = 0) or one
+    # off by up to 2^-41, inside the |c| <= 2^-40 u0 the bound is claimed for
+    hi = [float(start + i) for i in range(64)]
+    lo = [float(start + i - int(h)) for i, h in enumerate(hi)]
+    n = hardy._DD(np.array(hi), np.array(lo), 0.0)
     with mp.workprec(400):
         roots = [mp.root(start + i, s) for i in range(64)]
     u0 = None if rel == 0 else np.array([float(r * (1 + rel * shift)) for r in roots])
