@@ -245,6 +245,27 @@ def test_eval_mod1_ignores_precision_bits(src):
         assert len(values) == 1
 
 
+def test_doubling_precision_stability():
+    # doubling the bits moves the fractional part by < 2^-50 on the circle
+    e = parse_expression("x^(3/2)")
+    base = minimum_precision(e, 10**6)
+    lo = eval_mod1(e, 10**6, base)
+    hi = eval_mod1(e, 10**6, 2 * base)
+    assert circle_distance(lo, hi) < 2.0**-50
+
+
+def test_precision_monotonicity():
+    # the distance to a 400-bit oracle never grows as the bit count grows
+    e = parse_expression("x^(3/2)")
+    x = 10**4 + 7
+    with mp.workprec(400):
+        v = mp.mpf(x) ** mp.mpf(1.5)
+        oracle = float(v - mp.floor(v))
+    errors = [circle_distance(eval_mod1(e, x, bits), oracle) for bits in (96, 128, 192, 256)]
+    assert all(e1 >= e2 for e1, e2 in zip(errors, errors[1:]))
+    assert errors[0] <= 2.0**-52
+
+
 def required_bits_exact(m: Fraction) -> int:
     """Oracle for the rule: 64 + the least k with 2^k >= 1 + m."""
     k = 0
