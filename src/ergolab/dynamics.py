@@ -149,58 +149,72 @@ class RotationSystem(DynamicalSystem):
 
     def _k_alpha(self, iterates: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """k * alpha mod 2^128 as (low, high) uint64 halves, for an int64 array
-        of iterates: 32-bit limbs with explicit carries, all vectorized."""
+        of iterates: 32-bit limbs with explicit carries, all vectorized, in
+        place in four uint64 arrays besides k.  Every step is exact mod 2^64,
+        so the order of the additions changes no bit."""
         ks = np.asarray(iterates, dtype=np.int64)
         if np.any(ks < 0):
             raise ValueError("iterates must be nonnegative")
         a = self.alpha_fp
-        m32 = np.uint64(0xFFFFFFFF)
         s32 = np.uint64(32)
-
         k = ks.astype(np.uint64)
-        k0 = k & m32
-        k1 = k >> s32
-        al0 = np.uint64(a & 0xFFFFFFFF)
-        al1 = np.uint64((a >> 32) & 0xFFFFFFFF)
-        a_hi = np.uint64((a >> 64) & 0xFFFFFFFFFFFFFFFF)
 
-        # 128-bit product k * (a mod 2^64), low and high uint64 halves
-        p0 = k0 * al0
-        p1 = k0 * al1
-        p2 = k1 * al0
-        p3 = k1 * al1
-        mid = p1 + p2
-        carry_mid = (mid < p1).astype(np.uint64)
-        low = p0 + (mid << s32)
-        carry_low = (low < p0).astype(np.uint64)
-        high = p3 + (mid >> s32) + (carry_mid << s32) + carry_low
+        # 128-bit product k * (a mod 2^64) from the limbs k = k1 2^32 + k0
+        # and a = al1 2^32 + al0: low = p0 + (mid << 32) and high = p3 +
+        # (mid >> 32) + the carries of mid = p1 + p2 and of low
+        mid = k & np.uint64(0xFFFFFFFF)                  # k0
+        low = mid * np.uint64(a & 0xFFFFFFFF)             # p0
+        mid *= np.uint64((a >> 32) & 0xFFFFFFFF)          # p1
+        high = k >> s32                                   # k1
+        tmp = high * np.uint64(a & 0xFFFFFFFF)            # p2
+        high *= np.uint64((a >> 32) & 0xFFFFFFFF)         # p3
+        mid += tmp
+        np.less(mid, tmp, out=tmp)                        # carry of mid
+        tmp <<= s32
+        high += tmp
+        np.right_shift(mid, s32, out=tmp)
+        high += tmp
+        mid <<= s32
+        low += mid
+        np.less(low, mid, out=tmp)                        # carry of low
+        high += tmp
         # add k * a_hi * 2^64, mod 2^128
-        high += k * a_hi
+        np.multiply(k, np.uint64((a >> 64) & 0xFFFFFFFFFFFFFFFF), out=tmp)
+        high += tmp
         return low, high
 
     def _orbit_fracs(self, points, iterates: np.ndarray) -> Iterator[np.ndarray]:
-        """frac(x + k alpha) for each x in points in turn; k * alpha is computed
-        once, each point adds only x_fp with its carry.  Agrees bit for bit
-        (after float64 rounding) with the exact integer path."""
+        """frac(x + k alpha) for each x in points in turn, in one float64
+        array that the next point overwrites; k * alpha is computed once, each
+        point adds only x_fp with its carry, in reused scratch.  Agrees bit
+        for bit (after float64 rounding) with the exact integer path."""
         low, high = self._k_alpha(iterates)
+        new_low, new_high, fr = np.empty_like(low), np.empty_like(high), np.empty(low.shape)
+        # the low half's share takes new_high's bytes once fr holds the high half's
+        tail = new_high.view(np.float64)
         for x in points:
             x_fp = int(math.floor((float(x) % 1.0) * (1 << _FP_BITS)))
-            x_lo = np.uint64(x_fp & 0xFFFFFFFFFFFFFFFF)
-            x_hi = np.uint64((x_fp >> 64) & 0xFFFFFFFFFFFFFFFF)
-            new_low = low + x_lo
-            new_high = high + (x_hi + (new_low < low).astype(np.uint64))
-            yield new_high.astype(np.float64) * 2.0 ** -64 + new_low.astype(np.float64) * 2.0 ** -128
+            np.add(low, np.uint64(x_fp & 0xFFFFFFFFFFFFFFFF), out=new_low)
+            np.less(new_low, low, out=new_high)  # the carry into the high half
+            new_high += np.uint64((x_fp >> 64) & 0xFFFFFFFFFFFFFFFF)
+            new_high += high
+            np.multiply(new_high, 2.0**-64, out=fr)
+            np.multiply(new_low, 2.0**-128, out=tail)
+            fr += tail
+            yield fr
 
     def _f_of_fracs(self, fr: np.ndarray) -> np.ndarray:
         if self.observable == "const":
             return np.ones(fr.shape[0], dtype=np.complex128)
-        ez = np.exp(2j * np.pi * fr)
-        if self.observable == "e":
-            return ez
+        ez = hardy.unit_phases(fr)
         if self.observable == "e_shifted":
-            return 0.5 * (1.0 + ez)
-        # coboundary: h - h o T with h = e(.)/2, so f(x) = e(x)(1 - e(alpha))/2
-        return ez * (0.5 * (1.0 - np.exp(2j * np.pi * (self.alpha_fp * _FP_INV))))
+            # 0.5 * (1.0 + ez) in place: its products by 0.5 and 0 are exact
+            np.add(1.0, ez, out=ez)
+            np.multiply(0.5, ez, out=ez)
+        elif self.observable == "coboundary":
+            # h - h o T with h = e(.)/2, so f(x) = e(x)(1 - e(alpha))/2
+            ez = ez * (0.5 * (1.0 - np.exp(2j * np.pi * (self.alpha_fp * _FP_INV))))
+        return ez
 
     def orbits(self, points, iterates: np.ndarray) -> Iterator[np.ndarray]:
         return map(self._f_of_fracs, self._orbit_fracs(points, iterates))
@@ -308,8 +322,7 @@ class BernoulliSystem(DynamicalSystem):
         ks = np.asarray(iterates, dtype=np.int64)
         pos = (offset + ks)[:, None] + np.arange(self.window, dtype=np.int64)[None, :]
         sym = self._symbols(stream, pos)
-        frac = sym @ self._weights
-        return np.exp(2j * np.pi * frac)
+        return hardy.unit_phases(sym @ self._weights)
 
     def iterate(self, x, k: int = 1):
         stream, offset = x
@@ -387,8 +400,16 @@ def weighted_average_from_positions(
     z = hardy.unit_phases(phases[:n_top])
 
     values = np.empty((len(sample_points), len(schedule)), dtype=np.complex128)
-    for j, orbit in enumerate(sys.orbits(sample_points, positions[:n_top])):
-        values[j] = hardy.prefix_means(z * orbit, schedule)
+    orbits = sys.orbits(sample_points, positions[:n_top])
+    for j in range(len(sample_points)):
+        # each orbit is a fresh array: z * orbit overwrites it, and it is
+        # freed before the next one is built.  In place, numpy multiplies
+        # one element by its scalar loop, which rounds apart from the vector
+        # loop, so a one-term product gets a new array.
+        orbit = next(orbits)
+        terms = np.multiply(z, orbit, out=orbit if n_top > 1 else None)
+        values[j] = hardy.prefix_means(terms, schedule)
+        del orbit, terms
     return AverageSeries(np.asarray(schedule, dtype=np.int64), list(sample_points), values)
 
 
@@ -503,6 +524,8 @@ def chain_diagnostics(
                 row[3] = np.sum(w[:N] * orbit[:N]) / w_N
                 row[4], row[5] = stage4[i], stage5[i]
                 df[i, j, :5] = np.abs(np.diff(row))
+                # scalar abs, not np.abs: they differ in the last bit on
+                # about a third of complex128 values, and d6 is in the digests
                 df[i, j, 5] = abs(row[5])
     return [[ChainDiagnostics(N, s_Ns[i], w_Ns[i], list(sample_points), st[i], df[i])
              for i, N in enumerate(schedule)]

@@ -367,11 +367,19 @@ def _is_integer_polynomial(node: Node) -> bool:
 
 def _power_form(root: Node) -> Optional[Fraction]:
     """Exponent q when the tree is exactly x^q (exp(q log x) in either
-    operand order, or plain x); such tables take the exact integer-root path."""
+    operand order, or plain x)."""
     if isinstance(root, Var):
         return Fraction(1)
     q, base = _power_of(root)
     return q if isinstance(base, Var) else None
+
+
+def _root_exponent(root: Node) -> Optional[Fraction]:
+    """q when the tree is x^q on the root route, q = r/s > 0 with s <=
+    _ROOT_MAX_DEGREE: its tables and its precision rule take exact integer
+    roots.  Else None."""
+    q = _power_form(root)
+    return q if q is not None and q > 0 and q.denominator <= _ROOT_MAX_DEGREE else None
 
 
 def _compile(node: Node, ctx):
@@ -436,9 +444,17 @@ def _iroot(x: int, s: int) -> int:
         y = z
 
 
-def _root_fractions(q: Fraction, start: int, out: np.ndarray, indices: np.ndarray) -> None:
+def _ceil_power(n: int, q: Fraction) -> int:
+    """ceil(n^q) for integers n >= 1 and q = r/s > 0, in exact integers."""
+    r, s = q.numerator, q.denominator
+    v = n**r
+    c = math.isqrt(v) if s == 2 else _iroot(v, s)
+    return c + (c**s != v)
+
+
+def _root_fractions(q: Fraction, start: int, out: np.ndarray, indices: np.ndarray) -> int:
     """out[i] = frac((start + i)^q) to within 2^-_ROOT_BITS, then rounded, i
-    in indices, for q = r/s > 0.
+    in indices, for q = r/s > 0; returns max ceil(|p|) there, exactly.
 
     floor(n^(r/s) 2^K) = iroot_s(n^r 2^(sK)), and its low K bits are
     frac(n^q) 2^K truncated.  int / int is correctly rounded, so the
@@ -451,8 +467,15 @@ def _root_fractions(q: Fraction, start: int, out: np.ndarray, indices: np.ndarra
     mask = (1 << _ROOT_BITS) - 1
     scale = 1 << _ROOT_BITS
     root = math.isqrt if s == 2 else (lambda v: _iroot(v, s))
+    mag = 0
     for i in indices.tolist():
-        out[i] = (root((start + i) ** r << shift) & mask) / scale
+        v = (start + i) ** r
+        t = root(v << shift)
+        whole, low = t >> _ROOT_BITS, t & mask
+        out[i] = low / scale
+        # n^q lies in [t, t + 1) / 2^K: it is the integer whole iff whole^s = n^r
+        mag = max(mag, whole + (low > 0 or whole**s != v))
+    return mag
 
 
 def _required_bits(magnitude) -> int:
@@ -492,6 +515,9 @@ _SLACK = 2.0
 _EXP_HALVINGS = 8
 _EXP_DEGREE = 10  # |s| <= 2^-9.4: truncation under 2^-119 relative
 _EXP_MAX_ARG = 700.0  # larger |arguments| over- or underflow: repaired
+# ln 2 as three float64 words, each the nearest float64 to what the words
+# before it leave, to about 2^-160
+_LN2_PARTS = (0.6931471805599453, 2.3190468138462996e-17, 5.707708438416212e-34)
 
 
 def _two_sum(a, b):
@@ -536,17 +562,6 @@ def _mul_dd(xh, xl, yh, yl):
 
 
 @functools.lru_cache(maxsize=None)
-def _ln2_parts() -> Tuple[float, float, float]:
-    """ln 2 as three float64 words, to about 2^-160."""
-    from mpmath import mp
-    with mp.workprec(256):
-        v = mp.ln2
-        hi = float(v)
-        mid = float(v - hi)
-        return hi, mid, float(v - hi - mid)
-
-
-@functools.lru_cache(maxsize=None)
 def _exp_coefficients() -> Tuple[Tuple[float, float], ...]:
     """1/(j+1)! in double-double for j < _EXP_DEGREE."""
     out = []
@@ -577,7 +592,7 @@ def _exp_reduced(rh, rl):
 def _exp_dd(a: _DD) -> _DD:
     """exp(a), a = h + l: 2^k exp(r), r = a - k ln2 with the two products by
     the leading words of ln 2 exact; |h| > _EXP_MAX_ARG gives NaN."""
-    l1, l2, l3 = _ln2_parts()
+    l1, l2, l3 = _LN2_PARTS
     h = np.where(np.abs(a.hi) <= _EXP_MAX_ARG, a.hi, np.nan)
     k = np.rint(h / l1)
     p1, q1 = _two_prod(k, l1)
@@ -597,7 +612,7 @@ def _log_dd(a: _DD) -> _DD:
     """log(a), a = h + l: e ln2 + log m with m = a/2^e in
     [sqrt(1/2), sqrt(2)), log m by one Newton step y0 + m exp(-y0) - 1 from
     y0 = float64 log m, whose error d leaves d^2/2."""
-    l1, l2, l3 = _ln2_parts()
+    l1, l2, l3 = _LN2_PARTS
     # a lower bound on the exact argument
     low = a.hi * (1 - 2.0**-50) - a.err
     h, l = np.where(low > 0, a.hi, np.nan), a.lo
@@ -764,6 +779,27 @@ def _round_fractions(root: Node, start: int, out: np.ndarray, indices, bits: int
 
 
 def _validate_domain(root: Node, source: str, domain_start: float) -> None:
+    """Rejects the tree unless it is defined at domain_start and at
+    _VALIDATION_POINTS points up to _VALIDATION_TOP.
+
+    The points first run as one chunk in _DD_CTX.  Only a value that comes
+    out non-finite there (a log argument not provably positive, an exp
+    argument past _EXP_MAX_ARG, a constant from 2^1000 on, an overflow)
+    sends them to the 128-bit mpmath sweep, which decides and words the
+    error; so every accepted tree is one the sweep accepts.
+    """
+    sweep = np.geomspace(max(domain_start, 1e-9), _VALIDATION_TOP, _VALIDATION_POINTS)
+    xs = [domain_start, *sweep.tolist()]
+    if float(domain_start) == domain_start:  # an int past 2^53 would round
+        with np.errstate(all="ignore"):
+            v = _compile(root, _DD_CTX)(_DD(np.array(xs, dtype=np.float64), 0.0, 0.0))
+        if all(np.isfinite(a).all() for a in (v.hi, v.lo, v.err)):
+            return
+    _validate_domain_mp(root, source, xs)
+
+
+def _validate_domain_mp(root: Node, source: str, xs: list) -> None:
+    """The mpmath sweep of _validate_domain: the tree at each of xs, 128 bits."""
     from mpmath import mp
 
     def exp(v):
@@ -771,11 +807,10 @@ def _validate_domain(root: Node, source: str, domain_start: float) -> None:
             raise EvalDomainError(f"exp argument beyond 2^{_VALIDATION_EXP_MAG}")
         return mp.exp(v)
 
-    xs = np.geomspace(max(domain_start, 1e-9), _VALIDATION_TOP, _VALIDATION_POINTS)
     with mp.workprec(_VALIDATION_PREC):
         # mp with the sweep's guard on exp; phase tables compile against plain mp
         fn = _compile(root, SimpleNamespace(mpf=mp.mpf, exp=exp, log=mp.log))
-        for xv in [domain_start, *xs.tolist()]:
+        for xv in xs:
             try:
                 fn(mp.mpf(xv))
             except EvalDomainError as exc:
@@ -818,7 +853,12 @@ def power_phase(exponent: Union[str, float, Fraction], epsilon_hint: Optional[fl
 
 
 def minimum_precision(p: HardyExpr, x: Union[int, float]) -> int:
-    """Smallest precision_bits satisfying the rule at argument x."""
+    """Smallest precision_bits satisfying the rule at argument x.  For x^q on
+    the root route and an integer x >= 1 it is exact, 64 plus the bit length
+    of ceil(x^q); any other tree, or a float x, takes a 96-bit evaluation."""
+    q = _root_exponent(p.root)
+    if q is not None and isinstance(x, (int, np.integer)) and x >= 1:
+        return _required_bits(_ceil_power(int(x), q))
     from mpmath import mp
     with mp.workprec(96):
         return _required_bits(abs(_compile(p.root, mp)(mp.mpf(x))))
@@ -857,7 +897,8 @@ def phase_fractions(
     runs compiled in _DD_CTX and repairs by interval enclosures from 128
     bits, or precision_bits if more, so no byte depends on precision_bits.
     precision_bits below the rule at x=N fails before the table is built,
-    and below the rule at the bracketed max |p| before any repair; None
+    and below the rule at the bracketed max |p| before any repair (a bracket
+    across a step of the rule is settled by repairing its top entries); None
     picks the minimum at x=N plus 16 bits.
     """
     N, start = _integer("N", N), _integer("start", start)
@@ -877,9 +918,8 @@ def phase_fractions(
         )
 
     out = np.empty(count, dtype=np.float64)
-    q = _power_form(p.root)
-    roots = q is not None and q > 0 and q.denominator <= _ROOT_MAX_DEGREE
-    if roots:
+    q = _root_exponent(p.root)
+    if q is not None:
         k, j = divmod(q.numerator, q.denominator)  # j >= 1: integer q is a polynomial
 
         def fn(x: _DD) -> _DD:
@@ -910,35 +950,49 @@ def phase_fractions(
     candidates, upper = candidates[~(uppers < lower)], float(uppers.max())
     undecided = np.concatenate(undecided)
     bits = max(precision_bits, _ROOT_BITS)
+
+    def repair(indices) -> int:
+        """Settles out at indices; returns an integer bound on |p| there."""
+        if q is not None:
+            return _root_fractions(q, start, out, indices)
+        return _round_fractions(p.root, start, out, indices, bits)
+
     required = _required_bits(lower)
     if not math.isfinite(upper) or _required_bits(upper) != required:
-        # the bracket straddles a step of the rule: enclose its top entries
-        required = _required_bits(_round_fractions(p.root, start, out, candidates, bits))
+        # the bracket straddles a step of the rule: repair its top entries
+        required = _required_bits(repair(candidates))
         undecided = np.setdiff1d(undecided, candidates)
     if precision_bits < required:
         raise InsufficientPrecisionError(
             f"precision rule needs >= {required} bits on 1..{N}, got {precision_bits}"
         )
-    if roots:
-        _root_fractions(q, start, out, undecided)
-    else:
-        _round_fractions(p.root, start, out, undecided, bits)
+    repair(undecided)
     np.clip(out, 0.0, np.nextafter(1.0, 0.0), out=out)
     return out
 
 
 def unit_phases(fractions: np.ndarray) -> np.ndarray:
-    """e(t) = exp(2 pi i t) applied elementwise."""
-    return np.exp(2j * np.pi * np.asarray(fractions, dtype=np.float64))
+    """e(x) = exp(2 pi i x) applied elementwise: cos t and sin t of t = 2 pi
+    x written into one complex128 array.  Bit for bit np.exp(2j * np.pi *
+    x), whose exp of (+-0 + it) is (cos t, sin t) from the same libm."""
+    t = np.asarray(fractions, dtype=np.float64) * (2 * np.pi)
+    t += 0.0  # -0.0 to +0.0, as the imaginary part 0*0 + 2 pi x of that product
+    out = np.empty(t.shape, dtype=np.complex128)
+    np.cos(t, out=out.real)
+    np.sin(t, out=out.imag)
+    return out
 
 
 def prefix_means(terms: np.ndarray, schedule) -> np.ndarray:
-    """(1/N) sum_{n<=N} terms[n-1] for each N in schedule.
+    """(1/N) sum_{n<=N} terms[n-1] for each N in schedule, 1 <= N <= len(terms).
 
     Each mean is an independent fixed-shape pairwise sum over terms[:N];
     every averaging routine in the package goes through this so that equal
     term arrays give bit-equal results.
     """
+    for N in schedule:
+        if not 1 <= N <= len(terms):
+            raise ValueError(f"prefix length N={N} must lie in [1, {len(terms)}], the number of terms")
     return np.array([np.sum(terms[:N]) / N for N in schedule], dtype=np.complex128)
 
 

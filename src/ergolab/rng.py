@@ -10,6 +10,8 @@ whose index ranges cannot overlap below index ~2^63.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -25,6 +27,7 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 _INV53 = 2.0 ** -53
+_LINE = 64  # bytes in a cache line
 
 # Salt separating derived-seed streams from value streams.
 _CHILD_SALT = 0x5851F42D4C957F2D
@@ -63,6 +66,19 @@ def _mix_block(seed: int, idx: np.ndarray) -> np.ndarray:
 def gamma_steps(size: int) -> np.ndarray:
     """i * GAMMA mod 2^64 for i < size: the seed-free part of a hash block."""
     return np.arange(size, dtype=np.uint64) * _U_GAMMA
+
+
+def scan_buffers(size: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gamma_steps(size), out, tmp): the steps and the two work buffers of
+    mix_steps, each starting on a 64-byte cache-line boundary."""
+    def aligned() -> np.ndarray:
+        raw = np.empty(size + _LINE // 8, dtype=np.uint64)
+        skip = -raw.ctypes.data % _LINE // 8
+        return raw[skip : skip + size]
+
+    steps, out, tmp = aligned(), aligned(), aligned()
+    steps[:] = gamma_steps(size)
+    return steps, out, tmp
 
 
 def mix_steps(seed: int, lo: int, steps: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .rng import MASK64, child_seed, gamma_steps, mix_steps
+from .rng import MASK64, child_seed, mix_steps, scan_buffers
 
 # Chunks sized to stay inside cache; larger chunks thrash and run ~5x slower.
 DEFAULT_CHUNK = 1 << 16
@@ -158,8 +158,7 @@ def _selection_chunks(
     """Selected indices of consecutive DEFAULT_CHUNK blocks from index 1, the
     last one cut at stop; without stop the scan never ends."""
     size = DEFAULT_CHUNK if stop is None else min(DEFAULT_CHUNK, stop)
-    steps = gamma_steps(size)
-    z, tmp = np.empty_like(steps), np.empty_like(steps)
+    steps, z, tmp = scan_buffers(size)
     lo = 1
     while stop is None or lo <= stop:
         m = size if stop is None else min(size, stop - lo + 1)
@@ -256,8 +255,7 @@ def _counts_selected(a: float, seeds: np.ndarray, N: int) -> np.ndarray:
     walk over [1, N]: each chunk's limits are computed once and every seed
     is hashed against them."""
     counts = np.zeros(seeds.shape[0], dtype=np.int64)
-    steps = gamma_steps(min(DEFAULT_CHUNK, N))
-    z, tmp = np.empty_like(steps), np.empty_like(steps)
+    steps, z, tmp = scan_buffers(min(DEFAULT_CHUNK, N))
     for lo in range(1, N + 1, steps.shape[0]):
         m = min(steps.shape[0], N - lo + 1)
         limits = _limits(a, np.arange(lo, lo + m, dtype=np.float64))

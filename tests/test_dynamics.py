@@ -175,14 +175,12 @@ def test_rotation_orbit_matches_exact_integers():
     assert np.max(np.abs(fast - exact)) < 1e-15
 
 
-def orbit_fracs_one_point(sys: RotationSystem, x: float, iterates) -> np.ndarray:
-    """Oracle for the shared product: frac(x + k alpha) for one point, with
-    k * alpha and x_fp added in one uint64 pass (32-bit limbs, explicit carries)."""
+# The orbit kernel's oracle is the allocating kernel it replaced: k * alpha
+# in thirteen uint64 arrays, fresh sums for each point, and e(t) by np.exp.
+
+def k_alpha_allocating(alpha_fp: int, iterates):
     ks = np.asarray(iterates, dtype=np.int64)
-    if ks.size == 0:
-        return np.empty(0, dtype=np.float64)
-    x_fp = int(math.floor((x % 1.0) * (1 << dynamics._FP_BITS)))
-    a = sys.alpha_fp
+    a = alpha_fp
     m32 = np.uint64(0xFFFFFFFF)
     s32 = np.uint64(32)
     k = ks.astype(np.uint64)
@@ -201,11 +199,47 @@ def orbit_fracs_one_point(sys: RotationSystem, x: float, iterates) -> np.ndarray
     carry_low = (low < p0).astype(np.uint64)
     high = p3 + (mid >> s32) + (carry_mid << s32) + carry_low
     high += k * a_hi
+    return low, high
+
+
+def orbit_fracs_one_point(sys: RotationSystem, x: float, iterates) -> np.ndarray:
+    """Oracle for the shared product: frac(x + k alpha) for one point, with
+    k * alpha and x_fp added in one uint64 pass (32-bit limbs, explicit carries)."""
+    ks = np.asarray(iterates, dtype=np.int64)
+    if ks.size == 0:
+        return np.empty(0, dtype=np.float64)
+    low, high = k_alpha_allocating(sys.alpha_fp, ks)
+    x_fp = int(math.floor((x % 1.0) * (1 << dynamics._FP_BITS)))
     x_lo = np.uint64(x_fp & 0xFFFFFFFFFFFFFFFF)
     x_hi = np.uint64((x_fp >> 64) & 0xFFFFFFFFFFFFFFFF)
     new_low = low + x_lo
     high += x_hi + (new_low < low).astype(np.uint64)
     return high.astype(np.float64) * 2.0 ** -64 + new_low.astype(np.float64) * 2.0 ** -128
+
+
+def f_of_fracs_exp(sys: RotationSystem, fr: np.ndarray) -> np.ndarray:
+    if sys.observable == "const":
+        return np.ones(fr.shape[0], dtype=np.complex128)
+    ez = np.exp(2j * np.pi * fr)
+    if sys.observable == "e":
+        return ez
+    if sys.observable == "e_shifted":
+        return 0.5 * (1.0 + ez)
+    return ez * (0.5 * (1.0 - np.exp(2j * np.pi * (sys.alpha_fp * dynamics._FP_INV))))
+
+
+def check_against_allocating_kernel(sys: RotationSystem, points, ks) -> None:
+    low, high = sys._k_alpha(ks)
+    want_low, want_high = k_alpha_allocating(sys.alpha_fp, ks)
+    assert low.tobytes() == want_low.tobytes() and high.tobytes() == want_high.tobytes()
+    got = list(sys.orbits(points, ks))
+    assert len(got) == len(points)
+    for x, fr, orbit in zip(points, sys._orbit_fracs(points, ks), got):
+        want = orbit_fracs_one_point(sys, x, ks)
+        assert fr.tobytes() == want.tobytes()
+        want = f_of_fracs_exp(sys, want)
+        assert orbit.dtype == np.complex128 and orbit.tobytes() == want.tobytes()
+        assert sys.orbit_observable(x, ks).tobytes() == want.tobytes()
 
 
 @st.composite
@@ -228,27 +262,56 @@ rotation_points = st.lists(
 )
 
 
+ALPHAS = ["sqrt2m1", "invphi", "0.318309886183790671537767526745", "1e-25", "0.99999999999999999998"]
+OBSERVABLES = ["e", "e_shifted", "const", "coboundary"]
+
+
 # Float64 keeps the high limb's last bit only for values below about 2^-11,
 # so two decimal angles make the carries visible: at 1e-25 every k alpha is
 # below 2^-19, and at 1 - 2e-20 the point 2^-65 carries into a wrap to ~0.
-@given(
-    st.sampled_from(
-        ["sqrt2m1", "invphi", "0.318309886183790671537767526745", "1e-25", "0.99999999999999999998"]
-    ),
-    st.sampled_from(["e", "e_shifted", "const", "coboundary"]),
-    rotation_points,
-    iterate_arrays(),
-)
+@given(st.sampled_from(ALPHAS), st.sampled_from(OBSERVABLES), rotation_points, iterate_arrays())
 @example("0.99999999999999999998", "e", [2.0**-65, 0.5, 2.0**-65], np.array([1, 0, 1], dtype=np.int64))
 @settings(max_examples=300, deadline=None)
 def test_rotation_orbits_equal_one_point_path_bit_for_bit(alpha, observable, points, ks):
-    sys = RotationSystem(alpha, observable)
-    got = list(sys.orbits(points, ks))
-    assert len(got) == len(points)
-    for x, orbit in zip(points, got):
-        want = sys._f_of_fracs(orbit_fracs_one_point(sys, x, ks))
-        assert orbit.dtype == np.complex128 and orbit.tobytes() == want.tobytes()
-        assert sys.orbit_observable(x, ks).tobytes() == want.tobytes()
+    check_against_allocating_kernel(RotationSystem(alpha, observable), points, ks)
+
+
+@pytest.mark.parametrize("observable", OBSERVABLES)
+def test_rotation_orbits_equal_one_point_path_on_long_orbits(observable):
+    # past the vector loops' blocks: random 63-bit iterates, then 1..2^17
+    rng = np.random.default_rng(12)
+    ks = np.concatenate([rng.integers(0, 2**63 - 1, 1 << 16), np.arange(1, (1 << 17) + 1)])
+    check_against_allocating_kernel(RotationSystem("sqrt2m1", observable), [0.0, 0.73, 1.0 - 2.0**-53], ks)
+
+
+@pytest.mark.parametrize("observable", OBSERVABLES)
+@pytest.mark.parametrize("schedule", [[1], [2], [1 << 10, 12345, 1 << 15]])
+def test_weighted_average_equals_allocating_product(observable, schedule):
+    # z * orbit in place, z the first operand, as the allocating product was
+    # phases drawn at random: x^(3/2) at n = 1 gives e(0) = 1, whose products are exact
+    sys = RotationSystem("sqrt2m1", observable)
+    N = schedule[-1]
+    phases = np.random.default_rng(N).random(N)
+    pos = selectors.select_first(0.3, 4, N)
+    pts = sys.sample_points(4)
+    got = weighted_average_from_positions(sys, phases, pos, schedule, sample_points=pts)
+    z = np.exp(2j * np.pi * phases)
+    want = []
+    for x in pts:
+        # a named orbit: numpy would compute z * (a temporary) from 16,384
+        # elements up by eliding it, with the operands swapped
+        orbit = f_of_fracs_exp(sys, orbit_fracs_one_point(sys, x, pos))
+        want.append(hardy.prefix_means(z * orbit, schedule))
+    assert got.values.tobytes() == np.array(want).tobytes()
+
+
+def test_bernoulli_observable_equals_complex_exp():
+    sys = BernoulliSystem(3, 9)
+    ks = np.arange(0, 70000, 3, dtype=np.int64)
+    for stream, offset in sys.sample_points(3):
+        pos = (offset + ks)[:, None] + np.arange(sys.window, dtype=np.int64)[None, :]
+        want = np.exp(2j * np.pi * (sys._symbols(stream, pos) @ sys._weights))
+        assert sys.orbit_observable((stream, offset), ks).tobytes() == want.tobytes()
 
 
 def test_rotation_orbits_of_no_iterates_and_no_points():
@@ -432,6 +495,21 @@ def test_chain_schedule_matches_single_n_calls(p32):
     synthetic = realization_from_bits(r.params, no_first)
     with pytest.raises(ValueError):
         chain_diagnostics(sys, phases, [synthetic], [1024], sample_points=pts)
+
+
+def test_chain_last_gap_is_the_scalar_abs_of_stage_5():
+    # d6 is Python's abs of the numpy scalar, not np.abs of an array: on
+    # numpy 2.4.6 (x86-64, AVX-512) the two differ in the last bit on about
+    # a third of complex128 values, so vectorizing d6 would move every chain
+    # digest; 64 N and two points make that near-certain to show here
+    sys = RotationSystem("sqrt2m1", "e_shifted")
+    N = 4096
+    r = generate_realization(SelectorParams(a=0.3, seed=3, n_max=N))
+    phases = np.random.default_rng(6).random(N)
+    diags = chain_diagnostics(sys, phases, [r], range(64, N + 1, 64), sample_points=sys.sample_points(2))[0]
+    stage5 = [v for d in diags for v in d.stages[:, 5]]
+    d6 = np.array([d.diffs[:, 5] for d in diags]).ravel()
+    assert d6.tobytes() == np.array([abs(v) for v in stage5]).tobytes()
 
 
 def test_chain_late_steps_decay_along_schedule(p32):

@@ -2,6 +2,7 @@ import re
 import time
 from fractions import Fraction
 from math import isqrt
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ergolab.hardy import (
     parse_expression,
     phase_fractions,
     power_phase,
+    prefix_means,
     second_difference_ratio,
     unit_phases,
 )
@@ -205,6 +207,86 @@ def test_large_single_exponentials_still_parse():
         parse_expression(src)
 
 
+def validate_domain_mpmath(root, source: str, domain_start) -> None:
+    """Oracle: the 128-bit mpmath sweep alone, as the parser ran it before the
+    double-double chunk decided the finite cases."""
+
+    def exp(v):
+        if mp.mag(v) > hardy._VALIDATION_EXP_MAG:
+            raise EvalDomainError(f"exp argument beyond 2^{hardy._VALIDATION_EXP_MAG}")
+        return mp.exp(v)
+
+    xs = np.geomspace(max(domain_start, 1e-9), hardy._VALIDATION_TOP, hardy._VALIDATION_POINTS)
+    with mp.workprec(hardy._VALIDATION_PREC):
+        fn = _compile(root, SimpleNamespace(mpf=mp.mpf, exp=exp, log=mp.log))
+        for xv in [domain_start, *xs.tolist()]:
+            try:
+                fn(mp.mpf(xv))
+            except EvalDomainError as exc:
+                raise ExpressionError(f"expression {source!r} undefined at x={xv:g}: {exc}") from exc
+
+
+def sweep_outcome(validate, src: str, domain_start):
+    """None when validate accepts the tree of src, else its error text."""
+    root = hardy._Parser(src).parse()
+    try:
+        validate(root, src, domain_start)
+    except ExpressionError as exc:
+        return str(exc)
+    return None
+
+
+def check_sweep(src: str, domain_start, monkeypatch) -> bool:
+    """The sweep's outcome equals the oracle's; returns whether the
+    double-double chunk decided it alone."""
+    fallbacks = []
+    sweep = hardy._validate_domain_mp
+    monkeypatch.setattr(hardy, "_validate_domain_mp", lambda *args: fallbacks.append(1) or sweep(*args))
+    got = sweep_outcome(hardy._validate_domain, src, domain_start)
+    monkeypatch.undo()
+    assert got == sweep_outcome(validate_domain_mpmath, src, domain_start)
+    return not fallbacks
+
+
+DOMAIN_TREES = [
+    # (source, domain_start, whether the double-double chunk decides it)
+    ("log(log(x))", 1.0, False), ("log(log(x))", 2.0, True), ("log(x - 1.5)", 3.0, True),
+    ("log(x - 1.5)", 1.0, False), ("exp(exp(x))", 1.0, False), ("exp(exp(exp(x)))", 1.0, False),
+    ("x^(10^400)", 1.0, False), ("exp(x)", 1.0, False), ("exp(x^2)", 1.0, False),
+    ("exp(exp(log(x)))", 1.0, False), ("x^(10^30)", 1.0, False), ("x + 2^4000*2^4000", 1.0, False),
+    ("x*1e-2000", 1.0, True), ("x^(3/2)", 1.0, True), ("x^(3/2) + x*log(x)", 1.0, True),
+    ("x^1.01", 1.0, True), ("x*exp(-x/1000)", 1.0, False), ("exp(x) - exp(x) + x/3", 1.0, False),
+    ("x^(3/2)", 0.0, False), ("x^(3/2)", -1.0, False), ("x^(3/2)", 2, True), ("x^(3/2)", 2**53 + 1, False),
+    ("log(x - 9007199254740993.5)", 2**53 + 3, False), ("3", 1.0, True), ("log(2 + x*x)", -5.0, True),
+]
+
+
+@pytest.mark.parametrize("src,domain_start,decided", DOMAIN_TREES)
+def test_domain_sweep_equals_mpmath_sweep(src, domain_start, decided, monkeypatch):
+    assert check_sweep(src, domain_start, monkeypatch) == decided
+
+
+@given(
+    st.builds(Fraction, st.integers(-48, 48), st.integers(1, 24)),
+    st.sampled_from([1.0, 2.0, 0.5, 1e-9, 1e-12, 0.0, -1.0, 1e6, 3]),
+)
+@settings(max_examples=150, deadline=None)
+def test_domain_sweep_of_powers_equals_mpmath_sweep(q, domain_start):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        check_sweep(f"x^({q})", domain_start, monkeypatch)
+        check_sweep(f"2*x^({q}) + log(x)", domain_start, monkeypatch)
+
+
+def test_ln2_words_against_mpmath():
+    with mp.workprec(256):
+        v = mp.ln2
+        hi = float(v)
+        mid = float(v - hi)
+        words = (hi, mid, float(v - hi - mid))
+        assert hardy._LN2_PARTS == words
+        assert abs(v - mp.fsum(words)) < mp.mpf(2) ** -160
+
+
 def test_epsilon_hint_validation():
     with pytest.raises(ValueError):
         parse_expression("x", epsilon_hint=1.5)
@@ -304,6 +386,65 @@ def test_required_bits_at_powers_of_two():
 @settings(max_examples=400, deadline=None)
 def test_required_bits_matches_exact_rule(m):
     check_required_bits(m)
+
+
+def power_rule_exact(q: Fraction, x: int) -> int:
+    """Oracle for the rule at x^q, q = r/s > 0: 64 + the least k with 2^k >=
+    1 + x^q, that is with x^r <= (2^k - 1)^s, both sides read as Fractions.
+    k starts at floor((b - 1) r/s), b the bit length of x, where 2^k <= x^q."""
+    r, s = q.numerator, q.denominator
+    k = (x.bit_length() - 1) * r // s
+    while Fraction(x) ** r > Fraction((1 << k) - 1) ** s:
+        k += 1
+    return 64 + k
+
+
+ROOT_ROUTE = [Fraction(q) for q in ("1/2", "3/2", "5/3", "7/4", "25/24", "23/24", "7/2", "1", "2")]
+
+
+def test_power_precision_rule_is_exact_at_its_steps():
+    # at x = 1, at the squares (2^k - 1)^2, where x^(1/2) = 2^k - 1 sits on a
+    # step of the rule, and at 2^53 + 1, which a float64 x would round
+    cases = [(q, 1) for q in ROOT_ROUTE] + [(q, 2**53 + 1) for q in ROOT_ROUTE]
+    cases += [(Fraction(1, 2), (2**k - 1) ** 2 + d) for k in range(2, 200) for d in (-1, 0, 1)]
+    for q, x in cases:
+        assert minimum_precision(parse_expression(f"x^({q})"), x) == power_rule_exact(q, x), (q, x)
+    assert minimum_precision(parse_expression("x^(1/2)"), 961) == 69
+    assert minimum_precision(parse_expression("x^(3/2)"), np.int64(4)) == 68
+
+
+@given(
+    st.sampled_from(ROOT_ROUTE) | st.builds(Fraction, st.integers(1, 48), st.integers(1, 24)),
+    st.integers(1, 2**70) | st.integers(1, 2**20).map(lambda m: m * m) | st.integers(1, 2**12).map(lambda m: m**3),
+)
+@settings(max_examples=300, deadline=None)
+def test_power_precision_rule_matches_fraction_oracle(q, x):
+    assert minimum_precision(parse_expression(f"x^({q})"), x) == power_rule_exact(q, x)
+
+
+@pytest.mark.parametrize("src,start,length", [
+    # finite brackets that end on a step of the rule: 15^2 needs 68 bits, not 69
+    ("x^(1/2)", 1, 225),
+    ("x^(1/2)", 1, 961),
+    ("x^(3/2)", 1, 1),
+    # brackets that are not finite: past 2^106 the pass bounds no |p|
+    ("x^(1/2)", 2**106 + 1, 16),
+    ("x^(1/2)", (2**54 - 1) ** 2 - 3, 4),  # ends where |p| = 2^54 - 1 exactly
+    ("x^(3/2)", 2**120 - 5, 8),
+    ("x^(1001/2)", 1013, 8),          # |p| past float64: the bracket is infinite
+])
+def test_unbounded_bracket_takes_the_exact_roots(src, start, length, monkeypatch):
+    # the rule is exact, and with no finite bracket of max |p| its candidates
+    # take the tree's own repair, here the exact roots, which bound |p| exactly
+    enclosed = []
+    monkeypatch.setattr(hardy, "_round_fractions", lambda *args: enclosed.append(args))
+    p, q, N = parse_expression(src), Fraction(src[3:-1]), start + length - 1
+    required = power_rule_exact(q, N)
+    fr = phase_fractions(p, N, required, start)
+    assert enclosed == []
+    assert fr.tobytes() == exact_root_table(q, start, length).tobytes()
+    with pytest.raises(InsufficientPrecisionError, match=f"needs >= {required} bits at x={N}, got {required - 1}"):
+        phase_fractions(p, N, required - 1, start)
 
 
 def test_eval_domain_error_at_runtime():
@@ -488,7 +629,7 @@ def rooted_table(q: Fraction, start: int, length: int):
 
     def capture(q, start, out, indices):
         rooted.extend(indices.tolist())
-        root_fractions(q, start, out, indices)
+        return root_fractions(q, start, out, indices)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hardy, "_root_fractions", capture)
@@ -939,6 +1080,44 @@ def test_unit_phases_values():
     assert z[0] == 1.0 + 0j
     assert abs(z[1] - 1j) < 1e-15
     assert abs(z[2] + 1.0) < 1e-15
+
+
+subnormals = st.floats(0.0, 2.0**-1022, exclude_max=True, allow_subnormal=True)
+phase_arguments = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1.0 - 2.0**-53, -(1.0 - 2.0**-53), 0.5, 2.0**20]),
+    subnormals,
+    subnormals.map(lambda t: -t),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(-(2.0**20), 0.0),
+    st.floats(0.0, 2.0**20),
+)
+
+
+@given(st.lists(phase_arguments, max_size=80))
+@settings(max_examples=300, deadline=None)
+def test_unit_phases_equal_complex_exp_bit_for_bit(ts):
+    t = np.array(ts, dtype=np.float64)
+    assert unit_phases(t).tobytes() == np.exp(2j * np.pi * t).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, -1.0, 2.0**20])
+def test_unit_phases_equal_complex_exp_on_long_arrays(scale):
+    # lengths past numpy's vector loops' blocks, and one not a multiple of them
+    t = np.random.default_rng(8).random((1 << 17) + 3) * scale
+    assert unit_phases(t).tobytes() == np.exp(2j * np.pi * t).tobytes()
+    assert unit_phases(t[::3]).tobytes() == np.exp(2j * np.pi * t[::3]).tobytes()
+
+
+@pytest.mark.parametrize("schedule,N", [([2, 8], 8), ([0], 0), ([-2], -2), ([1, 5], 5), (np.array([4, 9]), 9)])
+def test_prefix_means_rejects_lengths_outside_the_terms(schedule, N):
+    with pytest.raises(ValueError, match=rf"^prefix length N={N} must lie in \[1, 4\], the number of terms$"):
+        prefix_means(np.ones(4), schedule)
+
+
+def test_prefix_means_at_both_ends():
+    terms = np.array([1.0, 2.0, 3.0, 6.0])
+    assert prefix_means(terms, [1, 4]).tolist() == [1.0, 3.0]
+    assert prefix_means(terms, np.array([2], dtype=np.int64)).tolist() == [1.5]
 
 
 # ---------------------------------------------------------------------------

@@ -291,12 +291,22 @@ IMPORT_CONTRACT_SCRIPT = """
 import sys
 
 import ergolab
+from ergolab import hardy
 from ergolab.harness import ExperimentConfig, run_experiment
 
 heavy = ("mpmath", "concurrent.futures.process")
 run_experiment(ExperimentConfig(pipeline="deviation", a=0.3, seed=2, n=2000, trials=4))
 run_experiment(ExperimentConfig(pipeline="generate", a=0.3, seed=11, n=300, out=sys.argv[1]))
 print(*[m for m in heavy if m in sys.modules], sep=",")
+hardy.parse_expression("x^(3/2)")
+# tables that end on a step of the precision rule, and one past 2^106,
+# where the table's pass bounds no |p| and the exact roots bound it
+hardy.phase_fractions(hardy.parse_expression("x^(1/2)"), 961)
+hardy.phase_fractions(hardy.parse_expression("x^(3/2)"), 1)
+hardy.phase_fractions(hardy.parse_expression("x^(1/2)"), 2**106 + 8, start=2**106 + 1)
+for kwargs in {runs!r}:
+    for workers in (1, 2):
+        run_experiment(ExperimentConfig(**kwargs, workers=workers))
 run_experiment(ExperimentConfig(**{kwargs!r}, workers=2, out=sys.argv[2]))
 print(*[m for m in heavy if m in sys.modules], sep=",")
 """
@@ -304,15 +314,20 @@ print(*[m for m in heavy if m in sys.modules], sep=",")
 
 def test_runs_load_only_what_they_call(tmp_path):
     # the test process holds mpmath already, so a fresh interpreter checks
-    # that deviation and generate never load it, nor a process pool, and
-    # that a later two-worker run loads both and still gives the same bytes
+    # that deviation and generate load neither mpmath nor a process pool;
+    # that x^(3/2) runs of expsum, chain and average at one and two workers,
+    # and tables of x^q with no finite bracket of max |p|, never load
+    # mpmath; and that a two-worker run gives the bytes of one worker
     dump, out = tmp_path / "dump.csv", tmp_path / "average.csv"
+    runs = [dict(pipeline="expsum", rho=(2.0,), nmin=16, nmax=64), CHAIN_SMALL, AVERAGE_SMALL]
+    assert all(kwargs.get("p", "x^(3/2)") == "x^(3/2)" for kwargs in runs)
+    script = IMPORT_CONTRACT_SCRIPT.format(runs=runs, kwargs=AVERAGE_SMALL)
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_CONTRACT_SCRIPT.format(kwargs=AVERAGE_SMALL), str(dump), str(out)],
+        [sys.executable, "-c", script, str(dump), str(out)],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["", "mpmath,concurrent.futures.process"]
+    assert proc.stdout.splitlines() == ["", "concurrent.futures.process"]
     assert load_realization_csv(str(dump)).params.seed == 11
     assert out.read_bytes() == run_experiment(ExperimentConfig(**AVERAGE_SMALL, workers=1)).csv_bytes()
 

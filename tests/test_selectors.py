@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ergolab.rng import MASK64, child_seed, gamma_steps, mix_steps, uniform01, uniform01_block
+from ergolab.rng import MASK64, child_seed, gamma_steps, mix_steps, scan_buffers, uniform01, uniform01_block
 from ergolab.selectors import (
     DEFAULT_CHUNK,
     _counts_selected,
@@ -330,9 +330,22 @@ def test_exact_test_matches_float_oracle_at_the_threshold(a, lo, length, steps, 
     assert np.array_equal(_selected(a, lo, z), want)
 
 
-@pytest.mark.parametrize("N", [1, 777, 10**4, 3 * DEFAULT_CHUNK + 5])
+@pytest.mark.parametrize("N", [1, 777, 10**4, DEFAULT_CHUNK, 3 * DEFAULT_CHUNK + 5])
 def test_one_pass_counts_equal_per_seed_counts(N):
     a = 0.3
     seeds = [child_seed(17, t) for t in range(12)] + [0, MASK64]
     got = _counts_selected(a, np.array(seeds, dtype=np.uint64), N)
     assert got.tolist() == [count_selected(a, seed, N) for seed in seeds]
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 10_000, DEFAULT_CHUNK])
+def test_scan_buffers_start_on_cache_lines(size):
+    steps, out, tmp = scan_buffers(size)
+    for buf in (steps, out, tmp):
+        assert buf.shape == (size,) and buf.dtype == np.uint64
+        assert buf.ctypes.data % 64 == 0
+    assert len({steps.ctypes.data, out.ctypes.data, tmp.ctypes.data}) == 3
+    assert np.array_equal(steps, gamma_steps(size))
+    plain = gamma_steps(size)
+    want = mix_steps(5, 3, plain, np.empty_like(plain), np.empty_like(plain))
+    assert np.array_equal(mix_steps(5, 3, steps, out, tmp), want)
