@@ -425,8 +425,11 @@ def birkhoff_mean(
         sample_points = sys.sample_points(16)
     ks = np.arange(1, N + 1, dtype=np.int64)
     out = np.empty(len(sample_points), dtype=np.complex128)
-    for j, orbit in enumerate(sys.orbits(sample_points, ks)):
+    orbits = sys.orbits(sample_points, ks)
+    for j in range(len(sample_points)):
+        orbit = next(orbits)
         out[j] = hardy.prefix_means(orbit, [N])[0]
+        del orbit  # freed before the next orbit is built
     return out
 
 
@@ -507,11 +510,15 @@ def chain_diagnostics(
         states.append((pos, [r.S(N) for N in schedule], w_Ns, stage4))
         del r, w  # hold one realization at a time
 
+    if not states:
+        return []
     n_pts = len(sample_points)
     stages = np.empty((len(states), len(schedule), n_pts, 6), dtype=np.complex128)
     diffs = np.empty((len(states), len(schedule), n_pts, 6), dtype=np.float64)
     ks = np.arange(1, n_top + 1, dtype=np.int64)
-    for j, orbit in enumerate(sys.orbits(sample_points, ks) if states else ()):
+    orbits = sys.orbits(sample_points, ks)
+    for j in range(n_pts):
+        orbit = next(orbits)
         for (pos, s_Ns, w_Ns, stage4), st, df in zip(states, stages, diffs):
             w = weighted(pos)
             for i, N in enumerate(schedule):
@@ -527,6 +534,7 @@ def chain_diagnostics(
                 # scalar abs, not np.abs: they differ in the last bit on
                 # about a third of complex128 values, and d6 is in the digests
                 df[i, j, 5] = abs(row[5])
+        del orbit  # freed before the next orbit is built
     return [[ChainDiagnostics(N, s_Ns[i], w_Ns[i], list(sample_points), st[i], df[i])
              for i, N in enumerate(schedule)]
             for (_, s_Ns, w_Ns, _), st, df in zip(states, stages, diffs)]

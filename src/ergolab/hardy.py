@@ -53,9 +53,11 @@ _VALIDATION_EXP_MAG = 1024
 # 2,500 digits, under Python's 4,300-digit limit for printing an int
 _MAX_CONST_BITS = 1 << 13
 _TOO_LARGE = f"constant with over {_MAX_CONST_BITS} bits is too large"
-# fractional bits kept by the exact integer roots, and the interval
-# repair's least starting precision
+# fractional bits kept by the exact integer roots, the interval repair's
+# least starting precision, and the width under which it settles an entry
 _ROOT_BITS = 128
+# the interval repair's highest precision, and the largest precision_bits
+_ZIV_CEILING = 1 << 14
 # largest root degree s of the powers x^(r/s), r > 0, whose tables take the
 # Newton-root evaluator and the exact roots: a root's cost grows about
 # linearly in s, so larger s, and r < 0, take the compiled tree
@@ -452,9 +454,9 @@ def _ceil_power(n: int, q: Fraction) -> int:
     return c + (c**s != v)
 
 
-def _root_fractions(q: Fraction, start: int, out: np.ndarray, indices: np.ndarray) -> int:
+def _root_fractions(q: Fraction, start: int, out: np.ndarray, indices: np.ndarray) -> None:
     """out[i] = frac((start + i)^q) to within 2^-_ROOT_BITS, then rounded, i
-    in indices, for q = r/s > 0; returns max ceil(|p|) there, exactly.
+    in indices, for q = r/s > 0.
 
     floor(n^(r/s) 2^K) = iroot_s(n^r 2^(sK)), and its low K bits are
     frac(n^q) 2^K truncated.  int / int is correctly rounded, so the
@@ -467,15 +469,8 @@ def _root_fractions(q: Fraction, start: int, out: np.ndarray, indices: np.ndarra
     mask = (1 << _ROOT_BITS) - 1
     scale = 1 << _ROOT_BITS
     root = math.isqrt if s == 2 else (lambda v: _iroot(v, s))
-    mag = 0
     for i in indices.tolist():
-        v = (start + i) ** r
-        t = root(v << shift)
-        whole, low = t >> _ROOT_BITS, t & mask
-        out[i] = low / scale
-        # n^q lies in [t, t + 1) / 2^K: it is the integer whole iff whole^s = n^r
-        mag = max(mag, whole + (low > 0 or whole**s != v))
-    return mag
+        out[i] = (root((start + i) ** r << shift) & mask) / scale
 
 
 def _required_bits(magnitude) -> int:
@@ -498,7 +493,7 @@ def _required_bits(magnitude) -> int:
 # float64; the factor _SLACK in the decision covers that and the (1 + 2^-52)
 # factors left out below.
 
-# the fastest of 2^12..2^14 for both evaluators, with a lower peak than 2^14
+# the fastest of 2^12..2^14 for both evaluators, with a smaller peak than 2^14
 _TABLE_CHUNK = 1 << 13
 _NEWTON_TINY = 2.0**-40  # larger Newton steps |c| / u0 go to the repair
 _SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's split
@@ -613,7 +608,7 @@ def _log_dd(a: _DD) -> _DD:
     [sqrt(1/2), sqrt(2)), log m by one Newton step y0 + m exp(-y0) - 1 from
     y0 = float64 log m, whose error d leaves d^2/2."""
     l1, l2, l3 = _LN2_PARTS
-    # a lower bound on the exact argument
+    # the exact argument is at least low
     low = a.hi * (1 - 2.0**-50) - a.err
     h, l = np.where(low > 0, a.hi, np.nan), a.lo
     m, e = np.frexp(h)
@@ -679,12 +674,12 @@ _DD_CTX = SimpleNamespace(mpf=lambda v: _dd_constant(Fraction(v)), exp=_exp_dd, 
 
 
 def _chunk_fractions(v: _DD, size: int):
-    """(frac, ok, abs_hi, slack_err) for one chunk.
+    """(frac, ok) for one chunk of size values v.
 
     ok marks the entries whose correctly rounded float64 is decided:
     frac(hi + lo) lies further than the slacked err from 0, from 1 and from
     both rounding boundaries of its nearest float64, so every value within
-    err rounds to that float.
+    err rounds to that float.  The others go to the repair.
     """
     h = np.broadcast_to(v.hi, size)
     whole = np.floor(h)
@@ -694,7 +689,7 @@ def _chunk_fractions(v: _DD, size: int):
     up = (np.nextafter(th, 2.0) - th) * 0.5 - tl
     down = (th - np.nextafter(th, -1.0)) * 0.5 + tl
     ok = (np.minimum(up, down) > err) & (th > err) & (th < 1 - err)
-    return th, ok, np.abs(h), np.broadcast_to(_SLACK * v.err, size)
+    return th, ok
 
 
 def _dd_power(v: _DD, e: int) -> _DD:
@@ -733,49 +728,52 @@ def _root_dd(n: _DD, s: int, u0=None) -> _DD:
     return _DD(hi, lo, np.where(np.abs(c) <= _NEWTON_TINY * u0, err, np.inf))
 
 
-def _round_fractions(root: Node, start: int, out: np.ndarray, indices, bits: int) -> int:
-    """out[i] = frac(p(start + i)) correctly rounded, i in indices; returns
-    an integer bound on |p| there.  Ziv's strategy: enclosures at bits, 2
-    bits, then the cap 4 bits, until both endpoints' fractional parts round
-    to one float64 with no integer between them.  At the cap an integer
-    inside gives 0.0 (exact at integers such as n^(3/2) at perfect squares,
-    else within the width, under 2^-bits), a tie the midpoint, and a log
-    argument not provably positive EvalDomainError."""
+def _round_fractions(root: Node, start: int, out: np.ndarray, indices, bits: int) -> None:
+    """out[i] = frac(p(start + i)) correctly rounded, i in indices, by Ziv's
+    strategy (Ziv, ACM TOMS 17(3), 1991): each entry's interval enclosure
+    from max(bits, _ROOT_BITS) bits, the precision doubled up to _ZIV_CEILING
+    until the enclosure decides the float64.  Narrower than 2^-_ROOT_BITS, an
+    enclosure holding an integer other than 0 gives 0.0 (exact at integers
+    such as n^(3/2) at perfect squares); narrower than 2^-(4 _ROOT_BITS), one
+    holding 0 gives 0.0 and one holding a rounding boundary the midpoint, so a
+    tiny p inside a sum that cancels keeps its own value.  An entry still open
+    at the last precision fails, as does a log argument not provably positive.
+    """
     from mpmath import iv
-    mag, cap, pending = 0, 4 * bits, indices.tolist()
+    precs = [max(bits, _ROOT_BITS)]
+    while precs[-1] < _ZIV_CEILING:
+        precs.append(min(2 * precs[-1], _ZIV_CEILING))
+    closures = {}
     old = iv.prec  # mpmath's iv context has no workprec
     try:
-        for prec in (bits, 2 * bits, cap):
-            iv.prec = prec  # before _compile, which rounds constants at it
-            fn, todo, pending = _compile(root, iv), pending, []
-            for i in todo:
+        for i in indices.tolist():
+            for prec in precs:
+                iv.prec = prec  # before _compile, which rounds constants at it
+                if prec not in closures:
+                    closures[prec] = _compile(root, iv)
                 try:
-                    (s_a, a, e_a, _), (s_b, b, e_b, _) = fn(iv.mpf(start + i))._mpi_
+                    (s_a, a, e_a, _), (s_b, b, e_b, _) = closures[prec](iv.mpf(start + i))._mpi_
                 except EvalDomainError:
-                    if prec == cap:
+                    if prec == precs[-1]:
                         raise
-                    pending.append(i)
                     continue
                 # p lies in [a, b] / unit for integers a, b; less floor(a /
                 # unit) below, and int / int is correctly rounded
                 e = min(e_a, e_b, 0)
                 a, b, unit = (-a if s_a else a) << (e_a - e), (-b if s_b else b) << (e_b - e), 1 << -e
-                top = max(abs(a), abs(b))
+                zero = a <= 0 <= b
                 a, b = a % unit, b - (a - a % unit)
                 if b < unit and a / unit == b / unit:
                     out[i] = a / unit
-                elif prec < cap:
-                    pending.append(i)
-                    continue
-                elif (b - a) << bits >= unit:
-                    raise InsufficientPrecisionError(f"enclosure of p({start + i}) too wide at {cap} bits")
-                else:  # 0.0 where an integer lies inside; else a tie
-                    out[i] = 0.0 if a == 0 or b >= unit else (a + b) / (2 * unit)
-                # from the enclosure that settled the entry, not a looser one
-                mag = max(mag, -(-top // unit))
+                    break
+                integer = a == 0 or b >= unit
+                if (b - a) << (_ROOT_BITS if integer and not zero else 4 * _ROOT_BITS) < unit:
+                    out[i] = 0.0 if integer else (a + b) / (2 * unit)
+                    break
+            else:
+                raise InsufficientPrecisionError(f"enclosure of p({start + i}) too wide at {precs[-1]} bits")
     finally:
         iv.prec = old
-    return mag
 
 
 def _validate_domain(root: Node, source: str, domain_start: float) -> None:
@@ -886,22 +884,25 @@ def phase_fractions(
 
     The workhorse behind exponential sums and weight tables.  One
     double-double pass over chunks of _TABLE_CHUNK, each argument n an exact
-    double-double, emits every entry whose error bound decides its float64
-    and brackets max |p|.  The tree picks the pass's evaluator and the
-    repair of the other entries (near 0, 1 or a rounding boundary,
-    non-finite, a log argument not provably positive, n past 2^106).  A
-    power x^q, q = k + j/s > 0 with s <= _ROOT_MAX_DEGREE, forms n^k u^j,
-    u = _root_dd(n, s), and repairs by exact integer roots; the root is
-    within 2^-128 of frac(n^q), far inside err, so it rounds the way every
-    decided entry does.  Every other tree, q < 0 included,
-    runs compiled in _DD_CTX and repairs by interval enclosures from 128
-    bits, or precision_bits if more, so no byte depends on precision_bits.
-    precision_bits below the rule at x=N fails before the table is built,
-    and below the rule at the bracketed max |p| before any repair (a bracket
-    across a step of the rule is settled by repairing its top entries); None
-    picks the minimum at x=N plus 16 bits.
+    double-double, emits every entry whose error bound decides its float64.
+    The other entries of a chunk (near 0, 1 or a rounding boundary,
+    non-finite, a log argument not provably positive, n past 2^106) are
+    repaired before the next chunk is evaluated.  The tree picks the pass's
+    evaluator and the repair.  A power x^q, q = k + j/s > 0 with s <=
+    _ROOT_MAX_DEGREE, forms n^k u^j, u = _root_dd(n, s), and repairs by
+    exact integer roots; the root is within 2^-128 of frac(n^q), far inside
+    err, so it rounds the way every decided entry does.  Every other tree,
+    q < 0 included, runs compiled in _DD_CTX and repairs by interval
+    enclosures (_round_fractions), so no byte depends on precision_bits.
+    precision_bits must be an integer no larger than _ZIV_CEILING and meet
+    the rule at x=N; else it fails before the table is built.  None picks
+    the minimum at x=N plus 16 bits.
     """
     N, start = _integer("N", N), _integer("start", start)
+    if precision_bits is not None:
+        precision_bits = _integer("precision_bits", precision_bits)
+        if precision_bits > _ZIV_CEILING:
+            raise ValueError(f"precision_bits must be at most {_ZIV_CEILING}, got {precision_bits}")
     if start < 1:
         raise ValueError(f"arguments must be positive integers, got start={start}")
     if N < start:
@@ -925,10 +926,10 @@ def phase_fractions(
         def fn(x: _DD) -> _DD:
             v = _dd_power(_root_dd(x, q.denominator), j)
             return v * _dd_power(x, k) if k else v
+        repair = functools.partial(_root_fractions, q, start, out)
     else:
         fn = _compile(p.root, _DD_CTX)
-    undecided, candidates, uppers = [], [], []  # candidates may hold max |p|
-    lower = 0.0  # max over entries of a lower bound on |p|
+        repair = functools.partial(_round_fractions, p.root, start, out, bits=precision_bits)
     with np.errstate(all="ignore"):
         for first in range(0, count, _TABLE_CHUNK):
             size, base = min(_TABLE_CHUNK, count - first), start + first
@@ -937,36 +938,8 @@ def phase_fractions(
                 hi, lo = _two_sum(head, (base - int(head)) + np.arange(size, dtype=np.float64))
             else:
                 hi = lo = np.full(size, np.nan)
-            frac, ok, mag, err = _chunk_fractions(fn(_DD(hi, lo, 0.0)), size)
-            out[first:first + size] = frac
-            undecided.append(np.flatnonzero(~ok) + first)
-            # NaN where |p| is not bounded: no lower bound, an unknown upper
-            high = mag + err
-            lower = max(lower, float(np.fmax.reduce(mag - err)))
-            keep = np.flatnonzero(~(high < lower))
-            candidates.append(keep + first)
-            uppers.append(high[keep])
-    candidates, uppers = np.concatenate(candidates), np.concatenate(uppers)
-    candidates, upper = candidates[~(uppers < lower)], float(uppers.max())
-    undecided = np.concatenate(undecided)
-    bits = max(precision_bits, _ROOT_BITS)
-
-    def repair(indices) -> int:
-        """Settles out at indices; returns an integer bound on |p| there."""
-        if q is not None:
-            return _root_fractions(q, start, out, indices)
-        return _round_fractions(p.root, start, out, indices, bits)
-
-    required = _required_bits(lower)
-    if not math.isfinite(upper) or _required_bits(upper) != required:
-        # the bracket straddles a step of the rule: repair its top entries
-        required = _required_bits(repair(candidates))
-        undecided = np.setdiff1d(undecided, candidates)
-    if precision_bits < required:
-        raise InsufficientPrecisionError(
-            f"precision rule needs >= {required} bits on 1..{N}, got {precision_bits}"
-        )
-    repair(undecided)
+            out[first:first + size], ok = _chunk_fractions(fn(_DD(hi, lo, 0.0)), size)
+            repair(np.flatnonzero(~ok) + first)
     np.clip(out, 0.0, np.nextafter(1.0, 0.0), out=out)
     return out
 

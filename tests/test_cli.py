@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -136,8 +137,11 @@ def test_vdc_selftest_cli():
     ["average", "--seed-base", "-1", "--Nmin", "64", "--Nmax", "64", "--seeds", "1", "--points", "1"],
     ["expsum", "--N", "64", "--workers", "0"],
     ["average", "--Nmin", "64", "--Nmax", "64", "--seeds", "1", "--workers", "-3"],
+    # past the interval repair's ceiling of 2^14 bits
+    ["expsum", "--p", "x*x^(1/2)", "--Nmin", "64", "--Nmax", "1024", "--bits", "100000"],
 ])
 def test_bad_input_exits_with_one_line(args):
+    t0 = time.perf_counter()
     r = run_cli(args)
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
@@ -153,6 +157,9 @@ def test_bad_input_exits_with_one_line(args):
         assert "seed_base" in r.stderr
     if "--workers" in args:
         assert "workers must be >= 1" in r.stderr
+    if "--bits" in args:  # refused at entry, not after a run without bound
+        assert "precision_bits must be at most 16384" in r.stderr
+        assert time.perf_counter() - t0 < 10.0
 
 
 @pytest.mark.parametrize("pipeline", ["expsum", "average"])

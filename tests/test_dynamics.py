@@ -1,4 +1,5 @@
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -647,6 +648,36 @@ def test_chain_checks_every_realization_before_any_orbit(p32):
             chain_diagnostics(sys, phases, good + [bad], [16, 1024])
     assert chain_diagnostics(sys, phases, [], [16, 1024]) == []
     assert chain_diagnostics(sys, phases, iter(()), [16, 1024]) == []
+
+
+class RecordingSystem(dynamics.DynamicalSystem):
+    """Constant orbits, each weakly referenced as it is built; building one
+    while an earlier one is alive fails."""
+
+    def __init__(self):
+        self.refs = []
+
+    def orbits(self, points, iterates):
+        for _ in points:
+            assert all(ref() is None for ref in self.refs), "an earlier orbit is alive"
+            orbit = np.full(len(iterates), 0.5 + 0.5j)
+            self.refs.append(weakref.ref(orbit))
+            yield orbit
+            del orbit
+
+
+def test_one_orbit_alive_at_a_time(p32):
+    pts, phases = [0.1, 0.2, 0.3], hardy.phase_fractions(p32, 1024)
+    rs = [generate_realization(SelectorParams(a=0.3, seed=s, n_max=1024)) for s in (1, 2)]
+    runs = [
+        lambda sys: birkhoff_mean(sys, 1024, pts),
+        lambda sys: weighted_average_from_positions(sys, phases, rs[0].ones, [16, 64], pts),
+        lambda sys: chain_diagnostics(sys, phases, rs, [16, 1024], sample_points=pts),
+    ]
+    for run in runs:
+        sys = RecordingSystem()
+        run(sys)
+        assert len(sys.refs) == len(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import iv, mp
+from mpmath import mp
 
 from ergolab.dynamics import RotationSystem
 from ergolab import hardy
@@ -423,19 +423,19 @@ def test_power_precision_rule_matches_fraction_oracle(q, x):
 
 
 @pytest.mark.parametrize("src,start,length", [
-    # finite brackets that end on a step of the rule: 15^2 needs 68 bits, not 69
+    # ranges that end on a step of the rule: 15^2 needs 68 bits, not 69
     ("x^(1/2)", 1, 225),
     ("x^(1/2)", 1, 961),
     ("x^(3/2)", 1, 1),
-    # brackets that are not finite: past 2^106 the pass bounds no |p|
+    # ranges where the pass bounds no |p|: past 2^106, or past float64
     ("x^(1/2)", 2**106 + 1, 16),
     ("x^(1/2)", (2**54 - 1) ** 2 - 3, 4),  # ends where |p| = 2^54 - 1 exactly
     ("x^(3/2)", 2**120 - 5, 8),
-    ("x^(1001/2)", 1013, 8),          # |p| past float64: the bracket is infinite
+    ("x^(1001/2)", 1013, 8),          # |p| past float64
 ])
 def test_unbounded_bracket_takes_the_exact_roots(src, start, length, monkeypatch):
-    # the rule is exact, and with no finite bracket of max |p| its candidates
-    # take the tree's own repair, here the exact roots, which bound |p| exactly
+    # the rule is exact, and entries the pass cannot bound take the tree's
+    # own repair, here the exact roots
     enclosed = []
     monkeypatch.setattr(hardy, "_round_fractions", lambda *args: enclosed.append(args))
     p, q, N = parse_expression(src), Fraction(src[3:-1]), start + length - 1
@@ -546,6 +546,8 @@ def test_phase_fractions_rejects_nonpositive_start():
     ((8.0,), "N must be an integer, got 8.0"),
     ((8, None, 1.0), "start must be an integer, got 1.0"),
     ((np.int64(8), None, np.int64(1)), None),
+    ((8, 2.0**10), "precision_bits must be an integer, got 1024.0"),
+    ((8, 16385), "precision_bits must be at most 16384, got 16385"),  # past the repair's ceiling
 ])
 def test_phase_fractions_reads_integer_arguments(args, error):
     # one line naming the argument, before the precision rule runs
@@ -629,7 +631,7 @@ def rooted_table(q: Fraction, start: int, length: int):
 
     def capture(q, start, out, indices):
         rooted.extend(indices.tolist())
-        return root_fractions(q, start, out, indices)
+        root_fractions(q, start, out, indices)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hardy, "_root_fractions", capture)
@@ -666,15 +668,15 @@ def test_power_pass_equals_exact_roots(q, start, length):
 @pytest.mark.parametrize("q", [Fraction(3, 2), Fraction(5, 3), Fraction(1, 2)])
 @pytest.mark.parametrize("start", [2**53 + 1, 2**63 - 100, 2**70 + 3])
 def test_power_table_past_2_53_takes_the_roots(q, start, monkeypatch):
-    # the pass reads n as an exact double-double, so the bracket of max |p|
-    # stays finite and no entry is enclosed before the exact roots; x^(1/2)
+    # the pass reads n as an exact double-double, and every entry it leaves
+    # open takes the exact roots, none an enclosure; x^(1/2)
     # stays under 2^50, so most of its entries are decided by the pass
     enclosed = []
     round_fractions = hardy._round_fractions
 
     def capture(root, start, out, indices, bits):
         enclosed.extend(indices.tolist())
-        return round_fractions(root, start, out, indices, bits)
+        round_fractions(root, start, out, indices, bits)
 
     monkeypatch.setattr(hardy, "_round_fractions", capture)
     fr = phase_fractions(parse_expression(f"x^({q})"), start + 255, start=start)
@@ -713,25 +715,10 @@ def test_negative_power_table_equals_mpmath(r, s, start, length):
 # Trees off the integer-root path: the double-double table against the
 # correctly rounded fractional part at every entry.
 
-def phase_fractions_tree_mpmath(p, N: int, precision_bits: int, start: int = 1) -> np.ndarray:
-    """Reference path for any tree: the mpmath closure at precision_bits at
-    every point, then the precision rule on the largest magnitude."""
-    out = np.empty(N - start + 1, dtype=np.float64)
-    max_mag = 0.0
-    with mp.workprec(precision_bits):
-        fn = _compile(p.root, mp)
-        for i in range(out.shape[0]):
-            v = fn(mp.mpf(start + i))
-            av = abs(v)
-            if av > max_mag:
-                max_mag = float(av)
-            out[i] = float(v - mp.floor(v))
-    required = _required_bits(max_mag)
-    if precision_bits < required:
-        raise InsufficientPrecisionError(
-            f"precision rule needs >= {required} bits on 1..{N}, got {precision_bits}"
-        )
-    return np.clip(out, 0.0, np.nextafter(1.0, 0.0))
+def range_precision(p, N: int, start: int = 1) -> int:
+    """The precision rule at the largest |p| on start..N, read at every
+    point."""
+    return max(minimum_precision(p, n) for n in range(start, N + 1))
 
 
 def correctly_rounded_table(p, N: int, precision_bits: int, start: int = 1) -> np.ndarray:
@@ -752,14 +739,6 @@ def correctly_rounded_table(p, N: int, precision_bits: int, start: int = 1) -> n
             man, exp = (v - mp.floor(v)).man_exp
             out[i] = 0.0 if near else float(man * Fraction(2) ** exp)
     return np.clip(out, 0.0, np.nextafter(1.0, 0.0))
-
-
-def outcome(table, *args):
-    """The table's bytes, or the type and text of the error it raised."""
-    try:
-        return table(*args).tobytes()
-    except (InsufficientPrecisionError, EvalDomainError) as exc:
-        return type(exc).__name__, str(exc)
 
 
 def on_tree_path(p) -> bool:
@@ -796,19 +775,20 @@ starts = st.integers(1, 10**4) | st.integers(1, 10**12)
 @example("x*exp(-x/1000)", 900, 48, 0)         # magnitude peaks inside the range
 @example("exp(x/100)", 69_990, 48, 0)          # exp arguments across 700
 @example("x*x^(1/2)", 1, 48, 0)                # the perfect squares 1, 4, ... 36
+@example("exp(x) - exp(x) + x/3", 1, 300, 0)   # intermediates near 2^433
+@example("x^(-28) + 3/7*x - 3/7*x", 250, 48, 0)  # tiny p inside enclosures of 0
+@example("x^(1/3) - x^(1/3)", 1, 48, 0)        # p = 0, never enclosed exactly
 @settings(max_examples=120, deadline=None)
 def test_tree_table_equals_mpmath_loop(src, start, length, extra_bits):
-    # the mpmath loop at bits still decides whether the rule holds on the
-    # range; where it does, every entry is the correctly rounded one
+    # bits need only meet the rule at N; the mpmath loop runs at the rule on
+    # the range's largest |p|, and every entry is the correctly rounded one
     p = parse_expression(src)
     if not on_tree_path(p):
         return
     N = start + length - 1
     bits = minimum_precision(p, N) + extra_bits
-    expected = outcome(phase_fractions_tree_mpmath, p, N, bits, start)
-    if isinstance(expected, bytes):
-        expected = correctly_rounded_table(p, N, bits, start).tobytes()
-    assert outcome(phase_fractions, p, N, bits, start) == expected
+    expected = correctly_rounded_table(p, N, max(bits, range_precision(p, N, start)), start)
+    assert phase_fractions(p, N, bits, start).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("start", [1, 10**6 - 100, 10**10 - 100])
@@ -866,7 +846,7 @@ def test_one_function_one_table(start, N):
 
 @given(st.integers(1, 48), st.integers(1, 24), power_starts, st.integers(1, 64))
 @example(3, 2, 1, 64)
-@example(5, 1, 10**12 - 63, 64)    # integers everywhere: every entry at the cap
+@example(5, 1, 10**12 - 63, 64)    # integers everywhere: every entry settled as 0.0
 @settings(max_examples=80, deadline=None)
 def test_tree_path_equals_power_path(r, s, start, length):
     # x^(q/2) * x^(q/2) is no power form: the interval route against the
@@ -894,43 +874,42 @@ def test_tree_table_ignores_precision_bits(src, N):
     assert phase_fractions(p, N, bits).tobytes() == phase_fractions(p, N, bits + 48).tobytes()
 
 
-def test_magnitude_backstop_fails_before_the_repair(monkeypatch):
+def test_magnitude_backstop_fails_before_the_repair():
     # x e^(-x/1000) peaks at n = 1000 (|p| = 368, 73 bits); at N = 4000 the
-    # rule gives 71, so only the table's own maximum catches it
+    # rule gives 71.  The rule is checked at N only, and the repair finds its
+    # own precision, so 71 bits give the correctly rounded table
     p = parse_expression("x*exp(-x/1000)")
-    assert minimum_precision(p, 4000) == 71
-    calls = []
-    compile_ = hardy._compile
-
-    def counting(node, ctx):
-        fn = compile_(node, ctx)
-        if ctx is not iv or node is not p.root:
-            return fn
-        return lambda x: calls.append(x) or fn(x)
-
-    monkeypatch.setattr(hardy, "_compile", counting)
-    message = r"^precision rule needs >= 73 bits on 1\.\.4000, got 71$"
-    with pytest.raises(InsufficientPrecisionError, match=message):
-        phase_fractions(p, 4000, 71)
-    assert len(calls) <= 4  # interval evaluations: the bracket's top entries
-    monkeypatch.undo()
-    with pytest.raises(InsufficientPrecisionError, match="73 bits on 1..4000"):
-        phase_fractions_tree_mpmath(p, 4000, 71)
+    assert (minimum_precision(p, 4000), range_precision(p, 4000)) == (71, 73)
     expected = correctly_rounded_table(p, 4000, 73)
+    assert phase_fractions(p, 4000, 71).tobytes() == expected.tobytes()
     assert phase_fractions(p, 4000, 73).tobytes() == expected.tobytes()
 
 
 def test_repair_limits_of_the_interval_closure():
-    # exp(x) - exp(x) cancels: its low enclosures are as wide as e^x 2^-bits,
-    # so the backstop reads only the enclosure that settled each entry
+    # exp(x) - exp(x) cancels, but its enclosures are as wide as e^x 2^-bits:
+    # past x = 266 they need more than 512 bits, so the repair doubles on
     p = parse_expression("exp(x) - exp(x) + x/3")
     bits = minimum_precision(p, 100)
     assert phase_fractions(p, 100, bits).tobytes() == correctly_rounded_table(p, 100, bits).tobytes()
-    # past x = 266 the enclosure at the cap of 4 * 128 bits stays wider than 2^-128
-    with pytest.raises(InsufficientPrecisionError, match=r"^enclosure of p\(267\) too wide at 512 bits$"):
-        phase_fractions(p, 300)
+    assert phase_fractions(p, 300).tobytes() == phase_fractions(parse_expression("x/3"), 300).tobytes()
+    # e^12000 is about 2^17312: no enclosure within the ceiling cancels it
+    with pytest.raises(InsufficientPrecisionError, match=r"^enclosure of p\(12000\) too wide at 16384 bits$"):
+        phase_fractions(p, 12000, start=12000)
     with pytest.raises(EvalDomainError, match="log of nonpositive value"):
         phase_fractions(parse_expression("log(x - 1.5)", domain_start=3.0), 4)
+
+
+def test_each_chunk_is_repaired_before_the_next(monkeypatch):
+    # the first chunk's repair fails at the ceiling before the pass
+    # evaluates the second chunk
+    sizes = []
+    chunk_fractions = hardy._chunk_fractions
+    monkeypatch.setattr(hardy, "_chunk_fractions", lambda v, size: sizes.append(size) or chunk_fractions(v, size))
+    p = parse_expression("exp(x) - exp(x) + x/3")
+    N = 12000 + 3 * hardy._TABLE_CHUNK - 1
+    with pytest.raises(InsufficientPrecisionError, match=r"^enclosure of p\(12000\) too wide at 16384 bits$"):
+        phase_fractions(p, N, start=12000)
+    assert sizes == [hardy._TABLE_CHUNK]
 
 
 # The double-double operations against mpmath at 400 bits.  Each input is

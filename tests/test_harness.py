@@ -316,7 +316,7 @@ def test_runs_load_only_what_they_call(tmp_path):
     # the test process holds mpmath already, so a fresh interpreter checks
     # that deviation and generate load neither mpmath nor a process pool;
     # that x^(3/2) runs of expsum, chain and average at one and two workers,
-    # and tables of x^q with no finite bracket of max |p|, never load
+    # and tables of x^q whose |p| the pass cannot bound, never load
     # mpmath; and that a two-worker run gives the bytes of one worker
     dump, out = tmp_path / "dump.csv", tmp_path / "average.csv"
     runs = [dict(pipeline="expsum", rho=(2.0,), nmin=16, nmax=64), CHAIN_SMALL, AVERAGE_SMALL]
