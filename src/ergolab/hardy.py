@@ -493,7 +493,8 @@ def _required_bits(magnitude) -> int:
 # float64; the factor _SLACK in the decision covers that and the (1 + 2^-52)
 # factors left out below.
 
-# the fastest of 2^12..2^14 for both evaluators, with a smaller peak than 2^14
+# x^(3/2) to 2^16 took 5.4, 4.4, 6.4 and 7.2 ms at 2^12..2^15; 2^14 was up
+# to 9% faster on the tree evaluator and longer tables, with twice the peak
 _TABLE_CHUNK = 1 << 13
 _NEWTON_TINY = 2.0**-40  # larger Newton steps |c| / u0 go to the repair
 _SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's split
@@ -527,24 +528,35 @@ def _fast_two_sum(a, b):
     return s, b - (s - a)
 
 
-def _two_prod(a, b):
-    """Dekker's exact product, no fma: a*b = p + e unless |a| or |b| > 2^995."""
-    p = a * b
+def _split(a):
+    """Veltkamp's split: a = ah + al, each half 26 bits or fewer."""
     t = _SPLITTER * a
     ah = t - (t - a)
-    al = a - ah
-    t = _SPLITTER * b
-    bh = t - (t - b)
-    bl = b - bh
+    return ah, a - ah
+
+
+def _two_prod(a, b):
+    """Dekker's exact product, no fma: a*b = p + e unless |a| or |b| > 2^995.
+    A square splits once."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = (ah, al) if b is a else _split(b)
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _add_dd(xh, xl, yh, yl=None):
-    """AccurateDWPlusDW: within 3u^2/(1 - 4u) of x + y, relative.  yl None,
-    y a float64, skips the sums that yl = 0 leaves exact: same result."""
+def _zero(word) -> bool:
+    """A float 0.0 word or bound, not an array: exactly zero, so the kernels
+    below skip the terms it zeroes, with the same result."""
+    return isinstance(word, float) and word == 0.0
+
+
+def _add_dd(xh, xl, yh, yl=0.0):
+    """AccurateDWPlusDW: within 3u^2/(1 - 4u) of x + y, relative.  An
+    exact-zero low word skips the sums it leaves exact."""
     sh, sl = _two_sum(xh, yh)
-    if yl is None:
-        return _fast_two_sum(sh, sl + xl)
+    low = [w for w in (xl, yl) if not _zero(w)]
+    if len(low) < 2:
+        return _fast_two_sum(sh, sl + low[0] if low else sl)
     th, tl = _two_sum(xl, yl)
     vh, vl = _fast_two_sum(sh, sl + th)
     return _fast_two_sum(vh, tl + vl)
@@ -553,7 +565,8 @@ def _add_dd(xh, xl, yh, yl=None):
 def _mul_dd(xh, xl, yh, yl):
     """Double-double product within 8u^2 of x * y, relative."""
     ch, cl = _two_prod(xh, yh)
-    return _fast_two_sum(ch, cl + (xh * yl + xl * yh))
+    cross = [h * l for h, l in ((xh, yl), (yh, xl)) if not _zero(l)]
+    return _fast_two_sum(ch, cl + functools.reduce(operator.add, cross) if cross else cl)
 
 
 @functools.lru_cache(maxsize=None)
@@ -613,7 +626,7 @@ def _log_dd(a: _DD) -> _DD:
     h, l = np.where(low > 0, a.hi, np.nan), a.lo
     m, e = np.frexp(h)
     e = np.where(m < math.sqrt(0.5), e - 1, e)
-    mh, ml = np.ldexp(h, -e), np.ldexp(l, -e)
+    mh, ml = np.ldexp(h, -e), l if _zero(l) else np.ldexp(l, -e)
     y0 = np.log(mh)
     th, tl = _exp_reduced(-y0, 0.0)
     wh, wl = _mul_dd(mh, ml, th, tl)
@@ -639,14 +652,17 @@ class _DD:
 
     def __add__(self, other: "_DD") -> "_DD":
         hi, lo = _add_dd(self.hi, self.lo, other.hi, other.lo)
-        return _DD(hi, lo, self.err + other.err + _DD_ADD * np.abs(hi))
+        terms = [e for e in (self.err, other.err) if not _zero(e)]
+        return _DD(hi, lo, functools.reduce(operator.add, terms + [_DD_ADD * np.abs(hi)]))
 
     def __mul__(self, other: "_DD") -> "_DD":
         hi, lo = _mul_dd(self.hi, self.lo, other.hi, other.lo)
         ea, eb = self.err, other.err
         # |ab - AB| <= |A| eb + |B| ea + ea eb and |A| <= |a| + ea
-        prop = np.abs(self.hi) * eb + np.abs(other.hi) * ea + 3 * ea * eb
-        return _DD(hi, lo, prop + _DD_MUL * np.abs(hi) + _TINY)
+        terms = [np.abs(h) * e for h, e in ((self.hi, eb), (other.hi, ea)) if not _zero(e)]
+        if len(terms) == 2:
+            terms.append(3 * ea * eb)
+        return _DD(hi, lo, functools.reduce(operator.add, terms + [_DD_MUL * np.abs(hi), _TINY]))
 
     def __truediv__(self, den: int) -> "_DD":
         """Only _compile's constants divide: mpf(num) / den, den an int."""
@@ -684,12 +700,21 @@ def _chunk_fractions(v: _DD, size: int):
     h = np.broadcast_to(v.hi, size)
     whole = np.floor(h)
     sh, sl = _two_sum(h, -whole)
-    th, tl = _add_dd(sh, sl, v.lo, 0.0)
+    th, tl = _add_dd(sh, sl, v.lo)
     err = _SLACK * (v.err + _DD_ADD * np.abs(th))
-    up = (np.nextafter(th, 2.0) - th) * 0.5 - tl
-    down = (th - np.nextafter(th, -1.0)) * 0.5 + tl
-    ok = (np.minimum(up, down) > err) & (th > err) & (th < 1 - err)
+    up, down = _half_spacings(th)
+    ok = (np.minimum(up - tl, down + tl) > err) & (th > err) & (th < 1 - err)
     return th, ok
+
+
+def _half_spacings(th: np.ndarray):
+    """Half the float64 spacing above and below each th in [0, 1), bytes as
+    from np.nextafter: 2^-53 times the exponent bits' binade of th and of th
+    (1 - 2^-53), th's predecessor at a power of two (0 if subnormal: so is
+    half of 2^-1074, rounded)."""
+    up = (th.view(np.int64) & 0x7FF0000000000000).view(np.float64) * 2.0**-53
+    below = (th * (1 - 2.0**-53)).view(np.int64) & 0x7FF0000000000000
+    return up, below.view(np.float64) * 2.0**-53
 
 
 def _dd_power(v: _DD, e: int) -> _DD:
@@ -725,7 +750,8 @@ def _root_dd(n: _DD, s: int, u0=None) -> _DD:
     c = res.hi / den
     hi, lo = _fast_two_sum(u0, -c)
     err = np.abs(c) * 2.0**-50 + 2 * res.err / den + 2 * (s - 1) * c * c / u0
-    return _DD(hi, lo, np.where(np.abs(c) <= _NEWTON_TINY * u0, err, np.inf))
+    err[np.abs(c) > _NEWTON_TINY * u0] = np.inf
+    return _DD(hi, lo, err)
 
 
 def _round_fractions(root: Node, start: int, out: np.ndarray, indices, bits: int) -> None:
@@ -883,34 +909,36 @@ def phase_fractions(
     """frac(p(n)) for n = start..N as float64, each entry correctly rounded.
 
     The workhorse behind exponential sums and weight tables.  One
-    double-double pass over chunks of _TABLE_CHUNK, each argument n an exact
-    double-double, emits every entry whose error bound decides its float64.
-    The other entries of a chunk (near 0, 1 or a rounding boundary,
-    non-finite, a log argument not provably positive, n past 2^106) are
-    repaired before the next chunk is evaluated.  The tree picks the pass's
-    evaluator and the repair.  A power x^q, q = k + j/s > 0 with s <=
-    _ROOT_MAX_DEGREE, forms n^k u^j, u = _root_dd(n, s), and repairs by
-    exact integer roots; the root is within 2^-128 of frac(n^q), far inside
-    err, so it rounds the way every decided entry does.  Every other tree,
-    q < 0 included, runs compiled in _DD_CTX and repairs by interval
-    enclosures (_round_fractions), so no byte depends on precision_bits.
-    precision_bits must be an integer no larger than _ZIV_CEILING and meet
-    the rule at x=N; else it fails before the table is built.  None picks
-    the minimum at x=N plus 16 bits.
+    double-double pass over chunks of _TABLE_CHUNK, each argument n exact
+    (one float64 under 2^53, two words above), emits every entry whose error
+    bound decides its float64.  The other entries of a chunk (near 0, 1 or a
+    rounding boundary, non-finite, a log argument not provably positive, n
+    past 2^106) are repaired before the next chunk is evaluated.  The tree
+    picks the pass's evaluator and the repair.  A power x^q, q = k + j/s >
+    0 with s <= _ROOT_MAX_DEGREE, forms n^k u^j, u = _root_dd(n, s), and
+    repairs by exact integer roots; the root is within 2^-128 of frac(n^q),
+    far inside err, so it rounds the way every decided entry does.  Every
+    other tree, q < 0 included, runs compiled in _DD_CTX and repairs by
+    interval enclosures (_round_fractions), so no byte depends on
+    precision_bits.  None picks the minimum at x=N plus 16 bits; else
+    precision_bits must be an integer that meets the rule at x=N and is at
+    most the larger of that default and _ZIV_CEILING, or it fails before
+    the table is built.
     """
     N, start = _integer("N", N), _integer("start", start)
     if precision_bits is not None:
         precision_bits = _integer("precision_bits", precision_bits)
-        if precision_bits > _ZIV_CEILING:
-            raise ValueError(f"precision_bits must be at most {_ZIV_CEILING}, got {precision_bits}")
     if start < 1:
         raise ValueError(f"arguments must be positive integers, got start={start}")
     if N < start:
         raise ValueError("empty argument range")
     count = N - start + 1
-    if p.integer_polynomial:
+    required = None if p.integer_polynomial else minimum_precision(p, N)
+    ceiling = max(_ZIV_CEILING, (required or 0) + 16)
+    if precision_bits is not None and precision_bits > ceiling:
+        raise ValueError(f"precision_bits must be at most {ceiling}, got {precision_bits}")
+    if required is None:
         return np.zeros(count, dtype=np.float64)
-    required = minimum_precision(p, N)
     if precision_bits is None:
         precision_bits = required + 16
     elif precision_bits < required:
@@ -933,7 +961,9 @@ def phase_fractions(
     with np.errstate(all="ignore"):
         for first in range(0, count, _TABLE_CHUNK):
             size, base = min(_TABLE_CHUNK, count - first), start + first
-            if base < 1 << 106:  # the rest is an integer under 2^53: n = hi + lo exactly
+            if base + size <= 1 << 53:  # each n is one float64
+                hi, lo = float(base) + np.arange(size, dtype=np.float64), 0.0
+            elif base < 1 << 106:  # the rest is an integer under 2^53: n = hi + lo exactly
                 head = float(base)
                 hi, lo = _two_sum(head, (base - int(head)) + np.arange(size, dtype=np.float64))
             else:

@@ -1,3 +1,4 @@
+import operator
 import re
 import time
 from fractions import Fraction
@@ -559,6 +560,23 @@ def test_phase_fractions_reads_integer_arguments(args, error):
             phase_fractions(e, *args)
 
 
+def test_explicit_precision_may_reach_the_default_start():
+    # e^11401 needs 16,513 bits by the rule, past the repair's 2^14 ceiling;
+    # an explicit precision may reach the default start, the rule plus 16
+    # bits, and no further
+    p = parse_expression("exp(x)")
+    default = phase_fractions(p, 11401, start=11400)
+    with pytest.raises(InsufficientPrecisionError, match="needs >= 16513 bits at x=11401, got 16384$"):
+        phase_fractions(p, 11401, 16384, 11400)
+    for bits in (16513, 16529):
+        assert phase_fractions(p, 11401, bits, 11400).tobytes() == default.tobytes()
+    with pytest.raises(ValueError, match="^precision_bits must be at most 16529, got 16600$"):
+        phase_fractions(p, 11401, 16600, 11400)
+    # an integer polynomial has no rule: the ceiling alone bounds it
+    with pytest.raises(ValueError, match="^precision_bits must be at most 16384, got 16385$"):
+        phase_fractions(parse_expression("x^2"), 8, 16385)
+
+
 def phase_fractions_mpmath(q: Fraction, N: int, precision_bits: int, start: int = 1) -> np.ndarray:
     """Reference path for the table of x^q: one mp.power per point at
     precision_bits."""
@@ -682,6 +700,18 @@ def test_power_table_past_2_53_takes_the_roots(q, start, monkeypatch):
     fr = phase_fractions(parse_expression(f"x^({q})"), start + 255, start=start)
     assert enclosed == []
     assert fr.tobytes() == exact_root_table(q, start, 256).tobytes()
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(3, 4)])
+@pytest.mark.parametrize("start", [2**53 - 8192, 2**53 + 2 - hardy._TABLE_CHUNK])
+def test_power_table_across_2_53_equals_exact_roots(q, start):
+    # a chunk below 2^53 takes each n as one word, a later one as two; the
+    # second start ends the first chunk at 2^53 + 1, the first n that needs
+    # two.  |p| stays under 2^40, so the pass decides most entries itself
+    length = 2**53 + 8192 - start + 1
+    fr, rooted = rooted_table(q, start, length)
+    assert fr.tobytes() == exact_root_table(q, start, length).tobytes()
+    assert len(rooted) < length // 2
 
 
 def test_power_pass_repairs_perfect_squares_and_few_others():
@@ -1019,6 +1049,103 @@ def test_newton_root_within_bound(start, s, rel, shift):
     for i, root in enumerate(roots):
         one = hardy._DD(v.hi[i:i + 1], v.lo[i:i + 1], v.err[i:i + 1])
         assert within_bound(one, root)
+
+
+# The pass's shortcuts against the long forms they stand for: the float
+# spacing from np.nextafter, and low words and bounds as arrays of zeros.
+
+def half_spacings_nextafter(th):
+    return (np.nextafter(th, 2.0) - th) * 0.5, (th - np.nextafter(th, -1.0)) * 0.5
+
+
+def chunk_fractions_nextafter(v, size):
+    """hardy._chunk_fractions with the spacings from np.nextafter and the
+    zero low word of its sum as an array."""
+    h = np.broadcast_to(v.hi, size)
+    whole = np.floor(h)
+    sh, sl = hardy._two_sum(h, -whole)
+    th, tl = hardy._add_dd(sh, sl, v.lo, np.zeros(size))
+    err = hardy._SLACK * (v.err + hardy._DD_ADD * np.abs(th))
+    up, down = half_spacings_nextafter(th)
+    ok = (np.minimum(up - tl, down + tl) > err) & (th > err) & (th < 1 - err)
+    return th, ok
+
+
+UNIT_EDGES = [0.0, 5e-324, np.nextafter(2.0**-1022, 0.0), 2.0**-1022, 2.0**-1021, 0.5, 1 - 2.0**-53]
+unit_floats = (
+    st.floats(0.0, 1.0, exclude_max=True)
+    | st.integers(-1074, -1).map(lambda e: 2.0**e)
+    | st.sampled_from(UNIT_EDGES)
+)
+
+
+@given(st.lists(unit_floats, min_size=1, max_size=40))
+@example(UNIT_EDGES)
+@settings(max_examples=300, deadline=None)
+def test_half_spacings_equal_nextafter(ths):
+    th = np.array(ths)
+    for got, want in zip(hardy._half_spacings(th), half_spacings_nextafter(th)):
+        assert got.tobytes() == want.tobytes()
+
+
+table_values = (
+    st.floats(-(2.0**60), 2.0**60)
+    | st.integers(-(2**50), 2**50).map(float)
+    | st.integers(-(2**50), 2**50).map(lambda k: k + 0.5)
+    | unit_floats
+)
+
+
+@given(
+    st.lists(st.tuples(table_values, st.floats(-1, 1)), min_size=1, max_size=40),
+    st.sampled_from([0.0, 2.0**-104, 2.0**-60, 2.0**-52]),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_chunk_fractions_equal_nextafter_form(words, rel, one_word):
+    hi = np.array([h for h, _ in words])
+    lo = 0.0 if one_word else np.array([f * np.spacing(h) / 2 for h, f in words])
+    v = hardy._DD(hi, lo, np.abs(hi) * rel + hardy._TINY)
+    got, want = hardy._chunk_fractions(v, len(words)), chunk_fractions_nextafter(v, len(words))
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def dd_words(draws):
+    hi = np.array([h for h, _ in draws])
+    return hi, np.array([f * np.spacing(h) / 2 for h, f in draws])
+
+
+@given(
+    st.lists(st.tuples(finite, st.floats(-1, 1), finite, st.floats(-1, 1)), min_size=1, max_size=24),
+    st.sampled_from([(True, False), (False, True), (True, True)]),
+    st.sampled_from([(True, False), (False, True), (True, True), (False, False)]),
+)
+@example([(3.0, 0.0, 7.0, 0.0)], (True, True), (True, True))
+@example([(1.0, 0.5, -1.0000000000000002, 0.0)], (True, False), (False, True))
+@settings(max_examples=300, deadline=None)
+def test_exact_zero_words_skip_with_the_same_bytes(draws, zero_lows, zero_errs):
+    # the float 0.0 as a low word or bound gives the bytes of an array of zeros
+    xh, xl = dd_words([(a, b) for a, b, _, _ in draws])
+    yh, yl = dd_words([(c, d) for _, _, c, d in draws])
+    ex, ey = np.abs(xh) * 2.0**-60, np.abs(yh) * 2.0**-70
+    zeros = np.zeros(len(draws))
+
+    def words(scalar):
+        lows = [(0.0 if scalar else zeros) if z else w for z, w in zip(zero_lows, (xl, yl))]
+        errs = [(0.0 if scalar else zeros) if z else e for z, e in zip(zero_errs, (ex, ey))]
+        return lows, errs
+
+    (sxl, syl), (sex, sey) = words(True)
+    (axl, ayl), (aex, aey) = words(False)
+    for kernel in (hardy._add_dd, hardy._mul_dd):
+        for got, want in zip(kernel(xh, sxl, yh, syl), kernel(xh, axl, yh, ayl)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    for op in (operator.mul, operator.add):
+        got = op(hardy._DD(xh, sxl, sex), hardy._DD(yh, syl, sey))
+        want = op(hardy._DD(xh, axl, aex), hardy._DD(yh, ayl, aey))
+        for a, b in ((got.hi, want.hi), (got.lo, want.lo), (got.err, want.err)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 @given(st.integers(0, 1 << 20000), st.integers(1, 300))
