@@ -187,11 +187,13 @@ class RotationSystem(DynamicalSystem):
         """frac(x + k alpha) for each x in points in turn, in one float64
         array that the next point overwrites; k * alpha is computed once, each
         point adds only x_fp with its carry, in reused scratch.  Agrees bit
-        for bit (after float64 rounding) with the exact integer path."""
+        for bit with high 2^-64 + low 2^-128 of the exact integer path: the
+        low share B <= 2^-64 is added only where A = high 2^-64 < 2^-10, as
+        from 2^-10 up ulp(A) >= 2^-62 > 2B and A + B rounds to A."""
         low, high = self._k_alpha(iterates)
         new_low, new_high, fr = np.empty_like(low), np.empty_like(high), np.empty(low.shape)
-        # the low half's share takes new_high's bytes once fr holds the high half's
-        tail = new_high.view(np.float64)
+        # the mask of the fractions under 2^-10 takes new_high's bytes once fr holds A
+        small = new_high.view(np.bool_)[: low.shape[0]]
         for x in points:
             x_fp = int(math.floor((float(x) % 1.0) * (1 << _FP_BITS)))
             np.add(low, np.uint64(x_fp & 0xFFFFFFFFFFFFFFFF), out=new_low)
@@ -199,8 +201,8 @@ class RotationSystem(DynamicalSystem):
             new_high += np.uint64((x_fp >> 64) & 0xFFFFFFFFFFFFFFFF)
             new_high += high
             np.multiply(new_high, 2.0**-64, out=fr)
-            np.multiply(new_low, 2.0**-128, out=tail)
-            fr += tail
+            i = np.flatnonzero(np.less(fr, 2.0**-10, out=small))
+            fr[i] += new_low[i] * 2.0**-128
             yield fr
 
     def _f_of_fracs(self, fr: np.ndarray) -> np.ndarray:

@@ -385,38 +385,52 @@ def _root_exponent(root: Node) -> Optional[Fraction]:
 
 
 def _compile(node: Node, ctx):
-    """Closure tree evaluating node in ctx (mp or iv) at ctx's precision.
+    """Closure evaluating node in ctx (mp, iv or _DD_CTX) at ctx's precision.
 
-    Both contexts provide mpf, exp and log, so one evaluator serves point
+    Every context provides mpf, exp and log, so one evaluator serves point
     values and outward-rounded enclosures.  `not arg > 0` rejects log
     arguments that are nonpositive, and in iv also intervals straddling 0,
     which compare as None.  Constants are rounded once, here, so compile
-    under the precision the closure will be called at.
+    under the precision the closure will be called at.  Equal subtrees are
+    evaluated once per call (x^(3/2) + x log x takes one log of x): no
+    operation of the contexts changes its operands.
     """
-    if isinstance(node, Const):
-        num, den = node.value.numerator, node.value.denominator
-        c = ctx.mpf(num) if den == 1 else ctx.mpf(num) / den
-        return lambda x: c
-    if isinstance(node, Var):
-        return lambda x: x
-    if isinstance(node, Add):
-        f, g = _compile(node.left, ctx), _compile(node.right, ctx)
-        return lambda x: f(x) + g(x)
-    if isinstance(node, Mul):
-        f, g = _compile(node.left, ctx), _compile(node.right, ctx)
-        return lambda x: f(x) * g(x)
-    if isinstance(node, Exp):
-        f, exp = _compile(node.arg, ctx), ctx.exp
-        return lambda x: exp(f(x))
-    f, log = _compile(node.arg, ctx), ctx.log
+    steps, slots = [], {}  # one step per distinct subtree, children first
 
-    def ev_log(x):
-        arg = f(x)
-        if not arg > 0:
-            raise EvalDomainError(f"log of nonpositive value {arg}")
-        return log(arg)
+    def slot(n: Node) -> int:
+        if n not in slots:
+            if isinstance(n, Const):
+                num, den = n.value.numerator, n.value.denominator
+                c = ctx.mpf(num) if den == 1 else ctx.mpf(num) / den
+                step = lambda x, v: c
+            elif isinstance(n, Var):
+                step = lambda x, v: x
+            elif isinstance(n, (Add, Mul)):
+                i, j = slot(n.left), slot(n.right)
+                step = (lambda x, v: v[i] + v[j]) if isinstance(n, Add) else (lambda x, v: v[i] * v[j])
+            elif isinstance(n, Exp):
+                i, exp = slot(n.arg), ctx.exp
+                step = lambda x, v: exp(v[i])
+            else:
+                i, log = slot(n.arg), ctx.log
 
-    return ev_log
+                def step(x, v):
+                    if not v[i] > 0:
+                        raise EvalDomainError(f"log of nonpositive value {v[i]}")
+                    return log(v[i])
+            slots[n] = len(steps)
+            steps.append(step)
+        return slots[n]
+
+    slot(node)
+
+    def evaluate(x):
+        v = []
+        for step in steps:
+            v.append(step(x, v))
+        return v[-1]
+
+    return evaluate
 
 
 def _iroot(x: int, s: int) -> int:

@@ -19,9 +19,10 @@ from .rng import MASK64, child_seed, mix_steps, scan_buffers
 
 # Chunks sized to stay inside cache; larger chunks thrash and run ~5x slower.
 DEFAULT_CHUNK = 1 << 16
+_BLOCK = DEFAULT_CHUNK // 64  # the prefilter takes one bound per block of a chunk
 _TWO53 = 2.0 ** 53
 _S11 = np.uint64(11)
-# relative slack of the per-chunk prefilter bound over the computed sigma_lo
+# relative slack of a block's prefilter bound over the computed sigma at its first index
 _SLACK = 1.0 + 2.0 ** -40
 
 
@@ -137,17 +138,24 @@ def _limits(a: float, n: np.ndarray) -> np.ndarray:
     return (np.ceil(_sigma(a, n) * _TWO53).astype(np.uint64) << _S11) - np.uint64(1)
 
 
-def _selected(a: float, lo: int, z: np.ndarray) -> np.ndarray:
-    """Selected indices among lo..lo+len(z)-1 from their mixer outputs z.
+def _selected(a: float, lo: int, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Selected indices among lo..lo+len(z)-1 from their mixer outputs z;
+    tmp is scratch of z's length, whose bytes hold the prefilter's mask.
 
-    Only candidates under a bound on the whole chunk get their own n^(-a).
+    Only candidates under the bound on their block get their own n^(-a).
     The true n^(-a) falls with n, and the computed one is within a relative
     2^-46 of it: a few ulps of log and exp, scaled by |a ln n| < 23 for
-    64-bit n.  So sigma at lo raised by _SLACK bounds every computed sigma_n
-    of the chunk, though the computed values may rise by an ulp.
+    64-bit n.  So sigma at a block's first index raised by _SLACK bounds
+    every computed sigma_n of the block, though they may rise by an ulp.
     """
-    bound = min(math.ceil(float(_sigma(a, np.float64(lo))) * _SLACK * _TWO53), 1 << 53)
-    cand = np.flatnonzero(z <= np.uint64((bound << 11) - 1))
+    m, rows = z.shape[0], z.shape[0] // _BLOCK
+    firsts = np.arange(lo, lo + m, _BLOCK, dtype=np.float64)
+    bound = np.minimum(np.ceil(_sigma(a, firsts) * (_SLACK * _TWO53)), _TWO53).astype(np.uint64)
+    bound = (bound << _S11) - np.uint64(1)
+    mask, cut = tmp.view(np.bool_)[:m], rows * _BLOCK
+    np.less_equal(z[:cut].reshape(rows, _BLOCK), bound[:rows, None], out=mask[:cut].reshape(rows, _BLOCK))
+    np.less_equal(z[cut:], bound[rows:], out=mask[cut:])  # the last block, if cut short
+    cand = np.flatnonzero(mask)
     n = cand + lo
     return n[z[cand] <= _limits(a, n.astype(np.float64))]
 
@@ -162,7 +170,7 @@ def _selection_chunks(
     lo = 1
     while stop is None or lo <= stop:
         m = size if stop is None else min(size, stop - lo + 1)
-        yield _selected(a, lo, mix_steps(seed, lo, steps[:m], z[:m], tmp[:m]))
+        yield _selected(a, lo, mix_steps(seed, lo, steps[:m], z[:m], tmp[:m]), tmp[:m])
         lo += m
 
 

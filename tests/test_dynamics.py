@@ -285,6 +285,39 @@ def test_rotation_orbits_equal_one_point_path_on_long_orbits(observable):
     check_against_allocating_kernel(RotationSystem("sqrt2m1", observable), [0.0, 0.73, 1.0 - 2.0**-53], ks)
 
 
+def fraction_of_words(high: int, low: int) -> float:
+    """Oracle: high 2^-64 + low 2^-128 in float64, each word correctly
+    rounded by Python's int to float, as the kernel once summed every entry."""
+    return float(high) * 2.0**-64 + float(low) * 2.0**-128
+
+
+def kernel_fraction(high: int, low: int) -> float:
+    """_orbit_fracs at the word pair (high, low): the orbit of x = 0 at
+    k = 1 under the angle (high 2^64 + low) 2^-128."""
+    sys = RotationSystem(f"{(high << 64) + low}/{1 << 128}", "e")
+    assert sys.alpha_fp == (high << 64) + low
+    return float(next(sys._orbit_fracs([0.0], np.array([1], dtype=np.int64)))[0])
+
+
+WORD_HIGHS = [2**53 + 2, 2**54 - 2, 2**54 - 1, 2**54, 2**54 + 4]
+WORD_LOWS = [0, 2**64 - 1, 2**64 - 2**10]
+
+
+@pytest.mark.parametrize("high", WORD_HIGHS)
+@pytest.mark.parametrize("low", WORD_LOWS)
+def test_orbit_fraction_of_crafted_words_equals_the_sum_of_both(high, low):
+    got = kernel_fraction(high, low)
+    assert got.hex() == fraction_of_words(high, low).hex()
+
+
+@given(st.integers(2**52, 2**55), st.integers(0, 2**64 - 1))
+@example(2**53 + 2, 2**64 - 1)
+@example(2**54 - 1, 2**64 - 1)
+@settings(max_examples=200, deadline=None)
+def test_orbit_fraction_of_drawn_words_equals_the_sum_of_both(high, low):
+    assert kernel_fraction(high, low).hex() == fraction_of_words(high, low).hex()
+
+
 @pytest.mark.parametrize("observable", OBSERVABLES)
 @pytest.mark.parametrize("schedule", [[1], [2], [1 << 10, 12345, 1 << 15]])
 def test_weighted_average_equals_allocating_product(observable, schedule):

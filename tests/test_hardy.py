@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import iv, mp
 
 from ergolab.dynamics import RotationSystem
 from ergolab import hardy
@@ -902,6 +902,65 @@ def test_tree_table_ignores_precision_bits(src, N):
     p = parse_expression(src)
     bits = minimum_precision(p, N)
     assert phase_fractions(p, N, bits).tobytes() == phase_fractions(p, N, bits + 48).tobytes()
+
+
+def compile_per_occurrence(node, ctx):
+    """Oracle: the evaluator before equal subtrees were shared, one closure
+    per occurrence of a subtree, each evaluated on its own."""
+    if isinstance(node, hardy.Const):
+        num, den = node.value.numerator, node.value.denominator
+        c = ctx.mpf(num) if den == 1 else ctx.mpf(num) / den
+        return lambda x: c
+    if isinstance(node, hardy.Var):
+        return lambda x: x
+    if isinstance(node, (hardy.Add, hardy.Mul)):
+        f, g = compile_per_occurrence(node.left, ctx), compile_per_occurrence(node.right, ctx)
+        op = operator.add if isinstance(node, hardy.Add) else operator.mul
+        return lambda x: op(f(x), g(x))
+    f, fn = compile_per_occurrence(node.arg, ctx), ctx.exp if isinstance(node, hardy.Exp) else ctx.log
+
+    def ev(x):
+        arg = f(x)
+        if isinstance(node, hardy.Log) and not arg > 0:
+            raise EvalDomainError(f"log of nonpositive value {arg}")
+        return fn(arg)
+
+    return ev
+
+
+@pytest.mark.parametrize("N", [1 << 16, 3 * hardy._TABLE_CHUNK + 5])
+def test_tree_table_takes_one_log_per_chunk_of_a_repeated_subtree(N, monkeypatch):
+    # exp(3/2*log(x)) + x*log(x): log(x) occurs twice and is taken once
+    p = parse_expression("x^(3/2) + x*log(x)")
+    assert on_tree_path(p) and p.key.count("log(x)") == 2
+    log, calls = hardy._DD_CTX.log, []
+    monkeypatch.setattr(hardy._DD_CTX, "log", lambda v: calls.append(v) or log(v))
+    got = phase_fractions(p, N)
+    assert len(calls) == -(-N // hardy._TABLE_CHUNK)
+    monkeypatch.setattr(hardy._DD_CTX, "log", log)
+    monkeypatch.setattr(hardy, "_compile", compile_per_occurrence)
+    assert phase_fractions(p, N).tobytes() == got.tobytes()
+
+
+@given(trees, st.integers(1, 10**6) | st.integers(1, 10**12))
+@settings(max_examples=80, deadline=None)
+def test_shared_subtrees_evaluate_as_each_occurrence_does(src, x):
+    # in mp the values, in iv the enclosures, and any domain error agree
+    def outcome(compile_, ctx):
+        try:
+            return repr(compile_(p.root, ctx)(ctx.mpf(x)))
+        except EvalDomainError as exc:
+            return str(exc)
+
+    p = parse_expression(src)
+    with mp.workprec(160):
+        assert outcome(_compile, mp) == outcome(compile_per_occurrence, mp)
+    old = iv.prec
+    try:
+        iv.prec = 160
+        assert outcome(_compile, iv) == outcome(compile_per_occurrence, iv)
+    finally:
+        iv.prec = old
 
 
 def test_magnitude_backstop_fails_before_the_repair():

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from ergolab.rng import MASK64, child_seed, gamma_steps, mix_steps, scan_buffers, uniform01, uniform01_block
 from ergolab.selectors import (
     DEFAULT_CHUNK,
+    _BLOCK,
     _counts_selected,
+    _limits,
     _selected,
     OutOfRangeError,
     SelectorParams,
@@ -267,10 +269,11 @@ def float_selection(a, seed, lo, hi):
 
 def exact_window(a, seed, lo, hi):
     """Selected indices in lo..hi from the exact test, with the whole window
-    as one chunk (so its prefilter bound is sigma at lo)."""
+    as one chunk (so its prefilter bounds are sigma at lo, lo + _BLOCK, ...,
+    one per block, the last block cut short where the window ends)."""
     steps = gamma_steps(hi - lo + 1)
     z = mix_steps(seed, lo, steps, np.empty_like(steps), np.empty_like(steps))
-    return _selected(a, lo, z)
+    return _selected(a, lo, z, np.empty_like(steps))
 
 
 EXPONENTS = st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)
@@ -295,6 +298,26 @@ def test_exact_window_matches_float_oracle(a, seed, lo, length):
     hi = lo + length - 1
     want = np.flatnonzero(float_selection(a, seed, lo, hi)) + lo
     assert np.array_equal(exact_window(a, seed, lo, hi), want)
+
+
+@given(
+    EXPONENTS,
+    st.one_of(
+        st.just(1),
+        st.integers(1, 4).map(lambda k: k * DEFAULT_CHUNK + 1),          # chunk starts
+        st.integers(1, 4).map(lambda k: k * DEFAULT_CHUNK - _BLOCK + 1),  # a chunk's last block
+        st.integers(DEEP - DEFAULT_CHUNK, DEEP + DEFAULT_CHUNK),
+    ),
+    st.one_of(st.just(DEFAULT_CHUNK), st.integers(1, DEFAULT_CHUNK)),
+)
+@settings(max_examples=60, deadline=None)
+@example(np.nextafter(0.5, 0.0), 1, DEFAULT_CHUNK)
+@example(np.nextafter(0.0, 1.0), DEEP, DEFAULT_CHUNK)
+def test_prefilter_bound_covers_every_limit_of_its_block(a, lo, length):
+    # each mixer output is the largest that selects its index, so an index
+    # drops out exactly where its block's bound lies under its limit
+    z = _limits(a, np.arange(lo, lo + length, dtype=np.float64))
+    assert np.array_equal(_selected(a, lo, z, np.empty_like(z)), np.arange(lo, lo + length))
 
 
 @given(EXPONENTS, SEEDS, st.integers(1, 3), st.integers(1, 2000), st.integers(1, 2000))
@@ -327,7 +350,7 @@ def test_exact_test_matches_float_oracle_at_the_threshold(a, lo, length, steps, 
     h = np.clip(np.floor(sig * 2.0**53).astype(np.int64) + delta, 0, 2**53 - 1)
     z = (h.astype(np.uint64) << np.uint64(11)) | np.uint64(low)
     want = n[h * 2.0**-53 < sig]
-    assert np.array_equal(_selected(a, lo, z), want)
+    assert np.array_equal(_selected(a, lo, z, np.empty_like(z)), want)
 
 
 @pytest.mark.parametrize("N", [1, 777, 10**4, DEFAULT_CHUNK, 3 * DEFAULT_CHUNK + 5])
