@@ -14,7 +14,7 @@ Concrete syntax (EBNF):
     power   = atom [ "^" unary ] ;              (right associative)
     atom    = NUMBER | "x" | "(" expr ")"
             | "exp" "(" expr ")" | "log" "(" expr ")" ;
-    NUMBER  = decimal literal, optionally with fraction part and exponent ;
+    NUMBER  = (digit | ".") { digit | "." } [ ("e" | "E") [ "+" | "-" ] digit { digit } ] ;
 
 The parser builds the core tree directly: u^v becomes exp(v*log(u)) (so
 x^(3/2) is exp(3/2 * log x)), u/v becomes u * exp(-log v) unless v is
@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -53,11 +54,21 @@ _VALIDATION_EXP_MAG = 1024
 # 2,500 digits, under Python's 4,300-digit limit for printing an int
 _MAX_CONST_BITS = 1 << 13
 _TOO_LARGE = f"constant with over {_MAX_CONST_BITS} bits is too large"
+# deepest nesting the parser reads and deepest tree it returns: at up to five
+# stack frames a level, within Python's default recursion limit of 1,000
+_MAX_DEPTH = 160
+_TOO_DEEP = f"expression nested deeper than {_MAX_DEPTH} levels"
+# a token after any whitespace: a number (digits, dots, an exponent), a name, or one other character
+_TOKEN = re.compile(r"\s*(?:(?P<num>[\d.]+(?:[eE][+-]?\d+)?)|(?P<name>[^\W\d]\w*)|(?P<char>\S))")
 # fractional bits kept by the exact integer roots, the interval repair's
-# least starting precision, and the width under which it settles an entry
+# least starting precision, and the radius 2^-_ROOT_BITS around a nonzero
+# integer in which it settles an entry as 0.0
 _ROOT_BITS = 128
 # the interval repair's highest precision, and the largest precision_bits
 _ZIV_CEILING = 1 << 14
+# radius 2^-_TIE_BITS of the neighbourhoods of 0 and of each float64 rounding
+# boundary that settle an entry: 2^-_ROOT_BITS of the least float64 spacing
+_TIE_BITS = 1074 + _ROOT_BITS
 # largest root degree s of the powers x^(r/s), r > 0, whose tables take the
 # Newton-root evaluator and the exact roots: a root's cost grows about
 # linearly in s, so larger s, and r < 0, take the compiled tree
@@ -120,19 +131,17 @@ class Log:
 Node = Union[Const, Var, Add, Mul, Exp, Log]
 
 
+def _children(node: Node) -> tuple:
+    return () if isinstance(node, Const) else tuple(vars(node).values())  # its fields, in order
+
+
 def node_key(node: Node) -> str:
-    """Canonical serialization of the tree."""
+    """Canonical serialization: c(value), x, or class name(children's keys)."""
     if isinstance(node, Const):
         return f"c({node.value})"
     if isinstance(node, Var):
         return "x"
-    if isinstance(node, Add):
-        return f"add({node_key(node.left)},{node_key(node.right)})"
-    if isinstance(node, Mul):
-        return f"mul({node_key(node.left)},{node_key(node.right)})"
-    if isinstance(node, Exp):
-        return f"exp({node_key(node.arg)})"
-    return f"log({node_key(node.arg)})"
+    return f"{type(node).__name__.lower()}({','.join(map(node_key, _children(node)))})"
 
 
 @dataclass(frozen=True)
@@ -164,30 +173,13 @@ class HardyExpr:
 
 def _tokenize(src: str) -> list:
     """(kind, value, position) triples, ending with an "end" token."""
-    i, n = 0, len(src)
+    # numerals such as "²" are digits to str.isdigit, not to \d: read as "0", they join a number
+    probe = src if src.isascii() else "".join("0" if ch.isdigit() else ch for ch in src)
     out = []
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            out.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (src[j].isdigit() or src[j] == "."):
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            text = src[i:j]
+    for m in _TOKEN.finditer(probe):
+        kind, i = m.lastgroup, m.start(m.lastgroup)
+        text = src[i:m.end()]
+        if kind == "num":
             try:
                 dec = Decimal(text)
             except ArithmeticError:
@@ -196,29 +188,17 @@ def _tokenize(src: str) -> list:
             if dec and abs(dec.adjusted()) > _MAX_CONST_BITS // 3 + 1:
                 raise ExpressionError(_TOO_LARGE, i)
             out.append(("num", Fraction(dec), i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            name = src[i:j]
-            if name in ("x", "exp", "log"):
-                out.append((name, name, i))
-            else:
-                raise ExpressionError(f"unsupported primitive {name!r}", i)
-            i = j
-            continue
-        raise ExpressionError(f"unexpected character {ch!r}", i)
-    out.append(("end", None, n))
+        elif kind == "name" and text not in ("x", "exp", "log"):
+            raise ExpressionError(f"unsupported primitive {text!r}", i)
+        elif kind == "char" and text not in "+-*/^()":
+            raise ExpressionError(f"unexpected character {text!r}", i)
+        else:
+            out.append((text, text, i))
+    out.append(("end", None, len(src)))
     return out
 
 
 _MINUS_ONE = Const(Fraction(-1))
-
-
-def _const_of(node: Node) -> Optional[Fraction]:
-    return node.value if isinstance(node, Const) else None
 
 
 def _const(value: Fraction, pos: int) -> Const:
@@ -228,18 +208,12 @@ def _const(value: Fraction, pos: int) -> Const:
     return Const(value)
 
 
-def _fold_add(left: Node, right: Node, pos: int) -> Node:
-    lc, rc = _const_of(left), _const_of(right)
-    if lc is not None and rc is not None:
-        return _const(lc + rc, pos)
-    return Add(left, right)
-
-
-def _fold_mul(left: Node, right: Node, pos: int) -> Node:
-    lc, rc = _const_of(left), _const_of(right)
-    if lc is not None and rc is not None:
-        return _const(lc * rc, pos)
-    return Mul(left, right)
+def _fold(kind, left: Node, right: Node, pos: int) -> Node:
+    """kind(left, right) for kind Add or Mul; two constants fold to one."""
+    if isinstance(left, Const) and isinstance(right, Const):
+        op = operator.add if kind is Add else operator.mul
+        return _const(op(left.value, right.value), pos)
+    return kind(left, right)
 
 
 class _Parser:
@@ -249,95 +223,90 @@ class _Parser:
     def __init__(self, src: str):
         self.toks = _tokenize(src)
         self.i = 0
+        self.nesting = 0  # unary calls open: every recursion passes one
 
-    def peek(self):
-        return self.toks[self.i]
-
-    def advance(self):
+    def take(self, *kinds: str):
+        """The next token, consumed, if kinds is empty or holds its kind."""
         tok = self.toks[self.i]
+        if kinds and tok[0] not in kinds:
+            return None
         self.i += 1
         return tok
 
-    def expect(self, kind: str):
-        tok = self.advance()
+    def expect(self, kind: str) -> None:
+        tok = self.take()
         if tok[0] != kind:
             raise ExpressionError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
-        return tok
 
     def parse(self) -> Node:
         node = self.expr()
-        tok = self.peek()
+        tok = self.toks[self.i]
         if tok[0] != "end":
             raise ExpressionError(f"unexpected trailing {tok[0]!r}", tok[2])
+        depth, level = 0, [node]  # a chain such as x+x+...+x nests without recursion
+        while level and depth <= _MAX_DEPTH:
+            depth, level = depth + 1, [child for n in level for child in _children(n)]
+        if depth > _MAX_DEPTH:
+            raise ExpressionError(_TOO_DEEP)
         return node
 
     def expr(self) -> Node:
         node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op, _, pos = self.advance()
+        while tok := self.take("+", "-"):
             right = self.term()
-            node = _fold_add(node, right if op == "+" else _fold_mul(_MINUS_ONE, right, pos), pos)
+            node = _fold(Add, node, right if tok[0] == "+" else _fold(Mul, _MINUS_ONE, right, tok[2]), tok[2])
         return node
 
     def term(self) -> Node:
         node = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op, _, pos = self.advance()
+        while tok := self.take("*", "/"):
             right = self.unary()
-            if op == "/":
-                rc = _const_of(right)
+            if tok[0] == "/":
+                rc = right.value if isinstance(right, Const) else None
                 if rc == 0:
-                    raise ExpressionError("division by zero constant", pos)
+                    raise ExpressionError("division by zero constant", tok[2])
                 right = Const(1 / rc) if rc is not None else Exp(Mul(_MINUS_ONE, Log(right)))
-            node = _fold_mul(node, right, pos)
+            node = _fold(Mul, node, right, tok[2])
         return node
 
     def unary(self) -> Node:
-        tok = self.peek()
-        if tok[0] == "-":
-            self.advance()
-            return _fold_mul(_MINUS_ONE, self.unary(), tok[2])
-        if tok[0] == "+":
-            self.advance()
-            return self.unary()
-        return self.power()
+        self.nesting += 1
+        if self.nesting > _MAX_DEPTH:
+            raise ExpressionError(_TOO_DEEP, self.toks[self.i][2])
+        tok = self.take("+", "-")
+        node = self.power() if tok is None else self.unary()
+        self.nesting -= 1
+        return _fold(Mul, _MINUS_ONE, node, tok[2]) if tok and tok[0] == "-" else node
 
     def power(self) -> Node:
         base = self.atom()
-        if self.peek()[0] != "^":
+        tok = self.take("^")
+        if tok is None:
             return base
-        pos = self.advance()[2]
         exponent = self.unary()
-        lc, rc = _const_of(base), _const_of(exponent)
-        if lc is not None and rc is not None and rc.denominator == 1:
+        if isinstance(base, Const) and isinstance(exponent, Const) and exponent.value.denominator == 1:
+            lc, rc = base.value, exponent.value
             if lc == 0 and rc < 0:
-                raise ExpressionError("zero to a negative power", pos)
-            if lc != 0:
-                bits = max(math.log2(abs(lc.numerator)), math.log2(lc.denominator))
-                if bits > 0 and abs(rc) > _MAX_CONST_BITS / bits:
-                    raise ExpressionError(
-                        f"constant power with over {_MAX_CONST_BITS} bits is too large", pos
-                    )
-            return _const(lc ** int(rc), pos)
+                raise ExpressionError("zero to a negative power", tok[2])
+            bits = max(math.log2(abs(lc.numerator)), math.log2(lc.denominator)) if lc else 0
+            if bits > 0 and abs(rc) > _MAX_CONST_BITS / bits:
+                raise ExpressionError(f"constant power with over {_MAX_CONST_BITS} bits is too large", tok[2])
+            return _const(lc ** int(rc), tok[2])
         return Exp(Mul(exponent, Log(base)))
 
     def atom(self) -> Node:
-        tok = self.advance()
-        kind = tok[0]
+        kind, value, pos = self.take()
         if kind == "num":
-            return _const(tok[1], tok[2])
+            return _const(value, pos)
         if kind == "x":
             return Var()
-        if kind == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
         if kind in ("exp", "log"):
             self.expect("(")
-            arg = self.expr()
-            self.expect(")")
-            return Exp(arg) if kind == "exp" else Log(arg)
-        raise ExpressionError(f"unexpected {kind!r}", tok[2])
+        elif kind != "(":
+            raise ExpressionError(f"unexpected {kind!r}", pos)
+        node = self.expr()
+        self.expect(")")
+        return node if kind == "(" else Exp(node) if kind == "exp" else Log(node)
 
 
 def _power_of(node: Node) -> Tuple[Optional[Fraction], Optional[Node]]:
@@ -356,10 +325,8 @@ def _is_integer_polynomial(node: Node) -> bool:
     """Integer constants and x closed under +, * and u^k, k >= 0 an integer."""
     if isinstance(node, Const):
         return node.value.denominator == 1
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, (Add, Mul)):
-        return _is_integer_polynomial(node.left) and _is_integer_polynomial(node.right)
+    if isinstance(node, (Var, Add, Mul)):
+        return all(map(_is_integer_polynomial, _children(node)))
     q, base = _power_of(node)
     return q is not None and q.denominator == 1 and q >= 0 and _is_integer_polynomial(base)
 
@@ -367,21 +334,12 @@ def _is_integer_polynomial(node: Node) -> bool:
 # ---------------------------------------------------------------------------
 # Evaluation.
 
-def _power_form(root: Node) -> Optional[Fraction]:
-    """Exponent q when the tree is exactly x^q (exp(q log x) in either
-    operand order, or plain x)."""
-    if isinstance(root, Var):
-        return Fraction(1)
-    q, base = _power_of(root)
-    return q if isinstance(base, Var) else None
-
-
 def _root_exponent(root: Node) -> Optional[Fraction]:
-    """q when the tree is x^q on the root route, q = r/s > 0 with s <=
-    _ROOT_MAX_DEGREE: its tables and its precision rule take exact integer
-    roots.  Else None."""
-    q = _power_form(root)
-    return q if q is not None and q > 0 and q.denominator <= _ROOT_MAX_DEGREE else None
+    """q when the tree is x^q on the root route, exp(q log x) in either
+    operand order or plain x, with q = r/s > 0 and s <= _ROOT_MAX_DEGREE:
+    its tables and its precision rule take exact integer roots.  Else None."""
+    q, base = (Fraction(1), root) if isinstance(root, Var) else _power_of(root)
+    return q if isinstance(base, Var) and q > 0 and q.denominator <= _ROOT_MAX_DEGREE else None
 
 
 def _compile(node: Node, ctx):
@@ -524,6 +482,11 @@ _TINY = 2.0**-1000  # absolute, for underflow in * and exp
 _SLACK = 2.0
 _EXP_HALVINGS = 8
 _EXP_DEGREE = 10  # |s| <= 2^-9.4: truncation under 2^-119 relative
+# 1/j!, j = 1.._EXP_DEGREE, in double-double: the Taylor coefficients of expm1(s)/s
+_EXP_COEFFS = tuple(
+    (float(c), float(c - Fraction(float(c))))
+    for c in (Fraction(1, math.factorial(j)) for j in range(1, _EXP_DEGREE + 1))
+)
 _EXP_MAX_ARG = 700.0  # larger |arguments| over- or underflow: repaired
 # ln 2 as three float64 words, each the nearest float64 to what the words
 # before it leave, to about 2^-160
@@ -583,25 +546,13 @@ def _mul_dd(xh, xl, yh, yl):
     return _fast_two_sum(ch, cl + functools.reduce(operator.add, cross) if cross else cl)
 
 
-@functools.lru_cache(maxsize=None)
-def _exp_coefficients() -> Tuple[Tuple[float, float], ...]:
-    """1/(j+1)! in double-double for j < _EXP_DEGREE."""
-    out = []
-    for j in range(_EXP_DEGREE):
-        c = Fraction(1, math.factorial(j + 1))
-        hi = float(c)
-        out.append((hi, float(c - Fraction(hi))))
-    return tuple(out)
-
-
 def _exp_reduced(rh, rl):
     """exp(r) for |r| <= ln2/2: expm1(r/2^m) by Taylor, m steps of
     s -> s(s + 2), which keep the relative error of expm1, then 1 + s."""
     scale = 2.0**-_EXP_HALVINGS
     sh, sl = rh * scale, rl * scale
-    coeffs = _exp_coefficients()
-    qh, ql = coeffs[-1]
-    for ch, cl in reversed(coeffs[:-1]):
+    qh, ql = _EXP_COEFFS[-1]
+    for ch, cl in reversed(_EXP_COEFFS[:-1]):
         qh, ql = _mul_dd(qh, ql, sh, sl)
         qh, ql = _add_dd(qh, ql, ch, cl)
     qh, ql = _mul_dd(qh, ql, sh, sl)
@@ -768,16 +719,35 @@ def _root_dd(n: _DD, s: int, u0=None) -> _DD:
     return _DD(hi, lo, err)
 
 
+def _settle(a: int, b: int, u: int) -> Optional[float]:
+    """The entry of every p in [a, b] / 2^u, u > _TIE_BITS, or None if they
+    give more than one.  It is a function of p alone: 0.0 within 2^-_ROOT_BITS
+    of a nonzero integer (exact at integers such as n^(3/2) at perfect squares)
+    or 2^-_TIE_BITS of 0, the even neighbour of a rounding boundary within
+    2^-_TIE_BITS of one, else frac(p) correctly rounded (int / int is)."""
+    unit, tie = 1 << u, 1 << (u - _TIE_BITS)
+    radius = lambda k: unit >> _ROOT_BITS if k else tie  # of the neighbourhood of k that gives 0.0
+    k = (a + (unit >> 1)) >> u  # the integer nearest a / unit
+    if abs(a - (k << u)) < radius(k) and abs(b - (k << u)) < radius(k):
+        return 0.0
+    k = a >> u
+    a, b = a - (k << u), b - (k << u)
+    if radius(k) <= a and b <= unit - radius(k + 1):  # clear of both integers' neighbourhoods
+        if (low := (a - tie) / unit) == (b + tie) / unit:  # no rounding boundary within tie
+            return low
+        below, above = (b - tie) / unit, (a + tie) / unit
+        if b - a < 2 * tie and below != above:  # within tie of one boundary
+            return (below + above) / 2
+    return None
+
+
 def _round_fractions(root: Node, start: int, out: np.ndarray, indices, bits: int) -> None:
-    """out[i] = frac(p(start + i)) correctly rounded, i in indices, by Ziv's
-    strategy (Ziv, ACM TOMS 17(3), 1991): each entry's interval enclosure
-    from max(bits, _ROOT_BITS) bits, the precision doubled up to _ZIV_CEILING
-    until the enclosure decides the float64.  Narrower than 2^-_ROOT_BITS, an
-    enclosure holding an integer other than 0 gives 0.0 (exact at integers
-    such as n^(3/2) at perfect squares); narrower than 2^-(4 _ROOT_BITS), one
-    holding 0 gives 0.0 and one holding a rounding boundary the midpoint, so a
-    tiny p inside a sum that cancels keeps its own value.  An entry still open
-    at the last precision fails, as does a log argument not provably positive.
+    """out[i] = the entry _settle gives frac(p(start + i)), i in indices, by
+    Ziv's strategy (Ziv, ACM TOMS 17(3), 1991): each entry's interval
+    enclosure from max(bits, _ROOT_BITS) bits, the precision doubled up to
+    _ZIV_CEILING until every value in it gives one entry, so no entry depends
+    on bits.  An entry still open at the last precision fails, as does a log
+    argument not provably positive.
     """
     from mpmath import iv
     precs = [max(bits, _ROOT_BITS)]
@@ -797,18 +767,10 @@ def _round_fractions(root: Node, start: int, out: np.ndarray, indices, bits: int
                     if prec == precs[-1]:
                         raise
                     continue
-                # p lies in [a, b] / unit for integers a, b; less floor(a /
-                # unit) below, and int / int is correctly rounded
-                e = min(e_a, e_b, 0)
-                a, b, unit = (-a if s_a else a) << (e_a - e), (-b if s_b else b) << (e_b - e), 1 << -e
-                zero = a <= 0 <= b
-                a, b = a % unit, b - (a - a % unit)
-                if b < unit and a / unit == b / unit:
-                    out[i] = a / unit
-                    break
-                integer = a == 0 or b >= unit
-                if (b - a) << (_ROOT_BITS if integer and not zero else 4 * _ROOT_BITS) < unit:
-                    out[i] = 0.0 if integer else (a + b) / (2 * unit)
+                u = max(-e_a, -e_b, _TIE_BITS + 1)  # p lies in [a, b] / 2^u
+                entry = _settle((-a if s_a else a) << (u + e_a), (-b if s_b else b) << (u + e_b), u)
+                if entry is not None:
+                    out[i] = entry
                     break
             else:
                 raise InsufficientPrecisionError(f"enclosure of p({start + i}) too wide at {precs[-1]} bits")
@@ -884,7 +846,7 @@ def power_phase(exponent: Union[str, float, Fraction], epsilon_hint: Optional[fl
     difference at scale x^(eps-1) y z, and superlogarithmic distance from
     rational polynomials).
     """
-    q = Fraction(exponent) if not isinstance(exponent, Fraction) else exponent
+    q = Fraction(exponent)
     if epsilon_hint is None and 1 < q < 2:
         epsilon_hint = float(q - 1)
     return parse_expression(f"x^({q})", epsilon_hint=epsilon_hint)
@@ -956,9 +918,7 @@ def phase_fractions(
     if precision_bits is None:
         precision_bits = required + 16
     elif precision_bits < required:
-        raise InsufficientPrecisionError(
-            f"precision rule needs >= {required} bits at x={N}, got {precision_bits}"
-        )
+        raise InsufficientPrecisionError(f"precision rule needs >= {required} bits at x={N}, got {precision_bits}")
 
     out = np.empty(count, dtype=np.float64)
     q = _root_exponent(p.root)

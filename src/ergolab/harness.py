@@ -541,7 +541,7 @@ def _run_correlation(cfg: ExperimentConfig) -> Report:
     seeds = cfg.seed_list()
     # the phase table depends on p alone, so one table, long enough for the
     # largest S_{n_need} among the seeds, serves every seed
-    s_max = max(selectors.count_selected(cfg.a, seed, n_need) for seed in seeds)
+    s_max = int(selectors.count_selected(cfg.a, seeds, n_need).max())
     phases = hardy.phase_fractions(expr, s_max, cfg.bits)
 
     shared = dict(union=union, phases=phases, wparams=wp,

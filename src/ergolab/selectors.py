@@ -253,15 +253,11 @@ def select_first(a: float, seed: int, count: int) -> np.ndarray:
     return out
 
 
-def count_selected(a: float, seed: int, N: int) -> int:
-    """S_N for a fresh seed without materializing a realization."""
-    return sum(ones.shape[0] for ones in _selection_chunks(a, seed, N))
-
-
-def _counts_selected(a: float, seeds: np.ndarray, N: int) -> np.ndarray:
-    """count_selected(a, seed, N) for every seed of a uint64 array, in one
-    walk over [1, N]: each chunk's limits are computed once and every seed
-    is hashed against them."""
+def count_selected(a: float, seeds: Sequence[int], N: int) -> np.ndarray:
+    """S_N for every seed of a uint64 array (or sequence), without
+    materializing a realization: one walk over [1, N], in which each chunk's
+    limits are computed once and every seed is hashed against them."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
     counts = np.zeros(seeds.shape[0], dtype=np.int64)
     steps, z, tmp = scan_buffers(min(DEFAULT_CHUNK, N))
     for lo in range(1, N + 1, steps.shape[0]):
@@ -317,7 +313,7 @@ def deviation_statistics(
     thr = np.asarray(thresholds, dtype=np.float64)
 
     seeds = np.fromiter((child_seed(params.seed, t) for t in range(trials)), np.uint64, trials)
-    deviations = np.abs(_counts_selected(params.a, seeds, N) - w_N)
+    deviations = np.abs(count_selected(params.a, seeds, N) - w_N)
 
     freqs = np.array([np.count_nonzero(deviations >= A) / trials for A in thr])
     envs = np.array([chernoff_envelope(float(A), w_N, chernoff_c) for A in thr])

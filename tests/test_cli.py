@@ -162,6 +162,26 @@ def test_bad_input_exits_with_one_line(args):
         assert time.perf_counter() - t0 < 10.0
 
 
+@pytest.mark.parametrize("args", [
+    ["--p", "(" * 400 + "x" + ")" * 400],
+    ["--p=" + "-" * 2000 + "x"],
+    ["--p", "+".join(["x"] * 3000)],
+])
+def test_deep_expression_exits_with_one_line(args, capsys):
+    # rejected at parse time, where the parser's recursion and the
+    # evaluators' would otherwise end in a RecursionError
+    t0 = time.perf_counter()
+    assert main(["expsum", *args, "--Nmin", "64", "--Nmax", "128"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("ergolab: error: expression nested deeper than 160 levels")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_expression_150_parentheses_deep_runs():
+    assert main(["expsum", "--p", "(" * 150 + "x^(3/2)" + ")" * 150, "--Nmin", "64", "--Nmax", "128"]) == 0
+
+
 @pytest.mark.parametrize("pipeline", ["expsum", "average"])
 def test_bad_worker_env_exits_with_one_line(pipeline):
     r = run_cli([pipeline, "--Nmin", "64", "--Nmax", "64"], {"ERGOLAB_WORKERS": "abc"})

@@ -1,6 +1,7 @@
 import operator
 import re
 import time
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 from types import SimpleNamespace
@@ -135,6 +136,123 @@ PINNED_KEYS = [
 @pytest.mark.parametrize("src,key", PINNED_KEYS)
 def test_parse_pinned_keys(src, key):
     assert parse_expression(src).key == key
+
+
+def scanner_tokenize(src: str) -> list:
+    """Oracle: the character scanner hardy._tokenize replaced, verbatim."""
+    i, n = 0, len(src)
+    out = []
+    while i < n:
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*/^()":
+            out.append((ch, ch, i))
+            i += 1
+            continue
+        if ch.isdigit() or ch == ".":
+            j = i
+            while j < n and (src[j].isdigit() or src[j] == "."):
+                j += 1
+            if j < n and src[j] in "eE":
+                k = j + 1
+                if k < n and src[k] in "+-":
+                    k += 1
+                if k < n and src[k].isdigit():
+                    j = k
+                    while j < n and src[j].isdigit():
+                        j += 1
+            text = src[i:j]
+            try:
+                dec = Decimal(text)
+            except ArithmeticError:
+                raise ExpressionError(f"malformed number {text!r}", i)
+            if dec and abs(dec.adjusted()) > hardy._MAX_CONST_BITS // 3 + 1:
+                raise ExpressionError(hardy._TOO_LARGE, i)
+            out.append(("num", Fraction(dec), i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            name = src[i:j]
+            if name in ("x", "exp", "log"):
+                out.append((name, name, i))
+            else:
+                raise ExpressionError(f"unsupported primitive {name!r}", i)
+            i = j
+            continue
+        raise ExpressionError(f"unexpected character {ch!r}", i)
+    out.append(("end", None, n))
+    return out
+
+
+def tokens_or_error(tokenize, src: str):
+    try:
+        return tokenize(src)
+    except ExpressionError as exc:
+        return exc
+
+
+# pieces of source text: whitespace of every kind, the lexicon, exponents,
+# and non-ASCII letters, decimal digits (Arabic-Indic, Devanagari, fullwidth,
+# mathematical) and other numerals (superscripts, fractions, Roman, circled)
+TEXT_PIECES = (
+    list(" \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u1680\u2003\u2028\u3000")
+    + list("0123456789.eE+-*/^()_x") + ["exp", "log", "1e5", "2.5E-3", "1e+", ".e1", "sin", "x1"]
+    + list("éλЖßªº") + list("٣५０𝟙") + list("²¹₂½Ⅻ①") + list("$,;'\x00")
+)
+
+
+@given(st.lists(st.sampled_from(TEXT_PIECES) | st.characters(), max_size=12).map("".join))
+@example("1²")          # a numeral str.isdigit takes joins the number before it
+@example("1e²+x")
+@example("½ + x")       # a numeral it does not take stands alone
+@example("x\u2003-\x1c٣.5e٢")
+@settings(max_examples=2000, deadline=None)
+def test_tokens_equal_the_character_scanner(src):
+    # tokens, values and positions everywhere; error texts on ASCII text,
+    # since a numeral such as "½" starts a name, not an unknown character
+    got, want = tokens_or_error(hardy._tokenize, src), tokens_or_error(scanner_tokenize, src)
+    if isinstance(want, ExpressionError):
+        assert isinstance(got, ExpressionError) and got.position == want.position
+        assert str(got) == str(want) or not src.isascii()
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("src", [
+    "(" * 400 + "x" + ")" * 400,
+    "-" * 2000 + "x",
+    "+".join(["x"] * 3000),
+    "(" * hardy._MAX_DEPTH + "x" + ")" * hardy._MAX_DEPTH,
+    "x" + "+x" * hardy._MAX_DEPTH,
+    "x^" * hardy._MAX_DEPTH + "x",
+])
+def test_deep_expressions_are_rejected_with_one_error(src):
+    start = time.perf_counter()
+    with pytest.raises(ExpressionError, match=f"^expression nested deeper than {hardy._MAX_DEPTH} levels"):
+        parse_expression(src)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("src", [
+    "(" * (hardy._MAX_DEPTH - 2) + "x*log(x)" + ")" * (hardy._MAX_DEPTH - 2),  # nested 160 deep
+    "x^1.01" + "+x" * (hardy._MAX_DEPTH - 4),                                  # a tree 160 deep
+    "-(" * (hardy._MAX_DEPTH // 2 - 1) + "x^1.01" + ")" * (hardy._MAX_DEPTH // 2 - 1),
+])
+def test_expressions_at_the_depth_bound_run_every_evaluator(src):
+    # the parse with its domain sweep, the rule in mp, the pass in
+    # double-double and the interval repair in iv, all under pytest's stack
+    p = parse_expression(src)
+    N = 40
+    bits = minimum_precision(p, N)
+    assert phase_fractions(p, N, bits).tobytes() == correctly_rounded_table(p, N, bits).tobytes()
+    out = np.empty(N)
+    hardy._round_fractions(p.root, 1, out, np.arange(N), bits)
+    assert out.tobytes() == correctly_rounded_table(p, N, bits).tobytes()
 
 
 @pytest.mark.parametrize("a,b", [
@@ -773,10 +891,7 @@ def correctly_rounded_table(p, N: int, precision_bits: int, start: int = 1) -> n
 
 def on_tree_path(p) -> bool:
     """Whether p's table takes the compiled tree and the interval repair."""
-    q = hardy._power_form(p.root)
-    return not p.integer_polynomial and (
-        q is None or q < 0 or q.denominator > hardy._ROOT_MAX_DEGREE
-    )
+    return not p.integer_polynomial and hardy._root_exponent(p.root) is None
 
 
 LEAVES = [
@@ -808,6 +923,11 @@ starts = st.integers(1, 10**4) | st.integers(1, 10**12)
 @example("exp(x) - exp(x) + x/3", 1, 300, 0)   # intermediates near 2^433
 @example("x^(-28) + 3/7*x - 3/7*x", 250, 48, 0)  # tiny p inside enclosures of 0
 @example("x^(1/3) - x^(1/3)", 1, 48, 0)        # p = 0, never enclosed exactly
+@example(                                      # entry 47 just under 2^-128 above an integer
+    "exp((exp(log(x + ((x) * (x))*((x) * (x)))*1.01)) / "
+    "(1 + (exp(log(x + ((x) * (x))*((x) * (x)))*1.01))*(exp(log(x + ((x) * (x))*((x) * (x)))*1.01))))",
+    3_448_133_050, 48, 0,
+)
 @settings(max_examples=120, deadline=None)
 def test_tree_table_equals_mpmath_loop(src, start, length, extra_bits):
     # bits need only meet the rule at N; the mpmath loop runs at the rule on
@@ -902,6 +1022,60 @@ def test_tree_table_ignores_precision_bits(src, N):
     p = parse_expression(src)
     bits = minimum_precision(p, N)
     assert phase_fractions(p, N, bits).tobytes() == phase_fractions(p, N, bits + 48).tobytes()
+
+
+@pytest.mark.parametrize("src, N", [
+    ("exp(x^-45)", 8), ("exp(x^-44)", 8), ("1 + x^-45", 8), ("exp(x^(-129))", 2),
+])
+def test_tree_table_near_an_integer_ignores_precision_bits(src, N):
+    # p(N) lies within 2^-128 of the integer 1, where a repair that started
+    # at 130 bits gave 0.0 and one from any other start the tiny fraction
+    p = parse_expression(src)
+    rule = minimum_precision(p, N)
+    expected = correctly_rounded_table(p, N, max(rule, range_precision(p, N)))
+    assert expected[-1] == 0.0
+    for bits in (rule, 128, 129, 130, 140, 200, 400, 1000):
+        assert phase_fractions(p, N, bits).tobytes() == expected.tobytes(), bits
+
+
+def settled_entry(v: Fraction) -> float:
+    """Oracle of the entry hardy._settle gives p = v: 0.0 within 2^-128 of a
+    nonzero integer or 2^-_TIE_BITS of 0, the even neighbour of a rounding
+    boundary within 2^-_TIE_BITS, else frac(v) correctly rounded."""
+    k = round(v)
+    if abs(v - k) < Fraction(1, 1 << (hardy._ROOT_BITS if k else hardy._TIE_BITS)):
+        return 0.0
+    f = v - (v.numerator // v.denominator)
+    r = float(f)  # Fraction to float rounds correctly, ties to even
+    boundary = (Fraction(r) + Fraction(np.nextafter(r, 0.0 if Fraction(r) > f else 2.0))) / 2
+    return float(boundary) if abs(f - boundary) < Fraction(1, 1 << hardy._TIE_BITS) else r
+
+
+def near(center: Fraction):
+    """center moved by 0 or by +-2^-e, e across every neighbourhood's radius."""
+    return st.tuples(st.sampled_from([0, 1, -1]), st.integers(100, 1300)).map(
+        lambda t: center + t[0] * Fraction(1, 1 << t[1]))
+
+
+values = st.one_of(
+    st.integers(-3, 3).flatmap(lambda k: near(Fraction(k))),
+    st.floats(0.0, 1.0, exclude_max=True).map(   # a float64 rounding boundary in [0, 1)
+        lambda r: (Fraction(r) + Fraction(np.nextafter(r, 2.0))) / 2).flatmap(near),
+    st.integers(-1074, -1).map(lambda e: Fraction(3, 1 << (1 - e))).flatmap(near),
+    st.fractions(-4, 4),
+)
+
+
+@given(values, st.integers(60, 1400), st.integers(60, 1400))
+@settings(max_examples=1000, deadline=None)
+def test_settled_entries_are_a_function_of_the_value(v, below, above):
+    # any enclosure of v, however wide on either side, settles to v's own
+    # entry or to none
+    u = max(below, above, hardy._TIE_BITS) + 8
+    a = (v - Fraction(1, 1 << below)) * (1 << u)
+    b = (v + Fraction(1, 1 << above)) * (1 << u)
+    got = hardy._settle(a.numerator // a.denominator, -(-b.numerator // b.denominator), u)
+    assert got is None or got == settled_entry(v)
 
 
 def compile_per_occurrence(node, ctx):
@@ -1001,23 +1175,30 @@ def test_each_chunk_is_repaired_before_the_next(monkeypatch):
     assert sizes == [hardy._TABLE_CHUNK]
 
 
-# The double-double operations against mpmath at 400 bits.  Each input is
-# hi + lo with err e0, and the exact value sits a*e0 below it, |a| <= 1.
-# The output's err must bound |dd - exact|.
+# The double-double operations against exact rationals, or mpmath at 400
+# bits for exp, log and roots.  Each input is hi + lo with err e0, and the
+# exact value sits a*e0 below it, |a| <= 1.  The output's err must bound
+# |dd - exact|, which is taken exactly.
 
 def dd_input(hi, lo_frac, rel_err, a):
+    """The input as a _DD and its exact value as a Fraction."""
     lo = float(lo_frac * np.spacing(hi) / 2)
     e0 = abs(hi) * rel_err
     x = hardy._DD(np.array([hi]), np.array([lo]), np.array([e0]))
-    with mp.workprec(400):
-        exact = mp.mpf(hi) + mp.mpf(lo) - a * mp.mpf(e0)
-    return x, exact
+    return x, Fraction(hi) + Fraction(lo) - Fraction(a) * Fraction(e0)
+
+
+def to_mp(value: Fraction):
+    return mp.mpf(value.numerator) / value.denominator
 
 
 def within_bound(v, exact):
-    with mp.workprec(400):
-        dd = mp.mpf(float(v.hi[0])) + mp.mpf(float(v.lo[0]))
-        return abs(dd - exact) <= mp.mpf(float(v.err[0]))
+    """|hi + lo - exact| <= err, exactly; exact a Fraction or an mpf."""
+    if not isinstance(exact, Fraction):
+        sign, man, exp, _ = exact._mpf_
+        exact = (-man if sign else man) * Fraction(2) ** exp
+    dd = Fraction(float(v.hi[0])) + Fraction(float(v.lo[0]))
+    return abs(dd - exact) <= Fraction(float(v.err[0]))
 
 
 def errors():
@@ -1035,7 +1216,7 @@ def test_double_double_exp_within_bound(hi, lo_frac, err):
     x, exact = dd_input(hi, lo_frac, *err)
     v = hardy._DD_CTX.exp(x)
     with mp.workprec(400):
-        assert within_bound(v, mp.exp(exact))
+        assert within_bound(v, mp.exp(to_mp(exact)))
 
 
 @given(st.floats(1e-300, 1e300), st.floats(-1, 1), errors())
@@ -1047,7 +1228,7 @@ def test_double_double_log_within_bound(hi, lo_frac, err):
     x, exact = dd_input(hi, lo_frac, *err)
     v = hardy._DD_CTX.log(x)
     with mp.workprec(400):
-        assert within_bound(v, mp.log(exact))
+        assert within_bound(v, mp.log(to_mp(exact)))
 
 
 finite = st.floats(1e-100, 1e100).flatmap(lambda m: st.sampled_from([m, -m]))
@@ -1055,13 +1236,13 @@ finite = st.floats(1e-100, 1e100).flatmap(lambda m: st.sampled_from([m, -m]))
 
 @given(finite, finite, st.floats(-1, 1), st.floats(-1, 1), errors(), errors(), st.booleans())
 @example(1.0, -1.0000000000000002, 0.5, 0.0, (0.0, 0.0), (0.0, 0.0), True)
+@example(1.0, -1.0, 0.0, 5.212093963980802e-100, (0.0, 0.0), (0.0, 0.0), True)  # an exact sum of 2^-383
 @settings(max_examples=300, deadline=None)
 def test_double_double_add_and_mul_within_bound(h1, h2, f1, f2, err1, err2, add):
     x, ex = dd_input(h1, f1, *err1)
     y, ey = dd_input(h2, f2, *err2)
     v = x + y if add else x * y
-    with mp.workprec(400):
-        assert within_bound(v, ex + ey if add else ex * ey)
+    assert within_bound(v, ex + ey if add else ex * ey)
 
 
 @given(st.fractions())

@@ -9,9 +9,9 @@ from ergolab.rng import MASK64, child_seed, gamma_steps, mix_steps, scan_buffers
 from ergolab.selectors import (
     DEFAULT_CHUNK,
     _BLOCK,
-    _counts_selected,
     _limits,
     _selected,
+    _selection_chunks,
     OutOfRangeError,
     SelectorParams,
     count_selected,
@@ -153,7 +153,7 @@ def test_mean_count_against_binomial_oracle():
     sig = sigma_values(a, 1, N)
     var = float(np.sum(sig * (1.0 - sig)))
     se = math.sqrt(var / trials)
-    counts = [count_selected(a, child_seed(321, t), N) for t in range(trials)]
+    counts = count_selected(a, [child_seed(321, t) for t in range(trials)], N)
     assert abs(np.mean(counts) - w) < 3 * se
 
 
@@ -209,18 +209,18 @@ def test_scans_agree_across_chunk_boundaries():
     n_max = 3 * DEFAULT_CHUNK + 12345
     r = generate_realization(SelectorParams(a=a, seed=seed, n_max=n_max))
     assert np.array_equal(select_first(a, seed, r.selection_count), r.ones)
-    assert count_selected(a, seed, n_max) == r.selection_count
+    assert count_selected(a, [seed], n_max)[0] == r.selection_count
     edges = [k * DEFAULT_CHUNK + d for k in (1, 2, 3) for d in (-1, 0, 1)]
     for n in edges + [n_max]:
-        assert count_selected(a, seed, n) == r.S(n)
+        assert count_selected(a, [seed], n)[0] == r.S(n)
         assert bool(r.bits[n - 1]) == (uniform01(seed, n) < sigma_values(a, n, n)[0])
 
 
 def test_count_selected_agrees_with_dense():
     p = SelectorParams(a=0.35, seed=10, n_max=50000)
     r = generate_realization(p)
-    assert count_selected(0.35, 10, 50000) == r.selection_count
-    assert count_selected(0.35, 10, 1234) == r.S(1234)
+    assert count_selected(0.35, [10], 50000)[0] == r.selection_count
+    assert count_selected(0.35, [10], 1234)[0] == r.S(1234)
 
 
 def test_deviation_statistics_basics():
@@ -329,7 +329,7 @@ def test_chunked_scans_match_float_oracle_across_chunk_edges(a, seed, k, before,
     r = generate_realization(SelectorParams(a=a, seed=seed, n_max=hi))
     assert np.array_equal(r.bits[lo - 1 :], want)
     assert bool(r.bits[0])  # n = 1: threshold 2^53 passes every hash
-    assert count_selected(a, seed, hi) == r.selection_count
+    assert count_selected(a, [seed], hi)[0] == r.selection_count
     assert np.array_equal(select_first(a, seed, r.selection_count), r.ones)
 
 
@@ -357,8 +357,9 @@ def test_exact_test_matches_float_oracle_at_the_threshold(a, lo, length, steps, 
 def test_one_pass_counts_equal_per_seed_counts(N):
     a = 0.3
     seeds = [child_seed(17, t) for t in range(12)] + [0, MASK64]
-    got = _counts_selected(a, np.array(seeds, dtype=np.uint64), N)
-    assert got.tolist() == [count_selected(a, seed, N) for seed in seeds]
+    # against one streaming scan per seed, the selection generate_realization takes
+    got = count_selected(a, np.array(seeds, dtype=np.uint64), N)
+    assert got.tolist() == [sum(ones.shape[0] for ones in _selection_chunks(a, seed, N)) for seed in seeds]
 
 
 @pytest.mark.parametrize("size", [1, 7, 8, 9, 10_000, DEFAULT_CHUNK])
