@@ -240,6 +240,15 @@ def _fft_arrays(work: list, nfft: int) -> List[np.ndarray]:
     return [x[:nfft] for x in work]
 
 
+def _lag_terms(factor: float, abs_inner: np.ndarray, m: int) -> Tuple[float, float]:
+    """(i2_sq, i3_sq) = factor (|A_m|, sum_{r>=1, r!=m} |A_r|) from abs_inner[r]
+    = |A_r|; the aligned term is 0 for an m past the last lag."""
+    tail = math.fsum(abs_inner[1:].tolist())
+    if m >= abs_inner.shape[0]:
+        return 0.0, factor * tail
+    return factor * float(abs_inner[m]), factor * (tail - float(abs_inner[m]))
+
+
 def i_terms_profile(
     w: WeightSeries, N: int, m: int, _work: Optional[list] = None
 ) -> ITermsProfile:
@@ -284,12 +293,7 @@ def i_terms_profile(
 
     g_sq = np.square(np.abs(g, out=g_sq[:L]), out=g_sq[:L])
     i1_sq = factor * float(np.sum(g_sq))
-    abs_inner = np.abs(inner)
-    i2_sq = factor * float(abs_inner[m]) if m <= max_lag else 0.0
-    tail = math.fsum(abs_inner[1:].tolist())
-    if m <= max_lag:
-        tail -= float(abs_inner[m])
-    i3_sq = factor * tail
+    i2_sq, i3_sq = _lag_terms(factor, np.abs(inner), m)
     return ITermsProfile(N, m, R, n0, factor, inner, i1_sq, i2_sq, i3_sq)
 
 
@@ -314,10 +318,5 @@ def aggregate_i_terms(profiles: List[ITermsProfile]) -> Tuple[float, float, floa
     for q in profiles:
         acc[: q.inner.shape[0]] += q.inner
     acc /= len(profiles)
-    abs_mean = np.abs(acc)
-    i2_sq = head.factor * float(abs_mean[head.m]) if head.m < width else 0.0
-    tail = math.fsum(abs_mean[1:].tolist())
-    if head.m < width:
-        tail -= float(abs_mean[head.m])
-    i3_sq = head.factor * tail
+    i2_sq, i3_sq = _lag_terms(head.factor, np.abs(acc), head.m)
     return i1_sq, i2_sq, i3_sq

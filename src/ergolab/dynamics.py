@@ -28,6 +28,8 @@ from .selectors import OutOfRangeError, Realization, sigma_values
 _FP_BITS = 128
 _FP_MASK = (1 << _FP_BITS) - 1
 _FP_INV = 2.0 ** -_FP_BITS
+# the rotation's observables by name, with their invariant means under Lebesgue
+_ROTATION_MEANS = {"e": 0j, "e_shifted": 0.5 + 0j, "const": 1.0 + 0j, "coboundary": 0j}
 
 
 def _radical_inverse(k: int) -> float:
@@ -134,17 +136,11 @@ class RotationSystem(DynamicalSystem):
     def __init__(self, alpha="sqrt2m1", observable: str = "e"):
         self.alpha_fp = _resolve_angle(alpha)
         self.alpha = self.alpha_fp * _FP_INV
-        if observable not in ("e", "e_shifted", "const", "coboundary"):
-            raise ValueError(f"unknown rotation observable {observable!r}")
+        if observable not in _ROTATION_MEANS:
+            raise ValueError(f"unknown rotation observable {observable!r}; "
+                             f"choose from {', '.join(_ROTATION_MEANS)}")
         self.observable = observable
-        if observable == "e":
-            self.known_mean = 0j
-        elif observable == "e_shifted":
-            self.known_mean = 0.5 + 0j
-        elif observable == "const":
-            self.known_mean = 1.0 + 0j
-        else:
-            self.known_mean = 0j
+        self.known_mean = _ROTATION_MEANS[observable]
         self._check_bounded()
 
     def _k_alpha(self, iterates: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -239,8 +235,9 @@ class CyclicSystem(DynamicalSystem):
     """j -> j + 1 mod q on {0..q-1} with uniform measure.
 
     The observable is a table of complex values of modulus <= 1; shipped
-    names: "roots" (f(j) = e(j/q), mean 0 for q >= 2) and "indicator0"
-    (1_{j=0} - 1/q, mean 0).  The invariant mean is the exact table average.
+    names: "roots" or "e" (f(j) = e(j/q), e(x) at x = j/q, mean 0 for
+    q >= 2) and "indicator0" (1_{j=0} - 1/q, mean 0).  The invariant mean
+    of a custom table is its exact average.
     """
 
     kind = "cyclic"
@@ -250,28 +247,24 @@ class CyclicSystem(DynamicalSystem):
             raise ValueError("modulus q must be >= 1")
         self.q = q
         if isinstance(observable, str):
-            if observable == "roots":
+            if observable in ("roots", "e"):
                 table = np.exp(2j * np.pi * np.arange(q) / q)
+                self.known_mean = (1.0 + 0j) if q == 1 else 0j
             elif observable == "indicator0":
                 table = np.full(q, -1.0 / q, dtype=np.complex128)
                 table[0] += 1.0
+                self.known_mean = 0j
             else:
-                raise ValueError(f"unknown cyclic observable {observable!r}")
+                raise ValueError(f"unknown cyclic observable {observable!r}; "
+                                 "choose from e, roots, indicator0")
             self.observable = observable
         else:
             table = np.asarray(observable, dtype=np.complex128)
             if table.shape != (q,):
                 raise ValueError(f"observable table must have length {q}")
             self.observable = "table"
+            self.known_mean = complex(math.fsum(table.real) / q, math.fsum(table.imag) / q)
         self.table = table
-        mean_re = math.fsum(table.real) / q
-        mean_im = math.fsum(table.imag) / q
-        if self.observable == "roots":
-            self.known_mean = (1.0 + 0j) if q == 1 else 0j
-        elif self.observable == "indicator0":
-            self.known_mean = 0j
-        else:
-            self.known_mean = complex(mean_re, mean_im)
         self._check_bounded()
 
     def orbit_observable(self, x, iterates: np.ndarray) -> np.ndarray:
@@ -349,8 +342,8 @@ def make_system(
 
     alpha applies to the rotation, q to the cyclic shift, alphabet and
     window to the Bernoulli shift.  observable None picks the system's
-    default ("e" on the rotation, "roots" on the cyclic shift); the
-    Bernoulli shift has the one observable "e".
+    default ("e" on the rotation, "roots", the same table as "e", on the
+    cyclic shift); the Bernoulli shift has the one observable "e".
     """
     if kind == "rotation":
         return RotationSystem(alpha, "e" if observable is None else observable)
@@ -372,6 +365,22 @@ class AverageSeries:
     values: np.ndarray  # shape (len(points), len(schedule))
 
 
+def _orbit_inputs(
+    sys: DynamicalSystem, phases: np.ndarray, schedule: Sequence[int], sample_points: Optional[list]
+) -> Tuple[List[int], list, np.ndarray]:
+    """(sorted schedule, sample points, e(p(n)) for n up to the top N): the
+    checked inputs of weighted_average_from_positions and chain_diagnostics,
+    with the system's 16 default points when sample_points is None."""
+    schedule = sorted(int(N) for N in schedule)
+    if not schedule or schedule[0] < 1:
+        raise ValueError("schedule must contain positive integers")
+    if phases.shape[0] < schedule[-1]:
+        raise ValueError("phase table shorter than the schedule top")
+    if sample_points is None:
+        sample_points = sys.sample_points(16)
+    return schedule, sample_points, hardy.unit_phases(phases[: schedule[-1]])
+
+
 def weighted_average_from_positions(
     sys: DynamicalSystem,
     phases: np.ndarray,
@@ -386,20 +395,13 @@ def weighted_average_from_positions(
     positions are the counting-function values a_1, a_2, ... (Realization.ones
     or selectors.select_first).
     """
-    schedule = sorted(int(N) for N in schedule)
-    if not schedule or schedule[0] < 1:
-        raise ValueError("schedule must contain positive integers")
+    schedule, sample_points, z = _orbit_inputs(sys, phases, schedule, sample_points)
     n_top = schedule[-1]
     if positions.shape[0] < n_top:
         raise OutOfRangeError(
             f"need {n_top} counting-function values, realization provides "
             f"{positions.shape[0]}"
         )
-    if phases.shape[0] < n_top:
-        raise ValueError("phase table shorter than the schedule top")
-    if sample_points is None:
-        sample_points = sys.sample_points(16)
-    z = hardy.unit_phases(phases[:n_top])
 
     values = np.empty((len(sample_points), len(schedule)), dtype=np.complex128)
     orbits = sys.orbits(sample_points, positions[:n_top])
@@ -478,15 +480,8 @@ def chain_diagnostics(
     the top N and a few scalars before the first orbit is built.  Each sample
     point's orbit is then built once for all of them, one orbit at a time.
     """
-    schedule = sorted(int(N) for N in schedule)
-    if not schedule or schedule[0] < 1:
-        raise ValueError("schedule must contain positive integers")
+    schedule, sample_points, e_all = _orbit_inputs(sys, phases, schedule, sample_points)
     n_top = schedule[-1]
-    if phases.shape[0] < n_top:
-        raise ValueError("phase table shorter than the schedule top")
-    if sample_points is None:
-        sample_points = sys.sample_points(16)
-    e_all = hardy.unit_phases(phases[:n_top])
     km = complex(sys.known_mean)
     # stages 4 and 5 do not depend on the sample point; stage 5 not on the realization
     stage5 = [km * (np.sum(e_all[:N]) / N) for N in schedule]

@@ -23,10 +23,10 @@ literals and folded constants are kept as exact rationals so that
 evaluation at any working precision matches the written expression, not a
 double-rounded shadow of it.
 
-The key precision contract: evaluating p(x) mod 1 needs
-precision_bits >= 64 + ceil(log2(1 + |p(x)|)), which leaves at least ~50
-correct fractional bits after the integer part cancels.  At desk scale
-(p(x) ~ 1e9..1e14) double precision would leave fewer than 10.
+The precision rule asks precision_bits >= 64 + ceil(log2(1 + |p(x)|)) at
+a table's top argument.  Every table entry is the correctly rounded
+frac(p(n)) at any bits that meet it: the bits set only the precision at
+which the interval repair of undecided entries starts.
 """
 
 from __future__ import annotations
@@ -963,9 +963,10 @@ def unit_phases(fractions: np.ndarray) -> np.ndarray:
 def prefix_means(terms: np.ndarray, schedule) -> np.ndarray:
     """(1/N) sum_{n<=N} terms[n-1] for each N in schedule, 1 <= N <= len(terms).
 
-    Each mean is an independent fixed-shape pairwise sum over terms[:N];
-    every averaging routine in the package goes through this so that equal
-    term arrays give bit-equal results.
+    Each mean is an independent fixed-shape pairwise sum over terms[:N], so
+    equal term arrays give bit-equal results.  The expsum pipeline, exp_sum,
+    birkhoff_mean and weighted_average_from_positions average through it;
+    chain_diagnostics takes its stage means with np.sum inline.
     """
     for N in schedule:
         if not 1 <= N <= len(terms):

@@ -214,13 +214,13 @@ class ExperimentConfig:
         Output path and worker count are excluded on purpose: they must
         never change the bytes of the data rows.
         """
-        parts = [
-            f"{fld}={getattr(self, fld)!r}"
-            for fld in sorted(f.name for f in fields(self))
-            if fld not in _OUTPUT_ONLY_FIELDS
-        ]
-        digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
-        return digest[:12]
+        parts = [f"{fld}={value!r}" for fld, value in self._content()]
+        return hashlib.sha256(";".join(parts).encode()).hexdigest()[:12]
+
+    def _content(self) -> List[Tuple[str, object]]:
+        """(field, value) for every field that can change report content, by name."""
+        return [(fld, getattr(self, fld)) for fld in sorted(f.name for f in fields(self))
+                if fld not in _OUTPUT_ONLY_FIELDS]
 
 
 def parse_config_file(path: str) -> Dict[str, str]:
@@ -301,9 +301,7 @@ class Report:
     def csv_bytes(self, name: str = "main") -> bytes:
         t = self.table(name)
         lines = [f"# schema={CSV_SCHEMA}", f"# experiment={self.config.fingerprint()}"]
-        for fld in sorted(f.name for f in fields(self.config)):
-            if fld not in _OUTPUT_ONLY_FIELDS:
-                lines.append(f"# {fld}={getattr(self.config, fld)}")
+        lines += [f"# {fld}={value}" for fld, value in self.config._content()]
         lines.append(",".join(t.columns))
         for row in t.rows:
             lines.append(",".join(_fmt(v) for v in row))
@@ -611,45 +609,6 @@ def _run_generate(cfg: ExperimentConfig) -> Report:
     rows = [(fp, n + 1, int(r.bits[n])) for n in range(n_max)]
     table = Table("main", ("experiment_id", "index", "bit"), tuple(rows))
     return Report(cfg, (table,))
-
-
-def load_realization_csv(path: str) -> selectors.Realization:
-    """Rebuild a realization from a generate dump (header carries params).
-
-    Raises ValueError unless the dump's schema is CSV_SCHEMA, its indices
-    run 1, 2, ... and every bit is the one generate_realization gives for
-    the dump's (a, seed).
-    """
-    meta: Dict[str, str] = {}
-    bits: List[int] = []
-    with open(path, "r") as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    k, v = body.split("=", 1)
-                    meta[k.strip()] = v.strip()
-                continue
-            if not line or line.startswith("experiment_id"):
-                continue
-            _, idx, bit = line.split(",")
-            if int(idx) != len(bits) + 1:
-                raise ValueError(f"{path}: index {idx} where {len(bits) + 1} was expected")
-            bits.append(int(bit))
-    if meta.get("schema") != str(CSV_SCHEMA):
-        raise ValueError(f"{path}: schema {meta.get('schema')!r}, expected {CSV_SCHEMA}")
-    params = selectors.SelectorParams(
-        a=float(meta["a"]), seed=int(meta["seed"]), n_max=len(bits)
-    )
-    r = selectors.generate_realization(params)
-    bad = np.flatnonzero(r.bits != np.asarray(bits, dtype=bool))
-    if bad.size:
-        raise ValueError(
-            f"{path}: bit at index {bad[0] + 1} differs from the realization "
-            f"of a={params.a}, seed={params.seed}"
-        )
-    return r
 
 
 # -- vdc selftest ------------------------------------------------------------

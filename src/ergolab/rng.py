@@ -58,9 +58,7 @@ def uniform01_block(seed: int, lo: int, hi: int) -> np.ndarray:
 
 def _mix_block(seed: int, idx: np.ndarray) -> np.ndarray:
     """53-bit hash outputs for a uint64 index array."""
-    z = np.uint64(seed & MASK64) + idx * _U_GAMMA
-    _finalize(z, np.empty_like(z))
-    return z >> _S11
+    return mix_steps(seed, 0, idx * _U_GAMMA, np.empty_like(idx), np.empty_like(idx)) >> _S11
 
 
 def gamma_steps(size: int) -> np.ndarray:

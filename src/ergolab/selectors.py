@@ -15,13 +15,12 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .rng import MASK64, child_seed, mix_steps, scan_buffers
+from .rng import MASK64, _S11, child_seed, mix_steps, scan_buffers
 
 # Chunks sized to stay inside cache; larger chunks thrash and run ~5x slower.
 DEFAULT_CHUNK = 1 << 16
 _BLOCK = DEFAULT_CHUNK // 64  # the prefilter takes one bound per block of a chunk
 _TWO53 = 2.0 ** 53
-_S11 = np.uint64(11)
 # relative slack of a block's prefilter bound over the computed sigma at its first index
 _SLACK = 1.0 + 2.0 ** -40
 
@@ -235,12 +234,7 @@ def select_first(a: float, seed: int, count: int) -> np.ndarray:
     millions.  Agrees bit for bit with counting_function on any window both
     can see.
     """
-    if not 0.0 < a < 0.5:
-        raise ValueError(f"exponent a must lie in (0, 1/2), got {a}")
-    if not 0 <= seed <= MASK64:
-        raise ValueError("seed must be a 64-bit unsigned integer")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    SelectorParams(a, seed, count)  # the checks every realization passes
     found = []
     have = 0
     for pos in _selection_chunks(a, seed):
@@ -257,6 +251,7 @@ def count_selected(a: float, seeds: Sequence[int], N: int) -> np.ndarray:
     """S_N for every seed of a uint64 array (or sequence), without
     materializing a realization: one walk over [1, N], in which each chunk's
     limits are computed once and every seed is hashed against them."""
+    SelectorParams(a, 0, N)  # a and N pass a realization's checks before any hashing
     seeds = np.asarray(seeds, dtype=np.uint64)
     counts = np.zeros(seeds.shape[0], dtype=np.int64)
     steps, z, tmp = scan_buffers(min(DEFAULT_CHUNK, N))

@@ -95,6 +95,20 @@ def test_byte_identical_output_across_worker_env(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("pipeline", ["average", "chain"])
+def test_cyclic_runs_with_the_default_observable(tmp_path, pipeline):
+    # the default f, e, reads e(x) at x = j/q: the rows of --f roots
+    args = [pipeline, "--system", "cyclic", "--Nmin", "64", "--Nmax", "256", "--seeds", "1"]
+    default, roots = tmp_path / "default.csv", tmp_path / "roots.csv"
+    assert main(args + ["--out", str(default)]) == 0
+    assert main(args + ["--f", "roots", "--out", str(roots)]) == 0
+
+    def rows(path):
+        lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+        return [line.split(",", 1)[1] for line in lines[1:]]  # all but experiment_id
+    assert rows(default) == rows(roots) != []
+
+
 def test_vdc_selftest_cli():
     code = main(["vdc-selftest", "--instances", "25", "--seed", "1"])
     assert code == 0
@@ -102,7 +116,7 @@ def test_vdc_selftest_cli():
 
 @pytest.mark.parametrize("args", [
     ["average", "--a", "0.7"],
-    ["average", "--system", "cyclic"],  # the default f=e is not a cyclic observable
+    ["average", "--system", "cyclic", "--f", "coboundary"],  # a rotation observable only
     ["average", "--Nmin", "64", "--Nmax", "64", "--seeds", "1", "--points", "0"],
     ["average", "--Nmin", "1000", "--Nmax", "1000"],  # no power of 2 in range
     ["chain", "--Nmin", "1000", "--Nmax", "1000"],
@@ -153,6 +167,8 @@ def test_bad_input_exits_with_one_line(args):
         assert "sqrt2m1|sqrt3m1|invphi|decimal" in r.stderr
     if args[-1] == str(A_VALUES_CFG):
         assert "a_values" in r.stderr and "average" in r.stderr
+    if "cyclic" in args:
+        assert "choose from e, roots, indicator0" in r.stderr
     if "--seed-base" in args:
         assert "seed_base" in r.stderr
     if "--workers" in args:

@@ -506,3 +506,14 @@ def test_aggregate_requires_matching_windows(p32, wparams):
         aggregate_i_terms([p1, p2])
     with pytest.raises(ValueError):
         aggregate_i_terms([])
+
+
+@pytest.mark.parametrize("m", [1, 5, 10, 11, 21, 22])
+def test_aggregate_of_one_profile_is_that_profile(p32, wparams, m):
+    # at N = 64 the lags m <= 10 lie inside max_lag = min(R, L - 1), the lags
+    # 11..21 past it, and m = 22 leaves an empty window; the ensemble of one
+    # realization gives its own three terms bit for bit
+    q = i_terms_profile(small_series(3, 4096, p32, wparams), 64, m)
+    assert (m < q.inner.shape[0]) == (m <= 10)
+    got = aggregate_i_terms([q])
+    assert [x.hex() for x in got] == [x.hex() for x in (q.i1_sq, q.i2_sq, q.i3_sq)]

@@ -78,6 +78,23 @@ def test_unbounded_observable_rejected():
         CyclicSystem(3, table)
 
 
+def test_cyclic_e_is_the_roots_table():
+    # e(x) at the states x = j/q of the cyclic shift
+    e, roots = CyclicSystem(6, "e"), CyclicSystem(6, "roots")
+    assert e.table.tobytes() == roots.table.tobytes()
+    assert e.known_mean == roots.known_mean == 0j
+    assert CyclicSystem(1, "e").known_mean == 1.0 + 0j
+
+
+@pytest.mark.parametrize("kind, observable, names", [
+    ("rotation", "roots", "e, e_shifted, const, coboundary"),
+    ("cyclic", "coboundary", "e, roots, indicator0"),
+])
+def test_unknown_observable_error_lists_the_system_observables(kind, observable, names):
+    with pytest.raises(ValueError, match=f"unknown {kind} observable '{observable}'; choose from {names}$"):
+        make_system(kind, observable=observable)
+
+
 def test_make_system_factory():
     assert make_system("rotation", alpha="invphi").kind == "rotation"
     assert make_system("cyclic", q=9).q == 9

@@ -216,6 +216,32 @@ def test_scans_agree_across_chunk_boundaries():
         assert bool(r.bits[n - 1]) == (uniform01(seed, n) < sigma_values(a, n, n)[0])
 
 
+def _forbid_hashing(monkeypatch):
+    def fail(*args):
+        raise AssertionError("hashed before the inputs were checked")
+    monkeypatch.setattr("ergolab.selectors.mix_steps", fail)
+
+
+@pytest.mark.parametrize("a", [0.7, -0.1, 0.5, 0.0, math.nan])
+def test_count_selected_rejects_a_outside_the_exponent_range(monkeypatch, a):
+    _forbid_hashing(monkeypatch)
+    with pytest.raises(ValueError, match=r"exponent a must lie in \(0, 1/2\)"):
+        count_selected(a, [1], 10)
+
+
+@pytest.mark.parametrize("N", [0, -5])
+def test_count_selected_rejects_an_empty_window(monkeypatch, N):
+    _forbid_hashing(monkeypatch)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        count_selected(0.3, [1], N)
+
+
+def test_select_first_rejects_a_count_below_one(monkeypatch):
+    _forbid_hashing(monkeypatch)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        select_first(0.3, 1, 0)
+
+
 def test_count_selected_agrees_with_dense():
     p = SelectorParams(a=0.35, seed=10, n_max=50000)
     r = generate_realization(p)
