@@ -305,18 +305,18 @@ class BernoulliSystem(DynamicalSystem):
         self._weights = alphabet ** -(1.0 + np.arange(window, dtype=np.float64))
         self._check_bounded()
 
-    def _symbols(self, stream: int, positions: np.ndarray) -> np.ndarray:
-        # per-index hash keeps symbol access O(1) in the offset
-        seed = child_seed(stream, 0xBE52)
-        flat = positions.reshape(-1).astype(np.uint64)
-        u = _mix_block(seed, flat).astype(np.float64) * 2.0 ** -53
-        return np.floor(u * self.alphabet).reshape(positions.shape)
-
     def orbit_observable(self, x, iterates: np.ndarray) -> np.ndarray:
         stream, offset = x
-        ks = np.asarray(iterates, dtype=np.int64)
-        pos = (offset + ks)[:, None] + np.arange(self.window, dtype=np.int64)[None, :]
-        sym = self._symbols(stream, pos)
+        w, starts = self.window, offset + np.asarray(iterates, dtype=np.int64)
+        # a per-index hash, once per distinct position: in sorted order a window
+        # adds the min(gap, w) positions past the one before, and its slots end at its last
+        order = np.argsort(starts, kind="stable")
+        fresh = np.minimum(np.diff(starts[order], prepend=starts[order[:1]] - w), w)
+        ends = np.empty_like(fresh)
+        ends[order] = np.cumsum(fresh)
+        distinct = np.repeat(starts[order] + w - ends[order], fresh) + np.arange(fresh.sum())
+        u = _mix_block(child_seed(stream, 0xBE52), distinct.astype(np.uint64)).astype(np.float64)
+        sym = np.floor(u * 2.0 ** -53 * self.alphabet)[ends[:, None] - w + np.arange(w)]
         return hardy.unit_phases(sym @ self._weights)
 
     def iterate(self, x, k: int = 1):
@@ -476,9 +476,9 @@ def chain_diagnostics(
     realizations of one exponent a: one list per realization, in input order.
 
     phases is the table frac(p(n)), n = 1, 2, ... (hardy.phase_fractions).
-    Each realization is checked and cut down to its selected positions up to
-    the top N and a few scalars before the first orbit is built.  Each sample
-    point's orbit is then built once for all of them, one orbit at a time.
+    Each realization is checked and cut down to its selected positions to the
+    top N, their run lengths and a few scalars before the first orbit is built;
+    each sample point's orbit is then built once for all of them, one at a time.
     """
     schedule, sample_points, e_all = _orbit_inputs(sys, phases, schedule, sample_points)
     n_top = schedule[-1]
@@ -487,9 +487,9 @@ def chain_diagnostics(
     stage5 = [km * (np.sum(e_all[:N]) / N) for N in schedule]
     states, sigma = [], None
 
-    def weighted(pos: np.ndarray) -> np.ndarray:
-        # sigma_n e(p(S_n)): S_n = k + 1 from the k-th selected position to the next
-        return sigma * np.repeat(e_all[: pos.shape[0]], np.diff(pos, append=n_top))
+    def weighted(runs: np.ndarray) -> np.ndarray:
+        # sigma_n e(p(S_n)): S_n = k + 1 on the run from the k-th selected position to the next
+        return sigma * np.repeat(e_all[: runs.shape[0]], runs)
 
     for r in realizations:
         if n_top > r.n_max:
@@ -502,39 +502,39 @@ def chain_diagnostics(
         elif r.params.a != a:
             raise ValueError(f"the realizations must share one a, got {a} and {r.params.a}")
         pos, w_Ns = r.ones[: r.S(n_top)] - 1, [r.W(N) for N in schedule]
-        w = weighted(pos)
+        runs = np.diff(pos, append=n_top)
+        w = weighted(runs)
         stage4 = [km * np.sum(w[:N]) / w_N for N, w_N in zip(schedule, w_Ns)]
-        states.append((pos, [r.S(N) for N in schedule], w_Ns, stage4))
+        states.append((pos, runs, [r.S(N) for N in schedule], w_Ns, stage4))
         del r, w  # hold one realization at a time
 
     if not states:
         return []
     n_pts = len(sample_points)
     stages = np.empty((len(states), len(schedule), n_pts, 6), dtype=np.complex128)
-    diffs = np.empty((len(states), len(schedule), n_pts, 6), dtype=np.float64)
-    ks = np.arange(1, n_top + 1, dtype=np.int64)
-    orbits = sys.orbits(sample_points, ks)
+    orbits = sys.orbits(sample_points, np.arange(1, n_top + 1, dtype=np.int64))
     for j in range(n_pts):
         orbit = next(orbits)
-        for (pos, s_Ns, w_Ns, stage4), st, df in zip(states, stages, diffs):
-            w = weighted(pos)
-            for i, N in enumerate(schedule):
-                s_N, w_N, row = s_Ns[i], w_Ns[i], st[i, j]
-                # stages 0 and 1 sum the same nonzero terms in the same order:
-                # at a selected index n, S_n equals its selection rank k and a_k = n
-                sum_sel = np.sum(e_all[:s_N] * orbit[pos[:s_N]])
-                row[0] = row[1] = sum_sel / s_N
-                row[2] = sum_sel / w_N
-                row[3] = np.sum(w[:N] * orbit[:N]) / w_N
-                row[4], row[5] = stage4[i], stage5[i]
-                df[i, j, :5] = np.abs(np.diff(row))
-                # scalar abs, not np.abs: they differ in the last bit on
-                # about a third of complex128 values, and d6 is in the digests
-                df[i, j, 5] = abs(row[5])
+        for (pos, runs, s_Ns, w_Ns, _), st in zip(states, stages):
+            # one product per term to the top N (in place but for one term), summed per prefix
+            sel, w = e_all[: pos.shape[0]] * orbit[pos], weighted(runs)
+            w = np.multiply(w, orbit, out=w if n_top > 1 else None)
+            # stages 0 and 1 sum the same nonzero terms in the same order:
+            # at a selected index n, S_n equals its selection rank k and a_k = n
+            sums = np.array([np.sum(sel[:s_N]) for s_N in s_Ns])
+            st[:, j, 0] = st[:, j, 1] = sums / s_Ns
+            st[:, j, 2] = sums / w_Ns
+            st[:, j, 3] = np.array([np.sum(w[:N]) for N in schedule]) / w_Ns
         del orbit  # freed before the next orbit is built
+    stages[..., 4] = np.array([st4 for *_, st4 in states])[:, :, None]
+    stages[..., 5] = np.array(stage5)[:, None]
+    diffs = np.abs(np.diff(stages, axis=-1, append=0))
+    # d6 by scalar abs, not np.abs: they differ in the last bit on about a
+    # third of complex128 values, and d6 is in the digests
+    diffs[..., 5] = np.array([abs(v) for v in stage5])[:, None]
     return [[ChainDiagnostics(N, s_Ns[i], w_Ns[i], list(sample_points), st[i], df[i])
              for i, N in enumerate(schedule)]
-            for (_, s_Ns, w_Ns, _), st, df in zip(states, stages, diffs)]
+            for (_, _, s_Ns, w_Ns, _), st, df in zip(states, stages, diffs)]
 
 
 def partial_summation_identity(

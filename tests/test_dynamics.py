@@ -1,13 +1,15 @@
+import importlib.util
 import math
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ergolab import dynamics, hardy, selectors
+from ergolab import dynamics, hardy, harness, selectors
 from ergolab.dynamics import (
     BernoulliSystem,
     CyclicSystem,
@@ -18,7 +20,11 @@ from ergolab.dynamics import (
     partial_summation_identity,
     weighted_average_from_positions,
 )
+from ergolab.harness import ExperimentConfig
+from ergolab.rng import _mix_block, child_seed
 from ergolab.selectors import OutOfRangeError, SelectorParams, generate_realization, realization_from_bits
+
+BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +82,25 @@ def test_unbounded_observable_rejected():
     table = np.array([1.5, 0.0, 0.0], dtype=complex)
     with pytest.raises(ValueError):
         CyclicSystem(3, table)
+
+
+def test_rotation_bound_check_refuses_a_patched_observable(monkeypatch):
+    # an observable over modulus 1 on the arc [0.31, 0.32) is refused, at the
+    # first of the 80 checked states whose 8 iterates reach the arc (the tenth)
+    plain = RotationSystem("sqrt2m1", "e")
+    pts = plain.sample_points(16) + plain.random_states(7, 64)
+    ks = np.arange(0, 8, dtype=np.int64)
+
+    def on_arc(fr):
+        return (0.31 <= fr) & (fr < 0.32)
+
+    hits = [x for x, fr in zip(pts, plain._orbit_fracs(pts, ks)) if np.any(on_arc(fr))]
+    assert hits[0] == pts[9]
+    f_of_fracs = RotationSystem._f_of_fracs
+    monkeypatch.setattr(RotationSystem, "_f_of_fracs",
+                        lambda self, fr: f_of_fracs(self, fr) * np.where(on_arc(fr), 1.5, 1.0))
+    with pytest.raises(ValueError, match=f"modulus 1 at state {hits[0]!r}$"):
+        RotationSystem("sqrt2m1", "e")
 
 
 def test_cyclic_e_is_the_roots_table():
@@ -356,13 +381,40 @@ def test_weighted_average_equals_allocating_product(observable, schedule):
     assert got.values.tobytes() == np.array(want).tobytes()
 
 
+def bernoulli_symbols_per_slot(sys, x, ks):
+    """Oracle for the Bernoulli symbols: every window slot hashed by itself."""
+    stream, offset = x
+    pos = (offset + ks)[:, None] + np.arange(sys.window, dtype=np.int64)[None, :]
+    u = _mix_block(child_seed(stream, 0xBE52), pos.reshape(-1).astype(np.uint64))
+    return np.floor(u.astype(np.float64) * 2.0**-53 * sys.alphabet).reshape(pos.shape)
+
+
 def test_bernoulli_observable_equals_complex_exp():
     sys = BernoulliSystem(3, 9)
     ks = np.arange(0, 70000, 3, dtype=np.int64)
-    for stream, offset in sys.sample_points(3):
-        pos = (offset + ks)[:, None] + np.arange(sys.window, dtype=np.int64)[None, :]
-        want = np.exp(2j * np.pi * (sys._symbols(stream, pos) @ sys._weights))
-        assert sys.orbit_observable((stream, offset), ks).tobytes() == want.tobytes()
+    for x in sys.sample_points(3):
+        want = np.exp(2j * np.pi * (bernoulli_symbols_per_slot(sys, x, ks) @ sys._weights))
+        assert sys.orbit_observable(x, ks).tobytes() == want.tobytes()
+
+
+@given(
+    st.integers(2, 5),
+    st.integers(1, 9),
+    st.one_of(
+        st.lists(st.integers(0, 60), max_size=80),             # unsorted, repeats, overlaps
+        st.lists(st.integers(0, 2**40), min_size=1, max_size=20),
+        st.integers(1, 3000).map(lambda n: list(range(1, n + 1))),  # as chain passes them
+    ),
+    st.integers(0, 2**20),
+)
+@settings(max_examples=100, deadline=None)
+def test_bernoulli_orbit_equals_per_slot_hash(alphabet, window, ks, offset):
+    sys = BernoulliSystem(alphabet, window)
+    ks = np.array(ks, dtype=np.int64)
+    for stream, _ in sys.sample_points(2):
+        x = (stream, offset)
+        want = hardy.unit_phases(bernoulli_symbols_per_slot(sys, x, ks) @ sys._weights)
+        assert sys.orbit_observable(x, ks).tobytes() == want.tobytes()
 
 
 def test_rotation_orbits_of_no_iterates_and_no_points():
@@ -665,18 +717,43 @@ def test_chain_shared_orbits_equal_one_realization_oracle(p32, kind, kwargs):
     assert_chain_equals_oracle(sys, phases, rs, [1000, 1, n_max, 37, 2048], sys.sample_points(3))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
+    system=st.sampled_from(range(len(CHAIN_SYSTEMS))),
     a=st.sampled_from([0.05, 0.3, 0.49]),
     seeds=st.lists(st.integers(0, 2**40), min_size=1, max_size=4),
-    schedule=st.lists(st.integers(1, 1500), min_size=1, max_size=5),
+    schedule=st.one_of(
+        st.just([1]),
+        st.lists(st.integers(1, 1500), min_size=1, max_size=1),
+        st.lists(st.integers(1, 1500), min_size=1, max_size=5),
+    ),
+    phase_seed=st.integers(0, 2**32 - 1),
+    n_pts=st.integers(1, 3),
 )
-def test_chain_shared_orbits_equal_oracle_drawn(p32, a, seeds, schedule):
-    sys = RotationSystem("sqrt2m1", "e_shifted")
+@example(system=0, a=0.3, seeds=[3], schedule=[1], phase_seed=1, n_pts=2)
+@example(system=6, a=0.49, seeds=[5, 6], schedule=[2], phase_seed=2, n_pts=1)
+def test_chain_shared_orbits_equal_oracle_drawn(system, a, seeds, schedule, phase_seed, n_pts):
+    # a drawn phase table, so that e(p(1)) != 1 and one-term products round:
+    # a one-element product written in place would show here
+    kind, kwargs = CHAIN_SYSTEMS[system]
+    sys = make_system(kind, **kwargs)
     n_max = max(schedule)
-    phases = hardy.phase_fractions(p32, n_max)
+    phases = np.random.default_rng(phase_seed).random(n_max)
+    assert phases[0] != 0.0
     rs = [generate_realization(SelectorParams(a=a, seed=s, n_max=n_max)) for s in seeds]
-    assert_chain_equals_oracle(sys, phases, rs, schedule, sys.sample_points(2))
+    assert_chain_equals_oracle(sys, phases, rs, schedule, sys.sample_points(n_pts))
+
+
+def test_chain_equals_oracle_at_the_benchmark_config():
+    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cfg = ExperimentConfig(**workloads.config_kwargs("chain", 0))
+    shared, _ = harness._system_inputs(cfg)
+    union = shared["union"]
+    rs = [generate_realization(SelectorParams(a=cfg.a, seed=s, n_max=union[-1])) for s in cfg.seed_list()]
+    assert len(rs) == 4 and len(shared["points"]) == 16 and union[-1] == 1 << 15
+    assert_chain_equals_oracle(shared["system"], shared["phases"], rs, union, shared["points"])
 
 
 def test_chain_checks_every_realization_before_any_orbit(p32):
