@@ -65,12 +65,12 @@ class SlopeFit:
     clamped: bool
 
 
-def slope_fit(series: Sequence[Tuple[float, float]], clamp_floor: float = SLOPE_CLAMP_FLOOR) -> SlopeFit:
+def slope_fit(series: Sequence[Tuple[float, float]]) -> SlopeFit:
     """Least squares of log(magnitude) on log(N).
 
     Negative slope quantifies decay.  Exact cancellations would push
     log(0) to -inf and silently wreck the fit, so magnitudes below
-    clamp_floor are clamped and flagged.  half_width is two standard
+    SLOPE_CLAMP_FLOOR are clamped and flagged.  half_width is two standard
     errors of the slope (roughly a 95% interval).
     """
     if len(series) < 3:
@@ -81,8 +81,8 @@ def slope_fit(series: Sequence[Tuple[float, float]], clamp_floor: float = SLOPE_
         raise ValueError("N values must be positive")
     if np.all(n_vals == n_vals[0]):
         raise ValueError("degenerate fit: all N equal")
-    clamped = bool(np.any(mags < clamp_floor))
-    mags = np.maximum(mags, clamp_floor)
+    clamped = bool(np.any(mags < SLOPE_CLAMP_FLOOR))
+    mags = np.maximum(mags, SLOPE_CLAMP_FLOOR)
 
     x = np.log(n_vals)
     y = np.log(mags)
@@ -98,16 +98,6 @@ def slope_fit(series: Sequence[Tuple[float, float]], clamp_floor: float = SLOPE_
 
 # ---------------------------------------------------------------------------
 # Configuration.
-
-PIPELINES = (
-    "expsum",
-    "average",
-    "chain",
-    "correlation",
-    "deviation",
-    "generate",
-    "vdc-selftest",
-)
 
 OBSERVABLE_ALIASES = {
     "e(x)": "e",
@@ -157,7 +147,7 @@ class ExperimentConfig:
     workers: Optional[int] = None
 
     def __post_init__(self):
-        if self.pipeline not in PIPELINES:
+        if self.pipeline not in _RUNNERS:
             raise ValueError(f"unknown pipeline {self.pipeline!r}")
         for r in self.rho:
             if not 1.0 < r < math.inf:

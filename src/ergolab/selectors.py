@@ -17,11 +17,11 @@ import numpy as np
 
 from .rng import MASK64, _S11, child_seed, mix_steps, scan_buffers
 
-# Chunks sized to stay inside cache; larger chunks thrash and run ~5x slower.
+# The longest chunk of a scan, sized to stay inside cache; larger chunks
+# thrash and run ~5x slower.  count_selected walks chunks of this length.
 DEFAULT_CHUNK = 1 << 16
-_BLOCK = DEFAULT_CHUNK // 64  # the prefilter takes one bound per block of a chunk
 _TWO53 = 2.0 ** 53
-# relative slack of a block's prefilter bound over the computed sigma at its first index
+# relative slack of a chunk's prefilter bound over the computed sigma at its first index
 _SLACK = 1.0 + 2.0 ** -40
 
 
@@ -137,24 +137,17 @@ def _limits(a: float, n: np.ndarray) -> np.ndarray:
     return (np.ceil(_sigma(a, n) * _TWO53).astype(np.uint64) << _S11) - np.uint64(1)
 
 
-def _selected(a: float, lo: int, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Selected indices among lo..lo+len(z)-1 from their mixer outputs z;
-    tmp is scratch of z's length, whose bytes hold the prefilter's mask.
+def _selected(a: float, lo: int, z: np.ndarray) -> np.ndarray:
+    """Selected indices among lo..lo+len(z)-1 from their mixer outputs z.
 
-    Only candidates under the bound on their block get their own n^(-a).
+    Only candidates under one bound on the whole chunk get their own n^(-a).
     The true n^(-a) falls with n, and the computed one is within a relative
     2^-46 of it: a few ulps of log and exp, scaled by |a ln n| < 23 for
-    64-bit n.  So sigma at a block's first index raised by _SLACK bounds
-    every computed sigma_n of the block, though they may rise by an ulp.
+    64-bit n.  So sigma at lo raised by _SLACK bounds every computed sigma_n
+    of the chunk, though they may rise by an ulp.
     """
-    m, rows = z.shape[0], z.shape[0] // _BLOCK
-    firsts = np.arange(lo, lo + m, _BLOCK, dtype=np.float64)
-    bound = np.minimum(np.ceil(_sigma(a, firsts) * (_SLACK * _TWO53)), _TWO53).astype(np.uint64)
-    bound = (bound << _S11) - np.uint64(1)
-    mask, cut = tmp.view(np.bool_)[:m], rows * _BLOCK
-    np.less_equal(z[:cut].reshape(rows, _BLOCK), bound[:rows, None], out=mask[:cut].reshape(rows, _BLOCK))
-    np.less_equal(z[cut:], bound[rows:], out=mask[cut:])  # the last block, if cut short
-    cand = np.flatnonzero(mask)
+    bound = min(math.ceil(float(_sigma(a, np.float64(lo))) * _SLACK * _TWO53), 1 << 53)
+    cand = np.flatnonzero(z <= np.uint64((bound << 11) - 1))
     n = cand + lo
     return n[z[cand] <= _limits(a, n.astype(np.float64))]
 
@@ -162,14 +155,17 @@ def _selected(a: float, lo: int, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 def _selection_chunks(
     a: float, seed: int, stop: Optional[int] = None
 ) -> Iterator[np.ndarray]:
-    """Selected indices of consecutive DEFAULT_CHUNK blocks from index 1, the
-    last one cut at stop; without stop the scan never ends."""
-    size = DEFAULT_CHUNK if stop is None else min(DEFAULT_CHUNK, stop)
-    steps, z, tmp = scan_buffers(size)
+    """Selected indices of consecutive chunks from index 1, the last one cut
+    at stop; without stop the scan never ends.  The chunk from lo holds
+    min(max(lo, 2^10), DEFAULT_CHUNK) indices, so from the second on it ends
+    before 2 lo and sigma falls across it by a factor of at most 2^-a > 0.7:
+    its one prefilter bound stays tight."""
+    last = math.inf if stop is None else stop
+    steps, z, tmp = scan_buffers(min(DEFAULT_CHUNK, last))
     lo = 1
-    while stop is None or lo <= stop:
-        m = size if stop is None else min(size, stop - lo + 1)
-        yield _selected(a, lo, mix_steps(seed, lo, steps[:m], z[:m], tmp[:m]), tmp[:m])
+    while lo <= last:
+        m = min(max(lo, 1 << 10), steps.shape[0], last - lo + 1)
+        yield _selected(a, lo, mix_steps(seed, lo, steps[:m], z[:m], tmp[:m]))
         lo += m
 
 

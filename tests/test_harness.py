@@ -202,6 +202,13 @@ def test_fingerprint_ignores_out_and_workers():
     assert base.fingerprint() != ExperimentConfig(pipeline="expsum", n=65).fingerprint()
 
 
+def test_config_accepts_exactly_the_runners_pipelines():
+    with pytest.raises(ValueError, match="^unknown pipeline 'nope'$"):
+        ExperimentConfig(pipeline="nope")
+    for name in ("expsum", "average", "chain", "correlation", "deviation", "generate", "vdc-selftest"):
+        assert ExperimentConfig(pipeline=name).pipeline == name
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(pipeline="nope")

@@ -1,14 +1,16 @@
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ergolab.selectors as selectors
 from ergolab.rng import MASK64, child_seed, gamma_steps, mix_steps, scan_buffers, uniform01, uniform01_block
 from ergolab.selectors import (
     DEFAULT_CHUNK,
-    _BLOCK,
     _limits,
     _selected,
     _selection_chunks,
@@ -201,16 +203,51 @@ def test_select_first_rejects_seeds_outside_64_bits():
     assert select_first(0.3, (1 << 64) - 1, 10).shape == (10,)
 
 
+def walk_chunks(stop, chunks=None):
+    """(lo, length) of the first `chunks` chunks (all, if None) of the
+    streaming walk to stop, read off the walk itself."""
+    seen, real = [], selectors._selected
+
+    def spy(a, lo, z):
+        seen.append((lo, z.shape[0]))
+        return real(a, lo, z)
+
+    with mock.patch.object(selectors, "_selected", spy):
+        for _ in itertools.islice(_selection_chunks(0.3, 0, stop), chunks):
+            pass
+    return seen
+
+
+WALK = walk_chunks(4 * DEFAULT_CHUNK)
+# the last index of a chunk: the streaming walk's, then count_selected's
+WALK_ENDS = [lo - 1 for lo, _ in WALK[1:]]
+COUNT_ENDS = [k * DEFAULT_CHUNK for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("stop", [1, 1000, 1024, 1025, 2049, 2050, 70_000, 3 * DEFAULT_CHUNK + 5, None])
+def test_walk_chunks_grow_with_the_index_up_to_default_chunk(stop):
+    # the chunk from lo holds min(max(lo, 2^10), DEFAULT_CHUNK) indices, the
+    # last one cut at stop; without stop, the first 12 chunks
+    chunks = walk_chunks(stop, None if stop else 12)
+    last = stop or math.inf
+    lo = 1
+    for start, m in chunks:
+        assert (start, m) == (lo, min(max(lo, 1024), DEFAULT_CHUNK, last - lo + 1))
+        lo += m
+    assert (lo == stop + 1) if stop else (len(chunks) == 12)
+
+
 def test_scans_agree_across_chunk_boundaries():
-    # a window spanning several chunks: the dense, streaming and counting
-    # scans agree with each other and, at the chunk edges, with the
-    # index-at-a-time definition X_n = 1 iff u(seed, n) < n^(-a)
+    # a window spanning several chunks of both walks: the dense, streaming
+    # and counting scans agree with each other and, at the chunk edges, with
+    # the index-at-a-time definition X_n = 1 iff u(seed, n) < n^(-a)
     a, seed = 0.3, 77
     n_max = 3 * DEFAULT_CHUNK + 12345
     r = generate_realization(SelectorParams(a=a, seed=seed, n_max=n_max))
     assert np.array_equal(select_first(a, seed, r.selection_count), r.ones)
     assert count_selected(a, [seed], n_max)[0] == r.selection_count
-    edges = [k * DEFAULT_CHUNK + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+    ends = [lo - 1 for lo, _ in walk_chunks(n_max)[1:]] + COUNT_ENDS
+    edges = [e + d for e in ends for d in (-1, 0, 1)]
     for n in edges + [n_max]:
         assert count_selected(a, [seed], n)[0] == r.S(n)
         assert bool(r.bits[n - 1]) == (uniform01(seed, n) < sigma_values(a, n, n)[0])
@@ -295,11 +332,10 @@ def float_selection(a, seed, lo, hi):
 
 def exact_window(a, seed, lo, hi):
     """Selected indices in lo..hi from the exact test, with the whole window
-    as one chunk (so its prefilter bounds are sigma at lo, lo + _BLOCK, ...,
-    one per block, the last block cut short where the window ends)."""
+    as one chunk (so its one prefilter bound is sigma at lo)."""
     steps = gamma_steps(hi - lo + 1)
     z = mix_steps(seed, lo, steps, np.empty_like(steps), np.empty_like(steps))
-    return _selected(a, lo, z, np.empty_like(steps))
+    return _selected(a, lo, z)
 
 
 EXPONENTS = st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)
@@ -329,28 +365,32 @@ def test_exact_window_matches_float_oracle(a, seed, lo, length):
 @given(
     EXPONENTS,
     st.one_of(
-        st.just(1),
-        st.integers(1, 4).map(lambda k: k * DEFAULT_CHUNK + 1),          # chunk starts
-        st.integers(1, 4).map(lambda k: k * DEFAULT_CHUNK - _BLOCK + 1),  # a chunk's last block
-        st.integers(DEEP - DEFAULT_CHUNK, DEEP + DEFAULT_CHUNK),
+        st.sampled_from(WALK),  # the streaming walk's chunks, 1..2^10 first
+        st.integers(DEEP - DEFAULT_CHUNK, DEEP + DEFAULT_CHUNK).map(lambda lo: (lo, DEFAULT_CHUNK)),
     ),
-    st.one_of(st.just(DEFAULT_CHUNK), st.integers(1, DEFAULT_CHUNK)),
+    st.one_of(st.none(), st.integers(1, DEFAULT_CHUNK)),  # where a last chunk is cut
 )
 @settings(max_examples=60, deadline=None)
-@example(np.nextafter(0.5, 0.0), 1, DEFAULT_CHUNK)
-@example(np.nextafter(0.0, 1.0), DEEP, DEFAULT_CHUNK)
-def test_prefilter_bound_covers_every_limit_of_its_block(a, lo, length):
+@example(np.nextafter(0.5, 0.0), WALK[0], None)
+@example(np.nextafter(0.5, 0.0), WALK[1], None)
+@example(np.nextafter(0.0, 1.0), (DEEP, DEFAULT_CHUNK), None)
+def test_prefilter_bound_covers_every_limit_of_its_chunk(a, chunk, cut):
     # each mixer output is the largest that selects its index, so an index
-    # drops out exactly where its block's bound lies under its limit
+    # drops out exactly where its chunk's bound lies under its limit
+    lo, length = chunk[0], min(chunk[1], cut or chunk[1])
     z = _limits(a, np.arange(lo, lo + length, dtype=np.float64))
-    assert np.array_equal(_selected(a, lo, z, np.empty_like(z)), np.arange(lo, lo + length))
+    assert np.array_equal(_selected(a, lo, z), np.arange(lo, lo + length))
 
 
-@given(EXPONENTS, SEEDS, st.integers(1, 3), st.integers(1, 2000), st.integers(1, 2000))
+@given(
+    EXPONENTS, SEEDS, st.one_of(st.sampled_from(WALK_ENDS), st.sampled_from(COUNT_ENDS)),
+    st.integers(1, 2000), st.integers(1, 2000),
+)
 @settings(max_examples=25, deadline=None)
-def test_chunked_scans_match_float_oracle_across_chunk_edges(a, seed, k, before, after):
-    # the windows straddle the k-th chunk edge of the real walk from index 1
-    lo, hi = k * DEFAULT_CHUNK + 1 - before, k * DEFAULT_CHUNK + after
+def test_chunked_scans_match_float_oracle_across_chunk_edges(a, seed, end, before, after):
+    # the windows straddle a chunk edge of the streaming walk from index 1
+    # or of count_selected's walk
+    lo, hi = max(1, end + 1 - before), end + after
     want = float_selection(a, seed, lo, hi)
     r = generate_realization(SelectorParams(a=a, seed=seed, n_max=hi))
     assert np.array_equal(r.bits[lo - 1 :], want)
@@ -376,7 +416,7 @@ def test_exact_test_matches_float_oracle_at_the_threshold(a, lo, length, steps, 
     h = np.clip(np.floor(sig * 2.0**53).astype(np.int64) + delta, 0, 2**53 - 1)
     z = (h.astype(np.uint64) << np.uint64(11)) | np.uint64(low)
     want = n[h * 2.0**-53 < sig]
-    assert np.array_equal(_selected(a, lo, z, np.empty_like(z)), want)
+    assert np.array_equal(_selected(a, lo, z), want)
 
 
 @pytest.mark.parametrize("N", [1, 777, 10**4, DEFAULT_CHUNK, 3 * DEFAULT_CHUNK + 5])
