@@ -61,7 +61,8 @@ def _add_system_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--q", help="cyclic-shift modulus")
     sp.add_argument("--alphabet", help="Bernoulli alphabet size")
     sp.add_argument("--window", help="Bernoulli observable window")
-    sp.add_argument("--f", help="observable: " + " | ".join(OBSERVABLE_ALIASES))
+    sp.add_argument("--f", help="observable: a name of the system's own (an unknown one lists them), "
+                    "or one of " + " | ".join(OBSERVABLE_ALIASES))
     sp.add_argument("--points", help="number of sample points")
 
 

@@ -90,7 +90,7 @@ def weight_series(
         raise ValueError(
             f"weight params use a={params.a}, realization has a={r.params.a}"
         )
-    counts = r.s_prefix[1:]
+    counts = np.cumsum(r.bits)
     s_max = int(counts[-1])
     if phases.shape[0] < s_max:
         raise ValueError(f"phase table shorter than S_{{n_max}} = {s_max}")

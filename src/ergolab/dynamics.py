@@ -499,13 +499,15 @@ def chain_diagnostics(
             raise ValueError("the chain needs X_1 = 1")
         if sigma is None:
             a, sigma = r.params.a, sigma_values(r.params.a, 1, n_top)
+            # W_N from one cumulative sum: it depends on a and N, not on the draw
+            w_Ns = np.cumsum(sigma)[np.array(schedule) - 1].tolist()
         elif r.params.a != a:
             raise ValueError(f"the realizations must share one a, got {a} and {r.params.a}")
-        pos, w_Ns = r.ones[: r.S(n_top)] - 1, [r.W(N) for N in schedule]
+        pos = r.ones[: r.S(n_top)] - 1
         runs = np.diff(pos, append=n_top)
         w = weighted(runs)
         stage4 = [km * np.sum(w[:N]) / w_N for N, w_N in zip(schedule, w_Ns)]
-        states.append((pos, runs, [r.S(N) for N in schedule], w_Ns, stage4))
+        states.append((pos, runs, [r.S(N) for N in schedule], stage4))
         del r, w  # hold one realization at a time
 
     if not states:
@@ -515,7 +517,7 @@ def chain_diagnostics(
     orbits = sys.orbits(sample_points, np.arange(1, n_top + 1, dtype=np.int64))
     for j in range(n_pts):
         orbit = next(orbits)
-        for (pos, runs, s_Ns, w_Ns, _), st in zip(states, stages):
+        for (pos, runs, s_Ns, _), st in zip(states, stages):
             # one product per term to the top N (in place but for one term), summed per prefix
             sel, w = e_all[: pos.shape[0]] * orbit[pos], weighted(runs)
             w = np.multiply(w, orbit, out=w if n_top > 1 else None)
@@ -534,7 +536,7 @@ def chain_diagnostics(
     diffs[..., 5] = np.array([abs(v) for v in stage5])[:, None]
     return [[ChainDiagnostics(N, s_Ns[i], w_Ns[i], list(sample_points), st[i], df[i])
              for i, N in enumerate(schedule)]
-            for (_, _, s_Ns, w_Ns, _), st, df in zip(states, stages, diffs)]
+            for (_, _, s_Ns, _), st, df in zip(states, stages, diffs)]
 
 
 def partial_summation_identity(

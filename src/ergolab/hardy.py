@@ -778,9 +778,9 @@ def _round_fractions(root: Node, start: int, out: np.ndarray, indices, bits: int
         iv.prec = old
 
 
-def _validate_domain(root: Node, source: str, domain_start: float) -> None:
-    """Rejects the tree unless it is defined at domain_start and at
-    _VALIDATION_POINTS points up to _VALIDATION_TOP.
+def _validate_domain(root: Node, source: str) -> None:
+    """Rejects the tree unless it is defined at _VALIDATION_POINTS points
+    from 1, where every table starts, up to _VALIDATION_TOP.
 
     The points first run as one chunk in _DD_CTX.  Only a value that comes
     out non-finite there (a log argument not provably positive, an exp
@@ -788,14 +788,12 @@ def _validate_domain(root: Node, source: str, domain_start: float) -> None:
     sends them to the 128-bit mpmath sweep, which decides and words the
     error; so every accepted tree is one the sweep accepts.
     """
-    sweep = np.geomspace(max(domain_start, 1e-9), _VALIDATION_TOP, _VALIDATION_POINTS)
-    xs = [domain_start, *sweep.tolist()]
-    if float(domain_start) == domain_start:  # an int past 2^53 would round
-        with np.errstate(all="ignore"):
-            v = _compile(root, _DD_CTX)(_DD(np.array(xs, dtype=np.float64), 0.0, 0.0))
-        if all(np.isfinite(a).all() for a in (v.hi, v.lo, v.err)):
-            return
-    _validate_domain_mp(root, source, xs)
+    xs = np.geomspace(1.0, _VALIDATION_TOP, _VALIDATION_POINTS)
+    with np.errstate(all="ignore"):
+        v = _compile(root, _DD_CTX)(_DD(xs, 0.0, 0.0))
+    if all(np.isfinite(a).all() for a in (v.hi, v.lo, v.err)):
+        return
+    _validate_domain_mp(root, source, xs.tolist())
 
 
 def _validate_domain_mp(root: Node, source: str, xs: list) -> None:
@@ -822,20 +820,19 @@ def _validate_domain_mp(root: Node, source: str, xs: list) -> None:
 def parse_expression(
     src: str,
     epsilon_hint: Optional[float] = None,
-    domain_start: float = 1.0,
 ) -> HardyExpr:
     """Parse source text into a validated HardyExpr.
 
     Rejects empty input, syntax errors (with position), and primitives
-    outside the exp/log algebra.  A sweep over [domain_start, 1e12]
-    confirms evaluation is defined (all log arguments positive) there.
+    outside the exp/log algebra.  A sweep over [1, 1e12] confirms
+    evaluation is defined (all log arguments positive) there.
     """
     if not src or not src.strip():
         raise ExpressionError("empty expression")
     if epsilon_hint is not None and not 0.0 < epsilon_hint < 1.0:
         raise ValueError(f"epsilon_hint must lie in (0, 1), got {epsilon_hint}")
     root = _Parser(src).parse()
-    _validate_domain(root, src, domain_start)
+    _validate_domain(root, src)
     return HardyExpr(root, src, epsilon_hint)
 
 

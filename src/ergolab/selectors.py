@@ -48,17 +48,15 @@ class SelectorParams:
 
 @dataclass(frozen=True)
 class Realization:
-    """One sampled selection sequence with eagerly materialized prefixes.
+    """One sampled selection sequence: what the hash decided, and no more.
 
-    bits[i] is X_{i+1}; s_prefix[n] = S_n and w_prefix[n] = W_n (index 0
-    holds 0 so 1-based math reads straight off); ones holds the selected
-    indices in increasing order (1-based).
+    bits[i] is X_{i+1}; ones holds the selected indices in increasing order
+    (1-based).  The prefix counts S_n and the means W_n are computed where
+    they are used: W_n depends on a and n alone, not on the draw.
     """
 
     params: SelectorParams
     bits: np.ndarray
-    s_prefix: np.ndarray
-    w_prefix: np.ndarray
     ones: np.ndarray
 
     @property
@@ -68,7 +66,7 @@ class Realization:
     @property
     def selection_count(self) -> int:
         """Total number of selected indices, S_{n_max}."""
-        return int(self.s_prefix[-1])
+        return self.ones.shape[0]
 
     def _check(self, n: int, m: int = 1) -> None:
         """Raise unless the block m..n (empty for m = n + 1) lies in 1..n_max."""
@@ -76,19 +74,9 @@ class Realization:
             raise OutOfRangeError(f"need 1 <= m <= n + 1 and n <= n_max={self.n_max}; got m={m}, n={n}")
 
     def S(self, n: int) -> int:
-        """Prefix count S_n."""
+        """Prefix count S_n: the selected indices up to n."""
         self._check(n)
-        return int(self.s_prefix[n])
-
-    def W(self, n: int) -> float:
-        """Deterministic mean W_n."""
-        self._check(n)
-        return float(self.w_prefix[n])
-
-    def S_range(self, m: int, n: int) -> int:
-        """Block count S_{m,n} = X_m + ... + X_n."""
-        self._check(n, m)
-        return int(self.s_prefix[n] - self.s_prefix[m - 1])
+        return int(np.searchsorted(self.ones, n, side="right"))
 
     def y_values(self, n: int, m: int = 1) -> np.ndarray:
         """Centered selectors Y_m..Y_n = X - sigma as float64."""
@@ -170,24 +158,15 @@ def _selection_chunks(
 
 
 def _realization(params: SelectorParams, bits: np.ndarray) -> Realization:
-    """Freeze bits (length n_max, bool) and derive the prefix arrays from them."""
-    s_prefix = np.zeros(params.n_max + 1, dtype=np.int64)
-    np.cumsum(bits, out=s_prefix[1:])
-    # cumsum adds in sequence, so carrying W_{lo-1} into each block keeps every W_n
-    w_prefix = np.zeros(params.n_max + 1, dtype=np.float64)
-    for lo in range(1, params.n_max + 1, DEFAULT_CHUNK):
-        hi = min(lo + DEFAULT_CHUNK - 1, params.n_max)
-        block = sigma_values(params.a, lo, hi)
-        block[0] += w_prefix[lo - 1]
-        np.cumsum(block, out=w_prefix[lo : hi + 1])
+    """Freeze bits (length n_max, bool) and the selected positions they hold."""
     ones = np.flatnonzero(bits).astype(np.int64) + 1
-    for arr in (bits, s_prefix, w_prefix, ones):
+    for arr in (bits, ones):
         arr.setflags(write=False)
-    return Realization(params, bits, s_prefix, w_prefix, ones)
+    return Realization(params, bits, ones)
 
 
 def generate_realization(params: SelectorParams) -> Realization:
-    """Materialize a realization: bits, prefix counts, prefix means, positions.
+    """Materialize a realization: its bits and its selected positions.
 
     Pure function of params: regenerating yields bit-identical output.
     """
@@ -200,7 +179,7 @@ def generate_realization(params: SelectorParams) -> Realization:
 def realization_from_bits(params: SelectorParams, bits: Sequence[int]) -> Realization:
     """Build a realization from explicit bits (synthetic sequences in tests).
 
-    The prefix arrays are derived from the given bits, so the result is
+    The positions are derived from the given bits, so the result is
     internally consistent even if the bits did not come from the hash.
     """
     arr = np.asarray(bits, dtype=bool)

@@ -153,6 +153,8 @@ def test_vdc_selftest_cli():
     ["average", "--Nmin", "64", "--Nmax", "64", "--seeds", "1", "--workers", "-3"],
     # past the interval repair's ceiling of 2^14 bits
     ["expsum", "--p", "x*x^(1/2)", "--Nmin", "64", "--Nmax", "1024", "--bits", "100000"],
+    ["average", "--f", "foo"],  # the rotation lists its own observables
+    ["vdc-selftest", "--seed", "-1", "--instances", "1"],
 ])
 def test_bad_input_exits_with_one_line(args):
     t0 = time.perf_counter()
@@ -173,6 +175,10 @@ def test_bad_input_exits_with_one_line(args):
         assert "seed_base" in r.stderr
     if "--workers" in args:
         assert "workers must be >= 1" in r.stderr
+    if args[1:] == ["--f", "foo"]:
+        assert "unknown rotation observable 'foo'; choose from e, e_shifted, const, coboundary" in r.stderr
+    if "--seed" in args:
+        assert "seed" in r.stderr
     if "--bits" in args:  # refused at entry, not after a run without bound
         assert "precision_bits must be at most 16384" in r.stderr
         assert time.perf_counter() - t0 < 10.0

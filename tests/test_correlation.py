@@ -112,7 +112,7 @@ def test_first_weight_vanishes(p32, wparams):
 def test_unselected_weight_value(p32, wparams):
     # X_n = 0 forces c_n = -sigma_n e(p(S_n)) with S_n = S_{n-1}
     r, w = small_pair(5, 400, p32, wparams)
-    fr = hardy.phase_fractions(p32, int(r.s_prefix[-1]))
+    fr = hardy.phase_fractions(p32, r.selection_count)
     phases = hardy.unit_phases(fr)
     for n in range(2, 401):
         if not r.bits[n - 1]:
@@ -146,7 +146,7 @@ def test_weight_series_blocks_equal_one_shot_formula(p32, wparams, n_max):
     # the oracle is the whole-length formula (X - sigma) e(p(S_n)), compared
     # bit for bit; the blocks must not move a byte
     r, w = small_pair(2, n_max, p32, wparams)
-    counts = r.s_prefix[1:]
+    counts = np.cumsum(r.bits)
     z = hardy.unit_phases(hardy.phase_fractions(p32, r.selection_count))
     y = r.bits.astype(np.float64) - sigma_values(wparams.a, 1, n_max)
     assert w.c.tobytes() == (y * z[counts - 1]).tobytes()

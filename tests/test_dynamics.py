@@ -546,7 +546,7 @@ def test_chain_first_step_identity_against_masked_sum(p32):
     e_all = hardy.unit_phases(fr)
     x = 0.375
     orbit = sys.orbit_observable(x, np.arange(1, N + 1, dtype=np.int64))
-    masked = np.sum(r.bits[:N] * e_all[r.s_prefix[1:N+1] - 1] * orbit) / s_N
+    masked = np.sum(r.bits[:N] * e_all[np.cumsum(r.bits[:N]) - 1] * orbit) / s_N
     diag = chain_diagnostics(sys, fr, [r], [N], sample_points=[x])[0][0]
     assert abs(diag.stages[0, 1] - masked) < 1e-12
 
@@ -558,7 +558,8 @@ def test_chain_renormalization_bound(p32):
     r = generate_realization(SelectorParams(a=0.3, seed=29, n_max=8192))
     phases = hardy.phase_fractions(p32, 8192)
     diag = chain_diagnostics(sys, phases, [r], [8192], sample_points=sys.sample_points(4))[0][0]
-    bound = abs(r.S(8192) / r.W(8192) - 1.0) * np.abs(diag.stages[:, 1])
+    w_N = np.cumsum(selectors.sigma_values(0.3, 1, 8192))[-1]
+    bound = abs(r.S(8192) / w_N - 1.0) * np.abs(diag.stages[:, 1])
     assert np.all(diag.diffs[:, 1] <= bound * (1 + 1e-9) + 1e-15)
 
 
@@ -598,6 +599,22 @@ def test_chain_schedule_matches_single_n_calls(p32):
     synthetic = realization_from_bits(r.params, no_first)
     with pytest.raises(ValueError):
         chain_diagnostics(sys, phases, [synthetic], [1024], sample_points=pts)
+
+
+@pytest.mark.parametrize("n_top", [1000, 3 * selectors.DEFAULT_CHUNK + 5])
+def test_chain_mean_counts_are_one_cumsum(n_top):
+    # every w_N is the cumulative sum of sigma_n to N, the same bytes for
+    # each realization, and the compensated sum to within 1e-10 relative
+    sys = RotationSystem("sqrt2m1", "e_shifted")
+    schedule = [1, 2, 17, 999, n_top]
+    phases = np.random.default_rng(8).random(n_top)
+    rs = [generate_realization(SelectorParams(a=0.3, seed=seed, n_max=n_top)) for seed in (6, 7)]
+    oracle = np.cumsum(selectors.sigma_values(0.3, 1, n_top))[np.array(schedule) - 1]
+    for diags in chain_diagnostics(sys, phases, rs, schedule, sample_points=[0.25]):
+        w_Ns = np.array([d.w_N for d in diags])
+        assert w_Ns.tobytes() == oracle.tobytes()
+        for d in diags:
+            assert abs(d.w_N - selectors.sigma_prefix(0.3, d.N)) < 1e-10 * d.w_N
 
 
 def test_chain_last_gap_is_the_scalar_abs_of_stage_5():
@@ -650,12 +667,14 @@ def chain_diagnostics_one_realization(sys, phases, r, schedule, sample_points):
     schedule = sorted(int(N) for N in schedule)
     n_top = schedule[-1]
     e_all = hardy.unit_phases(phases[:n_top])
-    e_at_s = e_all[r.s_prefix[1 : n_top + 1] - 1]
-    weighted = selectors.sigma_values(r.params.a, 1, n_top) * e_at_s
+    s_n = np.cumsum(r.bits[:n_top])
+    sigma = selectors.sigma_values(r.params.a, 1, n_top)
+    w_n = np.cumsum(sigma)
+    weighted = sigma * e_all[s_n - 1]
     km = complex(sys.known_mean)
     ks = np.arange(1, n_top + 1, dtype=np.int64)
-    s_Ns = [r.S(N) for N in schedule]
-    w_Ns = [r.W(N) for N in schedule]
+    s_Ns = [int(s_n[N - 1]) for N in schedule]
+    w_Ns = [float(w_n[N - 1]) for N in schedule]
     mean_stages = [
         (km * np.sum(weighted[:N]) / w_N, km * (np.sum(e_all[:N]) / N))
         for N, w_N in zip(schedule, w_Ns)
@@ -851,7 +870,7 @@ def test_coboundary_average_bounded_by_selection_density():
     sys = RotationSystem("sqrt2m1", "coboundary")
     sup_h = 0.5  # h = e(.)/2
     r = generate_realization(SelectorParams(a=0.3, seed=17, n_max=1 << 14))
-    g_of_s = np.cos(r.s_prefix[1:].astype(np.float64))  # bounded by 1
+    g_of_s = np.cos(np.cumsum(r.bits).astype(np.float64))  # bounded by 1
     ks = np.arange(1, (1 << 14) + 1, dtype=np.int64)
     for x in sys.sample_points(4):
         f_orbit = sys.orbit_observable(x, ks)

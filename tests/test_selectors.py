@@ -52,7 +52,7 @@ def test_bit_exact_reproducibility():
     r1 = generate_realization(p)
     r2 = generate_realization(p)
     assert np.array_equal(r1.bits, r2.bits)
-    assert np.array_equal(r1.s_prefix, r2.s_prefix)
+    assert np.array_equal(r1.ones, r2.ones)
 
 
 def test_prefix_consistency_exhaustive():
@@ -62,7 +62,7 @@ def test_prefix_consistency_exhaustive():
         assert r.S(n) == bits[:n].sum()
     for m in range(1, 1001, 97):
         for n in range(m, 1001, 131):
-            assert r.S_range(m, n) == bits[m - 1 : n].sum()
+            assert r.S(n) - r.S(m - 1) == bits[m - 1 : n].sum()
 
 
 @given(st.integers(1, 300), st.integers(1, 300))
@@ -71,33 +71,43 @@ def test_block_counts_match_prefix_difference(m, n):
     if m > n:
         m, n = n, m
     r = generate_realization(SelectorParams(a=0.3, seed=4, n_max=300))
-    assert r.S_range(m, n) == int(r.bits[m - 1 : n].sum())
+    assert r.S(n) - r.S(m - 1) == int(r.bits[m - 1 : n].sum())
+
+
+@given(
+    st.sampled_from([1 << 10, 1 << 11, 1 << 16]).flatmap(lambda edge: st.integers(edge - 2, edge + 2)),
+    st.integers(0, MASK64),
+)
+@settings(max_examples=15, deadline=None)
+def test_prefix_count_is_the_sum_of_the_bits(n_max, seed):
+    # n_max across the edges of the streaming walk's chunks
+    r = generate_realization(SelectorParams(a=0.3, seed=seed, n_max=n_max))
+    sums = np.concatenate([[0], np.cumsum(r.bits)])
+    assert [r.S(n) for n in range(n_max + 1)] == sums.tolist()
+    assert r.selection_count == sums[-1]
 
 
 def test_w_prefix_growth_band():
     # W_N / N^(1-a) stays in a fixed band for N >= 2
     a = 0.3
-    r = generate_realization(SelectorParams(a=a, seed=1, n_max=200000))
     n = np.arange(2, 200001)
-    band = r.w_prefix[2:] / n ** (1 - a)
+    band = np.cumsum(sigma_values(a, 1, 200000))[1:] / n ** (1 - a)
     assert band.min() > 1.0
     assert band.max() < 1.0 / (1.0 - a) + 0.5
 
 
 def test_w_prefix_strictly_increasing():
-    r = generate_realization(SelectorParams(a=0.45, seed=2, n_max=5000))
-    assert np.all(np.diff(r.w_prefix) > 0)
+    assert np.all(np.diff(np.concatenate([[0.0], np.cumsum(sigma_values(0.45, 1, 5000))])) > 0)
 
 
 def test_accessors_reject_indices_outside_the_window():
-    # negative n used to wrap to the end, S_range(0, n) read s_prefix[-1],
-    # and a too-long y_values failed with a numpy broadcast error
+    # a negative n must not count from the end, nor a too-long y_values fail
+    # with a numpy broadcast error
     r = generate_realization(SelectorParams(a=0.3, seed=1, n_max=100))
-    assert (r.S(0), r.W(0), r.S(100), r.S_range(11, 10)) == (0, 0.0, r.selection_count, 0)
+    assert (r.S(0), r.S(100)) == (0, r.selection_count)
     assert r.y_values(0).shape == (0,) and r.y_values(100, 101).shape == (0,)
     for call in (
-        lambda: r.S(-1), lambda: r.S(101), lambda: r.W(-1), lambda: r.W(101),
-        lambda: r.S_range(0, 10), lambda: r.S_range(12, 10), lambda: r.S_range(1, 101),
+        lambda: r.S(-1), lambda: r.S(101),
         lambda: r.y_values(101), lambda: r.y_values(-1), lambda: r.y_values(10, 0),
         lambda: r.y_values(10, 12),
     ):
@@ -105,20 +115,11 @@ def test_accessors_reject_indices_outside_the_window():
             call()
 
 
-@pytest.mark.parametrize("n_max", [1000, 3 * DEFAULT_CHUNK + 5])
-def test_w_prefix_blocks_equal_one_cumsum(n_max):
-    # the oracle is the one-shot cumsum over 1..n_max, compared bit for bit
-    r = generate_realization(SelectorParams(a=0.3, seed=6, n_max=n_max))
-    oracle = np.cumsum(sigma_values(0.3, 1, n_max))
-    assert r.w_prefix[0] == 0.0
-    assert r.w_prefix[1:].tobytes() == oracle.tobytes()
-
-
 def test_y_sum_bound_exact():
     # sum |Y_n| <= S_N + W_N holds term by term, hence for every prefix
     r = generate_realization(SelectorParams(a=0.35, seed=77, n_max=20000))
     lhs = np.cumsum(np.abs(r.y_values(20000)))
-    rhs = r.s_prefix[1:] + r.w_prefix[1:]
+    rhs = np.cumsum(r.bits) + np.cumsum(sigma_values(0.35, 1, 20000))
     assert np.all(lhs <= rhs)
 
 
@@ -139,9 +140,9 @@ def test_sigma_prefix_doubling_ratio():
 
 def test_sigma_prefix_matches_w_prefix():
     # compensated scalar route vs cumulative array route
-    r = generate_realization(SelectorParams(a=0.4, seed=5, n_max=30000))
+    w = np.cumsum(sigma_values(0.4, 1, 30000))
     for n in (1, 17, 4096, 30000):
-        assert abs(r.W(n) - sigma_prefix(0.4, n)) < 1e-10 * max(1.0, r.W(n))
+        assert abs(w[n - 1] - sigma_prefix(0.4, n)) < 1e-10 * max(1.0, w[n - 1])
 
 
 def test_mean_count_against_binomial_oracle():
@@ -319,7 +320,7 @@ def test_realization_from_bits_roundtrip():
     p = SelectorParams(a=0.3, seed=3, n_max=500)
     r = generate_realization(p)
     r2 = realization_from_bits(p, r.bits)
-    assert np.array_equal(r.s_prefix, r2.s_prefix)
+    assert np.array_equal(r.bits, r2.bits)
     assert np.array_equal(r.ones, r2.ones)
 
 
