@@ -13,7 +13,6 @@ from .correlation import (
     aggregate_i_terms,
     c_sum_check,
     correlation_sum,
-    default_weight_params,
     i_terms_profile,
     profile_envelope,
     summability_statistic,
@@ -27,7 +26,6 @@ from .dynamics import (
     CyclicSystem,
     DynamicalSystem,
     RotationSystem,
-    birkhoff_mean,
     chain_diagnostics,
     make_system,
     partial_summation_identity,
@@ -43,7 +41,6 @@ from .hardy import (
     minimum_precision,
     parse_expression,
     phase_fractions,
-    power_phase,
     second_difference_ratio,
     unit_phases,
 )

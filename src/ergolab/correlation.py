@@ -27,16 +27,21 @@ from .selectors import DEFAULT_CHUNK, OutOfRangeError, Realization
 @dataclass(frozen=True)
 class WeightParams:
     """Exponent bundle (a, delta, b, c) constrained to the open ranges the
-    argument needs: b in (a, 1/2), c in (2a, 1), delta in (0, 1/2)."""
+    argument needs: b in (a, 1/2), c in (2a, 1), delta in (0, 1/2).  An
+    omitted b or c is the midpoint of its range."""
 
     a: float
     delta: float = 0.1
-    b: float = 0.0
-    c_exponent: float = 0.0
+    b: Optional[float] = None
+    c_exponent: Optional[float] = None
 
     def __post_init__(self):
         if not 0.0 < self.a < 0.5:
             raise ValueError(f"a must lie in (0, 1/2), got {self.a}")
+        if self.b is None:
+            object.__setattr__(self, "b", 0.5 * (self.a + 0.5))
+        if self.c_exponent is None:
+            object.__setattr__(self, "c_exponent", 0.5 * (2.0 * self.a + 1.0))
         if not 0.0 < self.delta < 0.5:
             raise ValueError(f"delta must lie in (0, 1/2), got {self.delta}")
         if not self.a < self.b < 0.5:
@@ -45,20 +50,6 @@ class WeightParams:
             raise ValueError(
                 f"c must lie in ({2 * self.a}, 1), got {self.c_exponent}"
             )
-
-
-def default_weight_params(
-    a: float,
-    delta: float = 0.1,
-    b: Optional[float] = None,
-    c_exponent: Optional[float] = None,
-) -> WeightParams:
-    """Midpoint defaults: b centered in (a, 1/2), c centered in (2a, 1)."""
-    if b is None:
-        b = 0.5 * (a + 0.5)
-    if c_exponent is None:
-        c_exponent = 0.5 * (2.0 * a + 1.0)
-    return WeightParams(a=a, delta=delta, b=b, c_exponent=c_exponent)
 
 
 @dataclass(frozen=True)

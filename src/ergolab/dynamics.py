@@ -4,9 +4,9 @@ Ships three systems whose n-th iterate is exactly computable at any n:
 the irrational circle rotation, the finite cyclic shift, and a Bernoulli
 symbolic shift whose symbols come from the package's counter-based hash
 (so shifting by 2^30 costs the same as shifting by 1).  On top of these it
-evaluates the averages of interest: plain ergodic means, the weighted
-random average (1/N) sum e(p(n)) f(T^{a_n} x), and the six-stage chain of
-comparisons that connects it to a bare trigonometric sum.
+evaluates the weighted random average (1/N) sum e(p(n)) f(T^{a_n} x) and
+the six-stage chain of comparisons that connects it to a bare
+trigonometric sum.
 """
 
 from __future__ import annotations
@@ -109,9 +109,6 @@ class DynamicalSystem:
     def random_states(self, seed: int, count: int) -> list:
         """States sampled from the invariant measure (for statistical checks)."""
         raise NotImplementedError
-
-    def observe(self, x) -> complex:
-        return complex(self.orbit_observable(x, np.zeros(1, dtype=np.int64))[0])
 
     def _check_bounded(self) -> None:
         pts = self.sample_points(16) + self.random_states(7, 64)
@@ -262,6 +259,10 @@ class CyclicSystem(DynamicalSystem):
             table = np.asarray(observable, dtype=np.complex128)
             if table.shape != (q,):
                 raise ValueError(f"observable table must have length {q}")
+            # every entry, not only the states _check_bounded probes
+            over = np.flatnonzero(np.abs(table) > 1.0 + 1e-12)
+            if over.size:
+                raise ValueError(f"observable exceeds modulus 1 at state {over[0]}")
             self.observable = "table"
             self.known_mean = complex(math.fsum(table.real) / q, math.fsum(table.imag) / q)
         self.table = table
@@ -417,26 +418,6 @@ def weighted_average_from_positions(
     return AverageSeries(np.asarray(schedule, dtype=np.int64), list(sample_points), values)
 
 
-def birkhoff_mean(
-    sys: DynamicalSystem,
-    N: int,
-    sample_points: Optional[list] = None,
-) -> np.ndarray:
-    """Plain averages (1/N) sum_{n<=N} f(T^n x); validates known_mean."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if sample_points is None:
-        sample_points = sys.sample_points(16)
-    ks = np.arange(1, N + 1, dtype=np.int64)
-    out = np.empty(len(sample_points), dtype=np.complex128)
-    orbits = sys.orbits(sample_points, ks)
-    for j in range(len(sample_points)):
-        orbit = next(orbits)
-        out[j] = hardy.prefix_means(orbit, [N])[0]
-        del orbit  # freed before the next orbit is built
-    return out
-
-
 @dataclass(frozen=True)
 class ChainDiagnostics:
     """Values and consecutive gaps of the six-stage comparison chain.
@@ -459,10 +440,6 @@ class ChainDiagnostics:
     points: list
     stages: np.ndarray  # (n_points, 6) complex
     diffs: np.ndarray  # (n_points, 6) float
-
-    @property
-    def median_diffs(self) -> np.ndarray:
-        return np.median(self.diffs, axis=0)
 
 
 def chain_diagnostics(

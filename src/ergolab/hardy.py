@@ -135,15 +135,6 @@ def _children(node: Node) -> tuple:
     return () if isinstance(node, Const) else tuple(vars(node).values())  # its fields, in order
 
 
-def node_key(node: Node) -> str:
-    """Canonical serialization: c(value), x, or class name(children's keys)."""
-    if isinstance(node, Const):
-        return f"c({node.value})"
-    if isinstance(node, Var):
-        return "x"
-    return f"{type(node).__name__.lower()}({','.join(map(node_key, _children(node)))})"
-
-
 @dataclass(frozen=True)
 class HardyExpr:
     """A parsed phase function with its declared growth exponent.
@@ -156,10 +147,6 @@ class HardyExpr:
     root: Node
     source: str
     epsilon_hint: Optional[float]
-
-    @property
-    def key(self) -> str:
-        return node_key(self.root)
 
     @property
     def integer_polynomial(self) -> bool:
@@ -836,19 +823,6 @@ def parse_expression(
     return HardyExpr(root, src, epsilon_hint)
 
 
-def power_phase(exponent: Union[str, float, Fraction], epsilon_hint: Optional[float] = None) -> HardyExpr:
-    """Preset p(x) = x^q; for q = 1 + eps in (1, 2) the epsilon hint is q - 1.
-
-    These presets satisfy both standing hypotheses on p (bounded second
-    difference at scale x^(eps-1) y z, and superlogarithmic distance from
-    rational polynomials).
-    """
-    q = Fraction(exponent)
-    if epsilon_hint is None and 1 < q < 2:
-        epsilon_hint = float(q - 1)
-    return parse_expression(f"x^({q})", epsilon_hint=epsilon_hint)
-
-
 def minimum_precision(p: HardyExpr, x: Union[int, float]) -> int:
     """Smallest precision_bits satisfying the rule at argument x.  For x^q on
     the root route and an integer x >= 1 it is exact, 64 plus the bit length
@@ -961,9 +935,9 @@ def prefix_means(terms: np.ndarray, schedule) -> np.ndarray:
     """(1/N) sum_{n<=N} terms[n-1] for each N in schedule, 1 <= N <= len(terms).
 
     Each mean is an independent fixed-shape pairwise sum over terms[:N], so
-    equal term arrays give bit-equal results.  The expsum pipeline, exp_sum,
-    birkhoff_mean and weighted_average_from_positions average through it;
-    chain_diagnostics takes its stage means with np.sum inline.
+    equal term arrays give bit-equal results.  The expsum and average
+    pipelines average through it; chain_diagnostics takes its stage means
+    with np.sum inline.
     """
     for N in schedule:
         if not 1 <= N <= len(terms):

@@ -43,18 +43,21 @@ def lacunary_schedule(rho: float, n_min: int, n_max: int) -> List[int]:
     if not 1 <= n_min <= n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got [{n_min}, {n_max}]")
     out, k, v = [], 0, n_min - 1
-    while True:
-        # the first k whose floor(rho^k) exceeds v: jump to the estimate
-        # log(v + 1) / log(rho), then settle on the exact expression
-        k = max(k, math.ceil(math.log(v + 1) / math.log1p(rho - 1)))
-        while k > 0 and math.floor(rho ** (k - 1)) > v:
-            k -= 1
-        while math.floor(rho ** k) <= v:
-            k += 1
-        v = math.floor(rho ** k)
-        if v > n_max:
-            return out
-        out.append(v)
+    try:
+        while True:
+            # the first k whose floor(rho^k) exceeds v: jump to the estimate
+            # log(v + 1) / log(rho), then settle on the exact expression
+            k = max(k, math.ceil(math.log(v + 1) / math.log1p(rho - 1)))
+            while k > 0 and math.floor(rho ** (k - 1)) > v:
+                k -= 1
+            while math.floor(rho ** k) <= v:
+                k += 1
+            v = math.floor(rho ** k)
+            if v > n_max:
+                return out
+            out.append(v)
+    except OverflowError:
+        raise ValueError(f"n_max={n_max} is out of reach: rho^{k} overflows float64 at rho={rho}") from None
 
 
 @dataclass(frozen=True)
@@ -379,13 +382,14 @@ def _run_expsum(cfg: ExperimentConfig) -> Report:
     means = hardy.prefix_means(z, union)
     by_n = dict(zip(union, means))
 
+    fp = cfg.fingerprint()
     rows = []
     fits = []
     for r, sched in per_rho.items():
         series = []
         for N in sched:
             v = by_n[N]
-            rows.append((cfg.fingerprint(), r, N, v.real, v.imag, abs(v)))
+            rows.append((fp, r, N, v.real, v.imag, abs(v)))
             series.append((N, abs(v)))
         if len(series) >= 3:
             fits.append((f"rho={r}", slope_fit(series)))
@@ -499,7 +503,7 @@ def _correlation_job(ctx: Dict[str, object], seed: int):
 def _run_correlation(cfg: ExperimentConfig) -> Report:
     expr = hardy.parse_expression(cfg.p, epsilon_hint=cfg.eps)
     union, _ = _schedules(cfg)
-    wp = correlation.default_weight_params(cfg.a, delta=cfg.delta, b=cfg.b, c_exponent=cfg.c)
+    wp = correlation.WeightParams(cfg.a, cfg.delta, cfg.b, cfg.c)
     iterms_n = cfg.iterms_n
     if iterms_n is None:
         iterms_n = max(

@@ -155,6 +155,9 @@ def test_vdc_selftest_cli():
     ["expsum", "--p", "x*x^(1/2)", "--Nmin", "64", "--Nmax", "1024", "--bits", "100000"],
     ["average", "--f", "foo"],  # the rotation lists its own observables
     ["vdc-selftest", "--seed", "-1", "--instances", "1"],
+    # rho^k leaves the float64 range before it exceeds N_max
+    ["expsum", "--Nmax", "1" + "0" * 400],
+    ["expsum", "--rho", "1.5", "--Nmin", "1", "--Nmax", "1" + "0" * 320],
 ])
 def test_bad_input_exits_with_one_line(args):
     t0 = time.perf_counter()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -15,7 +15,6 @@ from ergolab.correlation import (
     c_sum_check,
     correlation_sum,
     correlation_window,
-    default_weight_params,
     has_profile,
     i_terms_profile,
     lag_count,
@@ -73,10 +72,11 @@ def test_weight_params_ranges():
         WeightParams(a=0.3, delta=0.6, b=0.35, c_exponent=0.8)
 
 
-def test_default_midpoints():
-    wp = default_weight_params(0.3)
-    assert wp.b == pytest.approx(0.4)
-    assert wp.c_exponent == pytest.approx(0.8)
+@given(st.floats(1e-9, 0.499), st.floats(0.01, 0.49))
+@example(0.3, 0.1)
+def test_default_midpoints(a, delta):
+    # an omitted b or c is the midpoint of (a, 1/2) or of (2a, 1)
+    assert WeightParams(a, delta) == WeightParams(a, delta, 0.5 * (a + 0.5), 0.5 * (2.0 * a + 1.0))
 
 
 def test_weight_series_requires_matching_a(p32, wparams):
@@ -446,7 +446,7 @@ def test_i_terms_shared_work_across_an_empty_window(p32, wparams):
 @given(st.floats(0.05, 0.45), st.integers(8, 3000), st.integers(0, 2**32))
 @settings(max_examples=25, deadline=None)
 def test_i_terms_shared_work_equals_oracle_property(p32, a, N, seed):
-    wp = default_weight_params(a)
+    wp = WeightParams(a)
     assume(has_profile(N, wp.c_exponent))
     lags = list(range(1, lag_count(N, wp.b) + 1))
     w = small_series(seed, N + lags[-1] + lag_count(N, wp.c_exponent) + 1, p32, wp)

@@ -14,7 +14,6 @@ from ergolab.dynamics import (
     BernoulliSystem,
     CyclicSystem,
     RotationSystem,
-    birkhoff_mean,
     chain_diagnostics,
     make_system,
     partial_summation_identity,
@@ -60,8 +59,8 @@ def test_bernoulli_shift_stationarity():
     # observable mean over fresh states vs over shifted states: both near 0
     sys = BernoulliSystem(2, 6)
     states = sys.random_states(11, 400)
-    v0 = np.mean([sys.observe(x) for x in states])
-    v1 = np.mean([sys.observe(sys.iterate(x)) for x in states])
+    v0 = np.mean([sys.orbit_observable(x, [0])[0] for x in states])
+    v1 = np.mean([sys.orbit_observable(sys.iterate(x), [0])[0] for x in states])
     assert abs(v0) < 0.1 and abs(v1) < 0.1
 
 
@@ -82,6 +81,9 @@ def test_unbounded_observable_rejected():
     table = np.array([1.5, 0.0, 0.0], dtype=complex)
     with pytest.raises(ValueError):
         CyclicSystem(3, table)
+    for j in (3000, 4095):  # every entry: 3000 is none of the states _check_bounded probes
+        with pytest.raises(ValueError, match=f"observable exceeds modulus 1 at state {j}$"):
+            CyclicSystem(4096, np.where(np.arange(4096) == j, 5.0, 0.0))
 
 
 def test_rotation_bound_check_refuses_a_patched_observable(monkeypatch):
@@ -444,6 +446,11 @@ def test_base_orbits_equal_orbit_observable_per_point(sys, n_points, ks):
 # ---------------------------------------------------------------------------
 # Birkhoff means.
 
+def birkhoff_mean(sys, N, points):
+    """(1/N) sum_{n<=N} f(T^n x) at each point: prefix_means over the system's orbits."""
+    return np.array([hardy.prefix_means(o, [N])[0] for o in sys.orbits(points, np.arange(1, N + 1))])
+
+
 def test_birkhoff_constant_observable():
     sys = RotationSystem("sqrt2m1", "const")
     for N in (1, 5, 1000):
@@ -570,7 +577,7 @@ def test_chain_shapes_and_median(p32):
     diag = chain_diagnostics(sys, phases, [r], [1024], sample_points=sys.sample_points(6))[0][0]
     assert diag.stages.shape == (6, 6)
     assert diag.diffs.shape == (6, 6)
-    assert diag.median_diffs.shape == (6,)
+    assert np.median(diag.diffs, axis=0).shape == (6,)
     assert diag.s_N == r.S(1024)
 
 
@@ -816,7 +823,6 @@ def test_one_orbit_alive_at_a_time(p32):
     pts, phases = [0.1, 0.2, 0.3], hardy.phase_fractions(p32, 1024)
     rs = [generate_realization(SelectorParams(a=0.3, seed=s, n_max=1024)) for s in (1, 2)]
     runs = [
-        lambda sys: birkhoff_mean(sys, 1024, pts),
         lambda sys: weighted_average_from_positions(sys, phases, rs[0].ones, [16, 64], pts),
         lambda sys: chain_diagnostics(sys, phases, rs, [16, 1024], sample_points=pts),
     ]

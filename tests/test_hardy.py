@@ -26,11 +26,18 @@ from ergolab.hardy import (
     minimum_precision,
     parse_expression,
     phase_fractions,
-    power_phase,
     prefix_means,
     second_difference_ratio,
     unit_phases,
 )
+
+
+def key(e) -> str:
+    """A parsed tree as text, so pinned shapes read at a glance: c(value), x, or op(children)."""
+    node = getattr(e, "root", e)
+    if not isinstance(node, (hardy.Const, hardy.Var)):
+        return f"{type(node).__name__.lower()}({','.join(map(key, hardy._children(node)))})"
+    return f"c({node.value})" if isinstance(node, hardy.Const) else "x"
 
 
 def circle_distance(a: float, b: float) -> float:
@@ -43,13 +50,13 @@ def circle_distance(a: float, b: float) -> float:
 
 def test_parse_variable():
     e = parse_expression("x")
-    assert e.key == "x"
+    assert key(e) == "x"
     assert e.integer_polynomial
 
 
 def test_parse_power_sugar_desugars_to_exp_log():
     e = parse_expression("x^(3/2)")
-    assert e.key == "exp(mul(c(3/2),log(x)))"
+    assert key(e) == "exp(mul(c(3/2),log(x)))"
     assert not e.integer_polynomial
 
 
@@ -74,7 +81,7 @@ def test_parse_error_carries_position():
 
 def test_constant_folding_is_exact():
     e = parse_expression("x^(1/3)")
-    assert e.key == "exp(mul(c(1/3),log(x)))"  # kept rational, not 0.333...
+    assert key(e) == "exp(mul(c(1/3),log(x)))"  # kept rational, not 0.333...
     assert parse_expression("(3/2)*2").root.value == Fraction(3)
 
 
@@ -133,9 +140,9 @@ PINNED_KEYS = [
 ]
 
 
-@pytest.mark.parametrize("src,key", PINNED_KEYS)
-def test_parse_pinned_keys(src, key):
-    assert parse_expression(src).key == key
+@pytest.mark.parametrize("src,expected", PINNED_KEYS)
+def test_parse_pinned_keys(src, expected):
+    assert key(parse_expression(src)) == expected
 
 
 def scanner_tokenize(src: str) -> list:
@@ -273,7 +280,7 @@ def test_domain_validation_sweep():
     # log log x dies at x = 1, where every sweep and every table starts
     with pytest.raises(ExpressionError, match="undefined at x=1:"):
         parse_expression("log(log(x))")
-    assert parse_expression("log(log(x + 1))").key == "log(log(add(x,c(1))))"
+    assert key(parse_expression("log(log(x + 1))")) == "log(log(add(x,c(1))))"
 
 
 @pytest.mark.parametrize("src", ["x + 3^3^15", "9^9^9", "(1/3)^100000", "2^(10^400)"])
@@ -285,9 +292,9 @@ def test_oversized_constant_power_is_rejected_before_folding(src):
 
 
 def test_constant_powers_of_modest_size_still_fold():
-    assert parse_expression("2^3^2").key == "c(512)"
-    assert parse_expression("1^(10^100)").key == "c(1)"
-    assert parse_expression("(-1)^(10^100 + 1)").key == "c(-1)"
+    assert key(parse_expression("2^3^2")) == "c(512)"
+    assert key(parse_expression("1^(10^100)")) == "c(1)"
+    assert key(parse_expression("(-1)^(10^100 + 1)")) == "c(-1)"
     assert parse_expression("2^8192").root.value == 2**8192  # the largest size kept
     with pytest.raises(ExpressionError, match="constant power"):
         parse_expression("2^8193")
@@ -309,7 +316,7 @@ def test_oversized_constant_is_rejected_however_built(src):
 ])
 def test_constants_under_the_cap_parse_and_print_their_key(src, const):
     e = parse_expression(src)
-    assert f"c({const})" in e.key
+    assert f"c({const})" in key(e)
 
 
 @pytest.mark.parametrize("src", ["exp(exp(x))", "exp(exp(exp(x)))", "x^(10^400)"])
@@ -404,8 +411,7 @@ def test_ln2_words_against_mpmath():
 def test_epsilon_hint_validation():
     with pytest.raises(ValueError):
         parse_expression("x", epsilon_hint=1.5)
-    e = power_phase("3/2")
-    assert e.epsilon_hint == pytest.approx(0.5)
+    assert parse_expression("x^(3/2)", epsilon_hint=0.5).epsilon_hint == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +742,7 @@ def test_power_table_within_eval_mod1_bound(r, s, start, length):
         parse_expression("x^(25/24)"),   # the largest root degree on the integer path
         parse_expression("x^(26/25)"),   # the smallest one past it
         parse_expression("x^1.01"),      # q = 101/100
-        power_phase(1.1),                # q = Fraction(1.1), denominator 2^51
+        parse_expression(f"x^({Fraction(1.1)})"),  # denominator 2^51
     ],
     ids=["25/24", "26/25", "1.01", "float-1.1"],
 )
@@ -1102,7 +1108,7 @@ def compile_per_occurrence(node, ctx):
 def test_tree_table_takes_one_log_per_chunk_of_a_repeated_subtree(N, monkeypatch):
     # exp(3/2*log(x)) + x*log(x): log(x) occurs twice and is taken once
     p = parse_expression("x^(3/2) + x*log(x)")
-    assert on_tree_path(p) and p.key.count("log(x)") == 2
+    assert on_tree_path(p) and key(p).count("log(x)") == 2
     log, calls = hardy._DD_CTX.log, []
     monkeypatch.setattr(hardy._DD_CTX, "log", lambda v: calls.append(v) or log(v))
     got = phase_fractions(p, N)
@@ -1497,8 +1503,7 @@ def test_second_difference_bounded_for_power_presets(eps):
     # p(x) = x^(1+eps): the normalized second difference never exceeds the
     # mean-value bound sup p'' / x^(eps-1) = (1+eps) eps; one constant (2)
     # covers the whole grid
-    e = power_phase(Fraction(4 + int(4 * eps), 4))  # 1 + eps with eps in quarters
-    assert e.epsilon_hint == pytest.approx(eps)
+    e = parse_expression(f"x^({Fraction(4 + int(4 * eps), 4)})", epsilon_hint=eps)
     ratios = []
     for x in np.geomspace(10.0, 1e6, 7):
         for fy in (1.0, x ** 0.4):

@@ -48,6 +48,11 @@ def test_schedule_rejects_bad_rho():
             lacunary_schedule(rho, 1, 10)
 
 
+def test_schedule_past_the_float_range_names_n_max():
+    with pytest.raises(ValueError, match="n_max="):
+        lacunary_schedule(1.5, 1, 10**320)  # rho^k overflows float64 before it exceeds n_max
+
+
 def stepwise_schedule(rho, nmin, nmax):
     """The schedule by direct power iteration, one k at a time."""
     out = set()
