@@ -20,7 +20,6 @@ from .correlation import (
     weight_series,
 )
 from .dynamics import (
-    AverageSeries,
     BernoulliSystem,
     ChainDiagnostics,
     CyclicSystem,

@@ -167,9 +167,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"  wrote table {t.name!r} ({len(t.rows)} rows)")
         print(f"  -> {cfg.out}")
     elif len(main_table.rows) <= 40:
-        print(",".join(main_table.columns))
-        for row in main_table.rows:
-            print(",".join(str(v) for v in row))
+        lines = report.csv_bytes().decode().splitlines()
+        print("\n".join(line for line in lines if not line.startswith("#")))
     return 0
 
 

@@ -85,9 +85,6 @@ def weight_series(
     s_max = int(counts[-1])
     if phases.shape[0] < s_max:
         raise ValueError(f"phase table shorter than S_{{n_max}} = {s_max}")
-    # e(p(S_n)) needs S_n >= 1; the hash always selects index 1 (sigma_1 = 1)
-    if not r.bits[0]:
-        raise ValueError("the weight series needs X_1 = 1")
     z = hardy.unit_phases(phases[:s_max])
     c = np.empty(r.n_max, dtype=np.complex128)
     for lo in range(0, r.n_max, DEFAULT_CHUNK):

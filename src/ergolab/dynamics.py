@@ -85,7 +85,6 @@ class DynamicalSystem:
     ergodic systems) is supplied in closed form, never estimated.
     """
 
-    kind: str = "abstract"
     known_mean: complex = 0j
 
     def orbit_observable(self, x, iterates: np.ndarray) -> np.ndarray:
@@ -113,7 +112,7 @@ class DynamicalSystem:
     def _check_bounded(self) -> None:
         pts = self.sample_points(16) + self.random_states(7, 64)
         for x, vals in zip(pts, self.orbits(pts, np.arange(0, 8, dtype=np.int64))):
-            if np.any(np.abs(vals) > 1.0 + 1e-12):
+            if not np.all(np.abs(vals) <= 1.0 + 1e-12):
                 raise ValueError(f"observable exceeds modulus 1 at state {x!r}")
 
 
@@ -127,8 +126,6 @@ class RotationSystem(DynamicalSystem):
       const      1, mean 1
       coboundary h - h(T .) with h = e(x)/2, mean 0
     """
-
-    kind = "rotation"
 
     def __init__(self, alpha="sqrt2m1", observable: str = "e"):
         self.alpha_fp = _resolve_angle(alpha)
@@ -237,8 +234,6 @@ class CyclicSystem(DynamicalSystem):
     of a custom table is its exact average.
     """
 
-    kind = "cyclic"
-
     def __init__(self, q: int, observable="roots"):
         if q < 1:
             raise ValueError("modulus q must be >= 1")
@@ -259,8 +254,8 @@ class CyclicSystem(DynamicalSystem):
             table = np.asarray(observable, dtype=np.complex128)
             if table.shape != (q,):
                 raise ValueError(f"observable table must have length {q}")
-            # every entry, not only the states _check_bounded probes
-            over = np.flatnonzero(np.abs(table) > 1.0 + 1e-12)
+            # every entry, not only the states _check_bounded probes; NaN fails too
+            over = np.flatnonzero(~(np.abs(table) <= 1.0 + 1e-12))
             if over.size:
                 raise ValueError(f"observable exceeds modulus 1 at state {over[0]}")
             self.observable = "table"
@@ -292,8 +287,6 @@ class BernoulliSystem(DynamicalSystem):
     fraction w and returns e(w); averaging e(w) over all A^window equally
     likely words gives exactly 0, the supplied invariant mean.
     """
-
-    kind = "bernoulli"
 
     def __init__(self, alphabet: int = 2, window: int = 8):
         if alphabet < 2:
@@ -357,15 +350,6 @@ def make_system(
     raise ValueError(f"unknown system kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class AverageSeries:
-    """Average values per (sample point, N)."""
-
-    schedule: np.ndarray
-    points: list
-    values: np.ndarray  # shape (len(points), len(schedule))
-
-
 def _orbit_inputs(
     sys: DynamicalSystem, phases: np.ndarray, schedule: Sequence[int], sample_points: Optional[list]
 ) -> Tuple[List[int], list, np.ndarray]:
@@ -388,8 +372,9 @@ def weighted_average_from_positions(
     positions: np.ndarray,
     schedule: Sequence[int],
     sample_points: Optional[list] = None,
-) -> AverageSeries:
-    """(1/N) sum_{n<=N} e(p(n)) f(T^{positions[n-1]} x) for each N in schedule.
+) -> np.ndarray:
+    """(1/N) sum_{n<=N} e(p(n)) f(T^{positions[n-1]} x) as a complex array:
+    one row per sample point x, one column per N of the schedule, in sorted order.
 
     phases is the table frac(p(n)), n = 1, 2, ... (hardy.phase_fractions);
     it does not depend on the seed, so one table serves every realization.
@@ -415,7 +400,7 @@ def weighted_average_from_positions(
         terms = np.multiply(z, orbit, out=orbit if n_top > 1 else None)
         values[j] = hardy.prefix_means(terms, schedule)
         del orbit, terms
-    return AverageSeries(np.asarray(schedule, dtype=np.int64), list(sample_points), values)
+    return values
 
 
 @dataclass(frozen=True)
@@ -437,7 +422,6 @@ class ChainDiagnostics:
     N: int
     s_N: int
     w_N: float
-    points: list
     stages: np.ndarray  # (n_points, 6) complex
     diffs: np.ndarray  # (n_points, 6) float
 
@@ -471,9 +455,6 @@ def chain_diagnostics(
     for r in realizations:
         if n_top > r.n_max:
             raise ValueError(f"schedule must lie in [1, n_max={r.n_max}]")
-        # e(p(S_n)) needs S_n >= 1; the hash always selects index 1 (sigma_1 = 1)
-        if not r.bits[0]:
-            raise ValueError("the chain needs X_1 = 1")
         if sigma is None:
             a, sigma = r.params.a, sigma_values(r.params.a, 1, n_top)
             # W_N from one cumulative sum: it depends on a and N, not on the draw
@@ -511,7 +492,7 @@ def chain_diagnostics(
     # d6 by scalar abs, not np.abs: they differ in the last bit on about a
     # third of complex128 values, and d6 is in the digests
     diffs[..., 5] = np.array([abs(v) for v in stage5])[:, None]
-    return [[ChainDiagnostics(N, s_Ns[i], w_Ns[i], list(sample_points), st[i], df[i])
+    return [[ChainDiagnostics(N, s_Ns[i], w_Ns[i], st[i], df[i])
              for i, N in enumerate(schedule)]
             for (_, _, s_Ns, _), st, df in zip(states, stages, diffs)]
 

@@ -172,6 +172,11 @@ class ExperimentConfig:
         for a in self.a_values or (self.a,):
             if not 0.0 < a < 0.5:
                 raise ValueError(f"exponent a must lie in (0, 1/2), got {a}")
+        # a repeated value would repeat its rows in some pipelines and not others
+        for name in ("rho", "a_values"):
+            values = getattr(self, name) or ()
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat a value, got {values}")
 
     def seed_list(self) -> List[int]:
         return [self.seed_base + i for i in range(self.seeds)]
@@ -265,7 +270,7 @@ def _fmt(value) -> str:
 @dataclass(frozen=True)
 class Table:
     name: str
-    columns: Tuple[str, ...]
+    columns: Tuple[str, ...]  # the data columns; csv_bytes writes experiment_id first
     rows: Tuple[Tuple, ...]
 
 
@@ -285,11 +290,12 @@ class Report:
 
     def csv_bytes(self, name: str = "main") -> bytes:
         t = self.table(name)
-        lines = [f"# schema={CSV_SCHEMA}", f"# experiment={self.config.fingerprint()}"]
+        fp = self.config.fingerprint()
+        lines = [f"# schema={CSV_SCHEMA}", f"# experiment={fp}"]
         lines += [f"# {fld}={value}" for fld, value in self.config._content()]
-        lines.append(",".join(t.columns))
+        lines.append(",".join(("experiment_id",) + t.columns))
         for row in t.rows:
-            lines.append(",".join(_fmt(v) for v in row))
+            lines.append(",".join([fp] + [_fmt(v) for v in row]))
         return ("\n".join(lines) + "\n").encode()
 
     def write(self, out: str) -> List[str]:
@@ -382,18 +388,17 @@ def _run_expsum(cfg: ExperimentConfig) -> Report:
     means = hardy.prefix_means(z, union)
     by_n = dict(zip(union, means))
 
-    fp = cfg.fingerprint()
     rows = []
     fits = []
     for r, sched in per_rho.items():
         series = []
         for N in sched:
             v = by_n[N]
-            rows.append((fp, r, N, v.real, v.imag, abs(v)))
+            rows.append((r, N, v.real, v.imag, abs(v)))
             series.append((N, abs(v)))
         if len(series) >= 3:
             fits.append((f"rho={r}", slope_fit(series)))
-    table = Table("main", ("experiment_id", "rho", "N", "re", "im", "abs"), tuple(rows))
+    table = Table("main", ("rho", "N", "re", "im", "abs"), tuple(rows))
     return Report(cfg, (table,), tuple(fits))
 
 
@@ -403,10 +408,9 @@ def _average_job(ctx: Dict[str, object], item: Tuple[float, int]):
     a, seed = item
     union: List[int] = ctx["union"]
     positions = selectors.select_first(a, seed, union[-1])
-    series = dynamics.weighted_average_from_positions(
+    return dynamics.weighted_average_from_positions(
         ctx["system"], ctx["phases"], positions, union, sample_points=ctx["points"],
     )
-    return series.values
 
 
 def _run_average(cfg: ExperimentConfig) -> Report:
@@ -417,7 +421,6 @@ def _run_average(cfg: ExperimentConfig) -> Report:
     results = _pool_map(_average_job, items, cfg.resolve_workers(), shared)
 
     union_index = {N: i for i, N in enumerate(shared["union"])}
-    fp = cfg.fingerprint()
     rows = []
     for (a, seed), values in zip(items, results):
         for r in cfg.rho:
@@ -425,10 +428,10 @@ def _run_average(cfg: ExperimentConfig) -> Report:
                 col = union_index[N]
                 for j in range(len(shared["points"])):
                     v = values[j, col]
-                    rows.append((fp, a, r, seed, j, N, v.real, v.imag, abs(v)))
+                    rows.append((a, r, seed, j, N, v.real, v.imag, abs(v)))
     table = Table(
         "main",
-        ("experiment_id", "a", "rho", "seed", "sample_index", "N", "re", "im", "abs"),
+        ("a", "rho", "seed", "sample_index", "N", "re", "im", "abs"),
         tuple(rows),
     )
     return Report(cfg, (table,))
@@ -453,7 +456,6 @@ def _run_chain(cfg: ExperimentConfig) -> Report:
     blocks = [seeds[i * len(seeds) // k : (i + 1) * len(seeds) // k] for i in range(k)]
     results = [d for block in _pool_map(_chain_job, blocks, k, shared) for d in block]
 
-    fp = cfg.fingerprint()
     rows = []
     for seed, diags in zip(seeds, results):
         for d in diags:
@@ -461,11 +463,11 @@ def _run_chain(cfg: ExperimentConfig) -> Report:
             for r in rhos:
                 for j in range(d.diffs.shape[0]):
                     rows.append(
-                        (fp, r, seed, j, d.N, d.s_N, d.w_N) + tuple(d.diffs[j].tolist())
+                        (r, seed, j, d.N, d.s_N, d.w_N) + tuple(d.diffs[j].tolist())
                     )
     table = Table(
         "main",
-        ("experiment_id", "rho", "seed", "sample_index", "N", "s_N", "w_N",
+        ("rho", "seed", "sample_index", "N", "s_N", "w_N",
          "d1", "d2", "d3", "d4", "d5", "d6"),
         tuple(rows),
     )
@@ -532,12 +534,10 @@ def _run_correlation(cfg: ExperimentConfig) -> Report:
                   n_need=n_need, iterms_n=iterms_n)
     results = _pool_map(_correlation_job, seeds, cfg.resolve_workers(), shared)
 
-    fp = cfg.fingerprint()
     detail_rows = []
     summary_rows = []
     for seed, (detail, ratios, partials, profiles) in zip(seeds, results):
-        for rec in detail:
-            detail_rows.append((fp,) + rec)
+        detail_rows += detail
         for i, N in enumerate(union):
             if N == iterms_n:
                 worst = max(i1 + i2 + i3 for i1, i2, i3 in profiles)
@@ -546,17 +546,17 @@ def _run_correlation(cfg: ExperimentConfig) -> Report:
             else:
                 worst = i1 = i2 = i3 = env = None
             summary_rows.append(
-                (fp, seed, N, ratios[i], partials[i], i1, i2, i3, env, worst)
+                (seed, N, ratios[i], partials[i], i1, i2, i3, env, worst)
             )
     tables = (
         Table(
             "main",
-            ("experiment_id", "seed", "N", "m", "corr_re", "corr_im", "corr_abs"),
+            ("seed", "N", "m", "corr_re", "corr_im", "corr_abs"),
             tuple(detail_rows),
         ),
         Table(
             "summary",
-            ("experiment_id", "seed", "N", "csum_ratio", "summability_partial",
+            ("seed", "N", "csum_ratio", "summability_partial",
              "i1_sq", "i2_sq", "i3_sq", "envelope", "max_i_sum"),
             tuple(summary_rows),
         ),
@@ -572,14 +572,13 @@ def _run_deviation(cfg: ExperimentConfig) -> Report:
     rep = selectors.deviation_statistics(
         params, N, cfg.trials, chernoff_c=cfg.chernoff_c
     )
-    fp = cfg.fingerprint()
     rows = [
-        (fp, cfg.a, N, cfg.trials, float(A), float(f), float(e), cfg.chernoff_c)
+        (cfg.a, N, cfg.trials, float(A), float(f), float(e), cfg.chernoff_c)
         for A, f, e in zip(rep.thresholds, rep.frequencies, rep.envelopes)
     ]
     table = Table(
         "main",
-        ("experiment_id", "a", "N", "trials", "A", "frequency", "envelope", "chernoff_c"),
+        ("a", "N", "trials", "A", "frequency", "envelope", "chernoff_c"),
         tuple(rows),
     )
     return Report(cfg, (table,))
@@ -591,9 +590,8 @@ def _run_generate(cfg: ExperimentConfig) -> Report:
     n_max = cfg.n if cfg.n is not None else cfg.nmax
     params = selectors.SelectorParams(a=cfg.a, seed=cfg.seed, n_max=n_max)
     r = selectors.generate_realization(params)
-    fp = cfg.fingerprint()
-    rows = [(fp, n + 1, int(r.bits[n])) for n in range(n_max)]
-    table = Table("main", ("experiment_id", "index", "bit"), tuple(rows))
+    rows = [(n + 1, int(r.bits[n])) for n in range(n_max)]
+    table = Table("main", ("index", "bit"), tuple(rows))
     return Report(cfg, (table,))
 
 
@@ -601,7 +599,6 @@ def _run_generate(cfg: ExperimentConfig) -> Report:
 
 def _run_vdc_selftest(cfg: ExperimentConfig) -> Report:
     rng = np.random.default_rng(cfg.seed)
-    fp = cfg.fingerprint()
     rows = []
     for i in range(cfg.instances):
         N = int(rng.integers(1, 65))
@@ -609,10 +606,10 @@ def _run_vdc_selftest(cfg: ExperimentConfig) -> Report:
         M = int(rng.integers(1, N + 1))
         V = rng.normal(size=(N, dim)) + 1j * rng.normal(size=(N, dim))
         lhs, rhs = correlation.vdc_inequality_check(V, M)
-        rows.append((fp, i, N, dim, M, lhs, rhs, int(lhs <= rhs * (1 + 1e-9))))
+        rows.append((i, N, dim, M, lhs, rhs, int(lhs <= rhs * (1 + 1e-9))))
     table = Table(
         "main",
-        ("experiment_id", "instance", "N", "dim", "M", "lhs", "rhs", "ok"),
+        ("instance", "N", "dim", "M", "lhs", "rhs", "ok"),
         tuple(rows),
     )
     return Report(cfg, (table,))

@@ -9,6 +9,7 @@ and empirical concentration reports for |S_N - W_N|.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -97,19 +98,17 @@ def sigma_values(a: float, lo: int, hi: int) -> np.ndarray:
 def sigma_prefix(a: float, N: int) -> float:
     """W_N = sum_{n<=N} n^(-a) by compensated direct summation.
 
-    Deterministic and realization-independent; math.fsum keeps the result
-    correctly rounded, which the cheaper cumulative-sum route is tested
-    against.
+    Deterministic and realization-independent; one math.fsum over every
+    term keeps the result correctly rounded, which the cheaper cumulative-sum
+    route is tested against.  The terms are computed in blocks of 2^20.
     """
     if not 0.0 < a < 1.0:
         raise ValueError(f"exponent a must lie in (0, 1), got {a}")
     if N < 1:
         raise ValueError("N must be >= 1")
-    total = 0.0
-    for lo in range(1, N + 1, 1 << 20):
-        hi = min(lo + (1 << 20) - 1, N)
-        total = math.fsum([total] + list(sigma_values(a, lo, hi)))
-    return total
+    blocks = (sigma_values(a, lo, min(lo + (1 << 20) - 1, N)).tolist()
+              for lo in range(1, N + 1, 1 << 20))
+    return math.fsum(itertools.chain.from_iterable(blocks))
 
 
 def _limits(a: float, n: np.ndarray) -> np.ndarray:
@@ -181,10 +180,13 @@ def realization_from_bits(params: SelectorParams, bits: Sequence[int]) -> Realiz
 
     The positions are derived from the given bits, so the result is
     internally consistent even if the bits did not come from the hash.
+    X_1 = 0 is rejected: sigma_1 = 1, so the hash always selects index 1.
     """
     arr = np.asarray(bits, dtype=bool)
     if arr.shape != (params.n_max,):
         raise ValueError(f"expected {params.n_max} bits, got {arr.shape}")
+    if not arr[0]:
+        raise ValueError("X_1 must be 1, so that every S_n >= 1 and e(p(S_n)) is defined")
     return _realization(params, arr.copy())
 
 
@@ -242,11 +244,6 @@ def count_selected(a: float, seeds: Sequence[int], N: int) -> np.ndarray:
 class DeviationReport:
     """Empirical tail frequencies of |S_N - W_N| against the Chernoff envelope."""
 
-    params: SelectorParams
-    N: int
-    trials: int
-    w_N: float
-    chernoff_c: float
     thresholds: np.ndarray
     frequencies: np.ndarray
     envelopes: np.ndarray
@@ -287,4 +284,4 @@ def deviation_statistics(
 
     freqs = np.array([np.count_nonzero(deviations >= A) / trials for A in thr])
     envs = np.array([chernoff_envelope(float(A), w_N, chernoff_c) for A in thr])
-    return DeviationReport(params, N, trials, w_N, chernoff_c, thr, freqs, envs)
+    return DeviationReport(thr, freqs, envs)

@@ -203,7 +203,7 @@ def _criterion7_job(ctx, seed: int):
         ctx["system"], ctx["phases"], positions, [1 << 12, 1 << 20],
         sample_points=ctx["points"],
     )
-    return np.abs(series.values)
+    return np.abs(series)
 
 
 def test_criterion_07_weighted_average_decay(shared):

@@ -109,6 +109,32 @@ def test_cyclic_runs_with_the_default_observable(tmp_path, pipeline):
     assert rows(default) == rows(roots) != []
 
 
+# one small command per pipeline, each with a main table of at most 40 rows
+ECHO_COMMANDS = [
+    ["generate", "--a", "0.3", "--seed", "5", "--n", "30"],
+    ["expsum", "--rho", "2,1.5", "--Nmin", "64", "--Nmax", "512"],
+    ["average", "--rho", "2,1.5", "--Nmin", "64", "--Nmax", "256", "--seeds", "1", "--points", "2"],
+    ["chain", "--rho", "2,1.5", "--Nmin", "64", "--Nmax", "256", "--seeds", "1", "--points", "2"],
+    ["correlation", "--rho", "2", "--Nmin", "16", "--Nmax", "64", "--seeds", "1", "--b", "0.35"],
+    ["deviation", "--N", "1000", "--trials", "20"],
+    ["vdc-selftest", "--instances", "10"],
+]
+
+
+@pytest.mark.parametrize("args", ECHO_COMMANDS, ids=lambda args: args[0])
+def test_echo_is_the_csv_body(tmp_path, capsys, args):
+    # without --out, stdout ends with the main table as --out writes it,
+    # less the comment lines, right after the summary lines
+    assert main(args) == 0
+    echoed = capsys.readouterr().out.splitlines()
+    out = tmp_path / "run.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    body = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert body[0].startswith("experiment_id,") and 2 <= len(body) <= 41
+    assert echoed[-len(body):] == body
+    assert echoed[-len(body) - 1].startswith(("pipeline=", "  slope["))
+
+
 def test_vdc_selftest_cli():
     code = main(["vdc-selftest", "--instances", "25", "--seed", "1"])
     assert code == 0
@@ -158,6 +184,8 @@ def test_vdc_selftest_cli():
     # rho^k leaves the float64 range before it exceeds N_max
     ["expsum", "--Nmax", "1" + "0" * 400],
     ["expsum", "--rho", "1.5", "--Nmin", "1", "--Nmax", "1" + "0" * 320],
+    # a repeated rho would repeat rows in average and chain, not in expsum
+    ["average", "--rho", "2,1.5,2", "--Nmin", "64", "--Nmax", "64", "--seeds", "1"],
 ])
 def test_bad_input_exits_with_one_line(args):
     t0 = time.perf_counter()
@@ -174,6 +202,8 @@ def test_bad_input_exits_with_one_line(args):
         assert "a_values" in r.stderr and "average" in r.stderr
     if "cyclic" in args:
         assert "choose from e, roots, indicator0" in r.stderr
+    if "2,1.5,2" in args:
+        assert "rho must not repeat a value" in r.stderr
     if "--seed-base" in args:
         assert "seed_base" in r.stderr
     if "--workers" in args:

@@ -92,12 +92,11 @@ def test_weight_series_rejects_short_table(p32, wparams):
     assert np.array_equal(w.c, small_series(4, 300, p32, wparams).c)
     with pytest.raises(ValueError, match="shorter"):
         weight_series(r, table[: r.selection_count - 1], wparams)
-    # S_1 = 0 would index the table at -1
+    # S_1 = 0 would index the table at -1; no realization has X_1 = 0
     bits = np.ones(20, dtype=np.uint8)
     bits[0] = 0
-    r0 = realization_from_bits(SelectorParams(a=0.3, seed=4, n_max=20), bits)
     with pytest.raises(ValueError, match="X_1"):
-        weight_series(r0, table, wparams)
+        realization_from_bits(SelectorParams(a=0.3, seed=4, n_max=20), bits)
 
 
 # ---------------------------------------------------------------------------

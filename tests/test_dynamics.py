@@ -84,6 +84,17 @@ def test_unbounded_observable_rejected():
     for j in (3000, 4095):  # every entry: 3000 is none of the states _check_bounded probes
         with pytest.raises(ValueError, match=f"observable exceeds modulus 1 at state {j}$"):
             CyclicSystem(4096, np.where(np.arange(4096) == j, 5.0, 0.0))
+    # NaN compares false with any bound, so it fails the check, in either part
+    for nan in (complex(math.nan, 0.0), complex(0.0, math.nan)):
+        table = np.zeros(8, dtype=complex)
+        table[3] = nan
+        with pytest.raises(ValueError, match="observable exceeds modulus 1 at state 3$"):
+            CyclicSystem(8, table)
+        # the sampled check: its 16 points visit every state of the 8
+        system = CyclicSystem(8, "roots")
+        system.table[5] = nan
+        with pytest.raises(ValueError, match="observable exceeds modulus 1 at state"):
+            system._check_bounded()
 
 
 def test_rotation_bound_check_refuses_a_patched_observable(monkeypatch):
@@ -123,7 +134,7 @@ def test_unknown_observable_error_lists_the_system_observables(kind, observable,
 
 
 def test_make_system_factory():
-    assert make_system("rotation", alpha="invphi").kind == "rotation"
+    assert isinstance(make_system("rotation", alpha="invphi"), RotationSystem)
     assert make_system("cyclic", q=9).q == 9
     assert make_system("bernoulli", alphabet=4, window=3).alphabet == 4
     with pytest.raises(ValueError):
@@ -200,7 +211,7 @@ def test_rotation_angle_rejects(alpha, message):
 
 @pytest.mark.parametrize("observable", ["const", "e_shifted", "coboundary", "roots"])
 def test_bernoulli_rejects_other_observables(observable):
-    assert make_system("bernoulli", observable="e").kind == "bernoulli"
+    assert isinstance(make_system("bernoulli", observable="e"), BernoulliSystem)
     with pytest.raises(ValueError, match="bernoulli system observes only e"):
         make_system("bernoulli", observable=observable)
 
@@ -380,7 +391,7 @@ def test_weighted_average_equals_allocating_product(observable, schedule):
         # elements up by eliding it, with the operands swapped
         orbit = f_of_fracs_exp(sys, orbit_fracs_one_point(sys, x, pos))
         want.append(hardy.prefix_means(z * orbit, schedule))
-    assert got.values.tobytes() == np.array(want).tobytes()
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def bernoulli_symbols_per_slot(sys, x, ks):
@@ -485,7 +496,7 @@ def test_constant_observable_factorizes_bit_for_bit(p32):
     phases = hardy.phase_fractions(p32, schedule[-1])
     series = weighted_average_from_positions(sys, phases, r.ones, schedule, sample_points=[0.5])
     for i, N in enumerate(schedule):
-        assert series.values[0, i] == hardy.exp_sum(p32, N)
+        assert series[0, i] == hardy.exp_sum(p32, N)
 
 
 def test_exact_cancellation_synthetic():
@@ -497,7 +508,7 @@ def test_exact_cancellation_synthetic():
     sys = CyclicSystem(2, np.array([1.0, -1.0], dtype=complex))
     phases = hardy.phase_fractions(zero, 64)
     series = weighted_average_from_positions(sys, phases, r.ones, [2, 10, 64], sample_points=[0])
-    assert np.all(series.values == 0.0)
+    assert np.all(series == 0.0)
 
 
 def test_weighted_average_magnitude_bound(p32):
@@ -508,7 +519,7 @@ def test_weighted_average_magnitude_bound(p32):
     series = weighted_average_from_positions(
         sys, phases, r.ones, [16, 256], sample_points=sys.sample_points(6)
     )
-    assert np.all(np.abs(series.values) <= 1.0 + 1e-12)
+    assert np.all(np.abs(series) <= 1.0 + 1e-12)
 
 
 def test_insufficient_realization_signalled(p32):
@@ -527,7 +538,7 @@ def test_positions_entry_matches_realization_entry(p32):
     a1 = weighted_average_from_positions(sys, phases, r.ones, [128, 1024], sample_points=pts)
     pos = selectors.select_first(0.3, 21, 1024)
     a2 = weighted_average_from_positions(sys, phases, pos, [128, 1024], sample_points=pts)
-    assert np.array_equal(a1.values, a2.values)
+    assert np.array_equal(a1, a2)
 
 
 # ---------------------------------------------------------------------------
@@ -600,12 +611,11 @@ def test_chain_schedule_matches_single_n_calls(p32):
         chain_diagnostics(sys, phases[:1000], [r], [1024], sample_points=pts)
     with pytest.raises(ValueError):
         chain_diagnostics(sys, phases, [r], [4097], sample_points=pts)
-    # S_1 = 0 would index the phase table at -1
+    # S_1 = 0 would index the phase table at -1; no realization has X_1 = 0
     no_first = np.array(r.bits)
     no_first[0] = False
-    synthetic = realization_from_bits(r.params, no_first)
-    with pytest.raises(ValueError):
-        chain_diagnostics(sys, phases, [synthetic], [1024], sample_points=pts)
+    with pytest.raises(ValueError, match="X_1"):
+        realization_from_bits(r.params, no_first)
 
 
 @pytest.mark.parametrize("n_top", [1000, 3 * selectors.DEFAULT_CHUNK + 5])
@@ -701,7 +711,7 @@ def chain_diagnostics_one_realization(sys, phases, r, schedule, sample_points):
             diffs[i, j, :5] = np.abs(np.diff(row))
             diffs[i, j, 5] = abs(row[5])
     return [
-        dynamics.ChainDiagnostics(N, s_Ns[i], w_Ns[i], list(sample_points), stages[i], diffs[i])
+        dynamics.ChainDiagnostics(N, s_Ns[i], w_Ns[i], stages[i], diffs[i])
         for i, N in enumerate(schedule)
     ]
 
@@ -795,8 +805,9 @@ def test_chain_checks_every_realization_before_any_orbit(p32):
     short = generate_realization(SelectorParams(a=0.3, seed=3, n_max=1023))
     no_first = np.array(good[0].bits)
     no_first[0] = False
-    synthetic = realization_from_bits(good[0].params, no_first)
-    for bad, match in ((other_a, "one a"), (synthetic, "X_1"), (short, "n_max=1023")):
+    with pytest.raises(ValueError, match="X_1"):
+        realization_from_bits(good[0].params, no_first)
+    for bad, match in ((other_a, "one a"), (short, "n_max=1023")):
         with pytest.raises(ValueError, match=match):
             chain_diagnostics(sys, phases, good + [bad], [16, 1024])
     assert chain_diagnostics(sys, phases, [], [16, 1024]) == []

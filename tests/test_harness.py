@@ -247,6 +247,13 @@ def test_config_validation():
     for pipeline in ("chain", "correlation", "deviation", "expsum", "generate", "vdc-selftest"):
         with pytest.raises(ValueError, match="a_values.*average"):
             ExperimentConfig(pipeline=pipeline, a_values=(0.2, 0.3))
+    # a repeated value would repeat rows in average and chain, not in expsum
+    for pipeline in ("expsum", "average", "chain", "correlation"):
+        for rho in ((2.0, 2.0), (2.0, 1.5, 2)):
+            with pytest.raises(ValueError, match="^rho must not repeat a value"):
+                ExperimentConfig(pipeline=pipeline, rho=rho)
+    with pytest.raises(ValueError, match="^a_values must not repeat a value"):
+        ExperimentConfig(pipeline="average", a_values=(0.3, 0.3))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +405,8 @@ def test_correlation_report_has_summary_table(tmp_path):
         b=0.35, c=0.8, out=str(out),
     )
     rep = run_experiment(cfg)
-    assert rep.table("summary").columns[:3] == ("experiment_id", "seed", "N")
+    assert rep.table("summary").columns[:2] == ("seed", "N")
+    assert b"\nexperiment_id,seed,N," in rep.csv_bytes("summary")
     assert out.exists()
     assert (tmp_path / "corr.summary.csv").exists()
 
@@ -413,14 +421,14 @@ def test_correlation_profile_row_at_iterms_n():
     rows = run_experiment(
         ExperimentConfig(**CORRELATION_SMALL, iterms_n=512)
     ).table("summary").rows
-    assert {row[2] for row in rows if row[-1] is not None} == {512}
+    assert {row[1] for row in rows if row[-1] is not None} == {512}
 
 
 def test_correlation_profile_skips_n_without_two_lags():
     # floor(N^0.8) < 2 at N = 1 and 2: no N is left for the profile
     cfg = ExperimentConfig(**dict(CORRELATION_SMALL, nmin=1, nmax=2, seeds=1))
     rows = run_experiment(cfg).table("summary").rows
-    assert [row[2] for row in rows] == [1, 2]
+    assert [row[1] for row in rows] == [1, 2]
     assert all(row[-1] is None for row in rows)
 
 
@@ -429,7 +437,7 @@ def test_correlation_bytes_stable_across_workers_and_spawn(tmp_path):
     small = dict(CORRELATION_SMALL, seeds=3)
     seq = run_experiment(ExperimentConfig(**small, workers=1))
     tables = (seq.csv_bytes(), seq.csv_bytes("summary"))
-    assert [row[2] for row in seq.table("summary").rows if row[-1] is not None] == [1024] * 3
+    assert [row[1] for row in seq.table("summary").rows if row[-1] is not None] == [1024] * 3
     for workers in (2, 3):
         par = run_experiment(ExperimentConfig(**small, workers=workers))
         assert (par.csv_bytes(), par.csv_bytes("summary")) == tables
@@ -554,12 +562,12 @@ def test_deviation_pipeline_thresholds():
     cfg = ExperimentConfig(pipeline="deviation", a=0.3, seed=2, n=2000, trials=100)
     rep = run_experiment(cfg)
     rows = rep.table().rows
-    assert rows[0][4] == 0.0 and rows[0][5] == 1.0  # A = 0 has frequency 1
+    assert rows[0][3] == 0.0 and rows[0][4] == 1.0  # A = 0 has frequency 1
 
 
 def test_deviation_window_follows_n():
     # N beyond the default nmax: the selection window is sized from N itself
     cfg = ExperimentConfig(pipeline="deviation", a=0.3, seed=2, n=2_000_000, trials=1)
     rows = run_experiment(cfg).table().rows
-    assert all(row[2] == 2_000_000 for row in rows)
-    assert rows[0][4] == 0.0 and rows[0][5] == 1.0
+    assert all(row[1] == 2_000_000 for row in rows)
+    assert rows[0][3] == 0.0 and rows[0][4] == 1.0

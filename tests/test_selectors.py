@@ -138,6 +138,13 @@ def test_sigma_prefix_doubling_ratio():
     assert abs(ratio - 2 ** (1 - a)) < 1e-3
 
 
+def test_sigma_prefix_is_correctly_rounded_past_one_block():
+    # past 2^20 terms W_N is still one correctly rounded sum of all its
+    # terms, not a total rounded after each block of 2^20
+    a, N = 0.25, 1_060_921
+    assert sigma_prefix(a, N) == math.fsum(sigma_values(a, 1, N).tolist()) == 44075.08525367606
+
+
 def test_sigma_prefix_matches_w_prefix():
     # compensated scalar route vs cumulative array route
     w = np.cumsum(sigma_values(0.4, 1, 30000))
