@@ -1,8 +1,8 @@
 """Experiment orchestration: schedules, configs, pipelines, CSV reports.
 
-A single flat ExperimentConfig drives every pipeline (expsum | average |
-chain | correlation | deviation | generate | vdc-selftest); the same keys
-can come from a key=value config file with CLI flags overriding.  Reports
+A single flat ExperimentConfig drives every pipeline; PIPELINES maps each
+one (generate | expsum | average | chain | correlation | deviation |
+vdc-selftest) to its runner and the config keys it reads.  Reports
 are written atomically as versioned CSV whose bytes depend only on the
 config - never on worker count or timing - so reruns diff clean.
 """
@@ -25,7 +25,7 @@ from . import correlation, dynamics, hardy, selectors
 
 WORKERS_ENV = "ERGOLAB_WORKERS"
 # config fields that never change report content: left out of the
-# fingerprint and of the CSV header
+# fingerprint and of the CSV header, and taken by every pipeline
 _OUTPUT_ONLY_FIELDS = {"out", "workers"}
 CSV_SCHEMA = 1
 SLOPE_CLAMP_FLOOR = 1e-15
@@ -109,7 +109,9 @@ OBSERVABLE_ALIASES = {"e(x)": "e", "(1+e(x))/2": "e_shifted", "1": "const"}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat parameter bundle; every field maps 1:1 to a CLI flag/file key."""
+    """Flat parameter bundle.  Each pipeline reads the fields that
+    PIPELINES names for it; its CLI subcommand takes exactly those as flags
+    or config-file keys, besides out and workers."""
 
     pipeline: str = "expsum"
     a: float = 0.3
@@ -142,12 +144,12 @@ class ExperimentConfig:
     workers: Optional[int] = None
 
     def __post_init__(self):
-        if self.pipeline not in _RUNNERS:
+        if self.pipeline not in PIPELINES:
             raise ValueError(f"unknown pipeline {self.pipeline!r}")
         for r in self.rho:
             if not 1.0 < r < math.inf:
                 raise ValueError(f"every rho must be finite and exceed 1, got {r}")
-        min_seeds = 1 if self.pipeline in ("average", "chain", "correlation") else 0
+        min_seeds = 1 if "seeds" in PIPELINES[self.pipeline].keys else 0
         if self.seeds < min_seeds:
             raise ValueError(
                 f"{self.pipeline} needs seeds >= {min_seeds}, got {self.seeds}"
@@ -166,8 +168,8 @@ class ExperimentConfig:
             raise ValueError(f"instances must be >= 1, got {self.instances}")
         if not 0.0 < self.chernoff_c < math.inf:
             raise ValueError(f"chernoff_c must be positive and finite, got {self.chernoff_c}")
-        if self.a_values is not None and self.pipeline != "average":
-            raise ValueError(f"a_values is a sweep of the average pipeline only, not {self.pipeline}")
+        if self.a_values is not None:
+            check_key(self.pipeline, "a_values")
         # every selecting pipeline needs this; checked before any phase table
         for a in self.a_values or (self.a,):
             if not 0.0 < a < 0.5:
@@ -214,16 +216,21 @@ class ExperimentConfig:
 
 
 def parse_config_file(path: str) -> Dict[str, str]:
-    """Flat key=value lines; '#' starts a comment; blank lines ignored."""
+    """Flat key=value lines; '#' starts a comment; blank lines ignored; a
+    key may appear once."""
     values: Dict[str, str] = {}
+    first_line: Dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
+        values[key] = value
     return values
 
 
@@ -615,21 +622,49 @@ def _run_vdc_selftest(cfg: ExperimentConfig) -> Report:
     return Report(cfg, (table,))
 
 
-_RUNNERS = {
-    "expsum": _run_expsum,
-    "average": _run_average,
-    "chain": _run_chain,
-    "correlation": _run_correlation,
-    "deviation": _run_deviation,
-    "generate": _run_generate,
-    "vdc-selftest": _run_vdc_selftest,
+@dataclass(frozen=True)
+class Pipeline:
+    """A pipeline's runner, its one-line summary, and the config keys it
+    reads besides out and workers: the keys its subcommand takes."""
+
+    run: typing.Callable[[ExperimentConfig], Report]
+    summary: str
+    keys: Tuple[str, ...]
+
+
+PIPELINES = {
+    "generate": Pipeline(_run_generate, "dump one realization as (index, bit) CSV",
+                         ("a", "seed", "n")),
+    "expsum": Pipeline(_run_expsum, "normalized exponential sums (1/N) sum e(p(n))",
+                       ("p", "eps", "bits", "n", "rho", "nmin", "nmax")),
+    "average": Pipeline(_run_average, "weighted random averages on a system",
+                        ("a", "a_values", "p", "eps", "bits", "rho", "nmin", "nmax", "seeds", "seed_base",
+                         "system", "alpha", "q", "alphabet", "window", "f", "points")),
+    "chain": Pipeline(_run_chain, "six-stage comparison-chain diagnostics",
+                      ("a", "p", "eps", "bits", "rho", "nmin", "nmax", "seeds", "seed_base",
+                       "system", "alpha", "q", "alphabet", "window", "f", "points")),
+    "correlation": Pipeline(_run_correlation, "weight-sequence correlation criteria",
+                            ("a", "delta", "b", "c", "iterms_n", "p", "eps", "bits",
+                             "rho", "nmin", "nmax", "seeds", "seed_base")),
+    "deviation": Pipeline(_run_deviation, "|S_N - W_N| tail frequencies vs Chernoff",
+                          ("a", "seed", "n", "trials", "chernoff_c")),
+    "vdc-selftest": Pipeline(_run_vdc_selftest, "van der Corput inequality on random instances",
+                             ("instances", "seed")),
 }
+
+
+def check_key(pipeline: str, key: str) -> None:
+    """Reject a config key that the pipeline does not read, naming those that do."""
+    if key not in PIPELINES[pipeline].keys and key not in _OUTPUT_ONLY_FIELDS:
+        readers = ", ".join(name for name, p in PIPELINES.items() if key in p.keys)
+        raise ValueError(f"config key {key!r} is not read by {pipeline}; "
+                         f"pipelines that read it: {readers or 'none'}")
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Execute the configured pipeline; write CSV atomically when cfg.out is
     set; identical configs produce byte-identical CSV at any worker count."""
-    report = _RUNNERS[cfg.pipeline](cfg)
+    report = PIPELINES[cfg.pipeline].run(cfg)
     if cfg.out:
         report.write(cfg.out)
     return report

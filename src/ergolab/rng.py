@@ -4,8 +4,10 @@ Every random quantity in this package is a pure function of (seed, index),
 so any index can be drawn in O(1), ranges can be generated in parallel, and
 regeneration is bit-exact without storing a stream.  The mixer is the
 splitmix64 finalizer applied to ``seed + index * GAMMA``; its output passes
-the usual statistical batteries and distinct 64-bit seeds yield streams
-whose index ranges cannot overlap below index ~2^63.
+the usual statistical batteries.  Distinct seeds can share one stream,
+shifted: stream(seed + k * GAMMA mod 2^64, n) = stream(seed, n + k).  Seeds
+less than 2^20 apart share no offset below 2^42 indices (the nearest is
+8.7e12, just under 2^43), far past any scan of this package.
 """
 
 from __future__ import annotations

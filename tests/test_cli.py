@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 import time
@@ -7,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from ergolab.cli import build_parser, config_from_args, main
+from ergolab.harness import PIPELINES, ExperimentConfig
 
 A_VALUES_CFG = Path(__file__).resolve().parent / "data" / "a_values.cfg"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(args, env_extra=None):
@@ -31,6 +35,30 @@ def test_parser_rejects_unknown_subcommand():
         build_parser().parse_args(["frobnicate"])
 
 
+def test_each_subcommand_takes_its_pipelines_keys():
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    assert list(subparsers) == list(PIPELINES)
+    for name, sp in subparsers.items():
+        dests = {action.dest for action in sp._actions if action.dest != "help"}
+        assert dests == set(PIPELINES[name].keys) | {"config", "out", "workers"}, name
+
+
+def test_every_config_field_is_taken_by_some_pipeline():
+    taken = {key for pipeline in PIPELINES.values() for key in pipeline.keys}
+    content = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"pipeline", "out", "workers"}
+    assert taken == content
+
+
+def test_readme_lists_each_subcommands_keys():
+    # the README's CLI section has one line per subcommand: "name: key key ..."
+    names = "|".join(map(re.escape, PIPELINES))
+    listed = re.findall(rf"^({names}): +(.+)$", README.read_text(), re.M)
+    assert {name: tuple(keys.split()) for name, keys in listed} == {
+        name: pipeline.keys for name, pipeline in PIPELINES.items()
+    }
+    assert len(listed) == len(PIPELINES)
+
+
 def test_config_from_args_overrides_file(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text("a=0.25\nseeds=7\nrho=1.5\n")
@@ -50,14 +78,16 @@ def test_config_from_args_overrides_file(tmp_path):
     ("--b", "b", "auto", None),  # optional float set to None
     ("--rho", "rho", "2,1.5", (2.0, 1.5)),  # comma list of floats
     ("--p", "p", "x^(3/2) + x", "x^(3/2) + x"),  # str
+    ("--a-values", "a_values", "0.2,0.3", (0.2, 0.3)),  # average's sweep
 ])
 def test_flag_and_config_file_give_equal_configs(tmp_path, flag, key, text, value):
+    pipeline = "correlation" if key in PIPELINES["correlation"].keys else "average"
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(f"{key}={text}\n")
     from_file = config_from_args(
-        build_parser().parse_args(["correlation", "--config", str(cfg_file)])
+        build_parser().parse_args([pipeline, "--config", str(cfg_file)])
     )
-    from_flag = config_from_args(build_parser().parse_args(["correlation", flag, text]))
+    from_flag = config_from_args(build_parser().parse_args([pipeline, flag, text]))
     assert from_flag == from_file
     assert getattr(from_flag, key) == value
 
@@ -244,12 +274,18 @@ def test_bad_worker_env_exits_with_one_line(pipeline):
     assert r.stderr == "ergolab: error: ERGOLAB_WORKERS must be an integer, got 'abc'\n"
 
 
-def test_required_config_key_set_to_none_exits_with_one_line(tmp_path):
+@pytest.mark.parametrize("text,pipeline,named", [
+    ("seeds=none\n", "average", "'seeds'"),  # a required key set to none
+    ("nmax=5000\n", "deviation", "'nmax'"),  # deviation runs n, not nmax
+    ("window=4\n", "expsum", "'window' is not read by expsum; pipelines that read it: average, chain"),
+    ("seeds=2\n# two seeds\nseeds=3\n", "average", ":3: key 'seeds' repeats line 1"),
+], ids=["required-none", "nmax-deviation", "window-expsum", "repeated"])
+def test_bad_config_file_exits_with_one_line(tmp_path, text, pipeline, named):
     cfg_file = tmp_path / "exp.cfg"
-    cfg_file.write_text("seeds=none\n")
-    r = run_cli(["average", "--config", str(cfg_file)])
+    cfg_file.write_text(text)
+    r = run_cli([pipeline, "--config", str(cfg_file)])
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("ergolab: error: ")
-    assert "'seeds'" in r.stderr
+    assert named in r.stderr
     assert len(r.stderr.strip().splitlines()) == 1

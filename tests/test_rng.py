@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ergolab.rng import child_seed, mix64, uniform01, uniform01_block
+from ergolab.rng import GAMMA, MASK64, child_seed, mix64, uniform01, uniform01_block
 
 
 def test_scalar_matches_block():
@@ -29,6 +29,15 @@ def test_distinct_seeds_differ():
     a = uniform01_block(1, 1, 1000)
     b = uniform01_block(2, 1, 1000)
     assert not np.array_equal(a, b)
+
+
+def test_seeds_gamma_apart_share_a_shifted_stream():
+    # stream(seed + k * GAMMA, n) = stream(seed, n + k), as the module states
+    assert uniform01(0, 5) == uniform01(GAMMA, 4)
+    assert np.array_equal(uniform01_block(3 * GAMMA & MASK64, 0, 99), uniform01_block(0, 3, 102))
+    # seeds d < 2^20 apart meet at offset k = d / GAMMA mod 2^64, in either direction
+    k = np.arange(1, 1 << 20, dtype=np.uint64) * np.uint64(pow(GAMMA, -1, 1 << 64))
+    assert int(np.minimum(k, -k).min()) >= 1 << 42
 
 
 def test_mix64_is_64bit():
