@@ -38,10 +38,15 @@ class WeightParams:
     def __post_init__(self):
         if not 0.0 < self.a < 0.5:
             raise ValueError(f"a must lie in (0, 1/2), got {self.a}")
-        if self.b is None:
-            object.__setattr__(self, "b", 0.5 * (self.a + 0.5))
-        if self.c_exponent is None:
-            object.__setattr__(self, "c_exponent", 0.5 * (2.0 * self.a + 1.0))
+        # a midpoint lies strictly inside its range whenever some float64 does
+        for key, name, lo, hi in (("b", "b", self.a, 0.5), ("c_exponent", "c", 2.0 * self.a, 1.0)):
+            if getattr(self, key) is not None:
+                continue
+            if math.nextafter(lo, hi) >= hi:
+                raise ValueError(
+                    f"a={self.a} leaves no float64 inside ({lo}, {hi}), the range of {name}"
+                )
+            object.__setattr__(self, key, 0.5 * (lo + hi))
         if not 0.0 < self.delta < 0.5:
             raise ValueError(f"delta must lie in (0, 1/2), got {self.delta}")
         if not self.a < self.b < 0.5:

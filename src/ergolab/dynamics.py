@@ -438,8 +438,9 @@ def chain_diagnostics(
 
     phases is the table frac(p(n)), n = 1, 2, ... (hardy.phase_fractions).
     Each realization is checked and cut down to its selected positions to the
-    top N, their run lengths and a few scalars before the first orbit is built;
-    each sample point's orbit is then built once for all of them, one at a time.
+    top N, its weights sigma_n e(p(S_n)) to the top N and a few scalars before
+    the first orbit is built; each sample point's orbit is then built once for
+    all of them, one at a time.
     """
     schedule, sample_points, e_all = _orbit_inputs(sys, phases, schedule, sample_points)
     n_top = schedule[-1]
@@ -447,11 +448,6 @@ def chain_diagnostics(
     # stages 4 and 5 do not depend on the sample point; stage 5 not on the realization
     stage5 = [km * (np.sum(e_all[:N]) / N) for N in schedule]
     states, sigma = [], None
-
-    def weighted(runs: np.ndarray) -> np.ndarray:
-        # sigma_n e(p(S_n)): S_n = k + 1 on the run from the k-th selected position to the next
-        return sigma * np.repeat(e_all[: runs.shape[0]], runs)
-
     for r in realizations:
         if n_top > r.n_max:
             raise ValueError(f"schedule must lie in [1, n_max={r.n_max}]")
@@ -462,23 +458,28 @@ def chain_diagnostics(
         elif r.params.a != a:
             raise ValueError(f"the realizations must share one a, got {a} and {r.params.a}")
         pos = r.ones[: r.S(n_top)] - 1
-        runs = np.diff(pos, append=n_top)
-        w = weighted(runs)
+        # sigma_n e(p(S_n)): S_n = k + 1 on the run from the k-th selected position to the next
+        w = sigma * np.repeat(e_all[: pos.shape[0]], np.diff(pos, append=n_top))
         stage4 = [km * np.sum(w[:N]) / w_N for N, w_N in zip(schedule, w_Ns)]
-        states.append((pos, runs, [r.S(N) for N in schedule], stage4))
-        del r, w  # hold one realization at a time
+        states.append((pos, w, [r.S(N) for N in schedule], stage4))
+        del r  # hold one realization at a time
 
     if not states:
         return []
+    # from here only the selected-position products read e(p(k)), k <= S_{top N}
+    e_all = e_all[: max(pos.shape[0] for pos, *_ in states)].copy()
+    del sigma
     n_pts = len(sample_points)
     stages = np.empty((len(states), len(schedule), n_pts, 6), dtype=np.complex128)
+    # one buffer for every (point, seed); it aliases no operand, so even one
+    # term takes the loop of a * b, not the in-place scalar loop that rounds apart
+    buf = np.empty(n_top, dtype=np.complex128)
     orbits = sys.orbits(sample_points, np.arange(1, n_top + 1, dtype=np.int64))
     for j in range(n_pts):
         orbit = next(orbits)
-        for (pos, runs, s_Ns, _), st in zip(states, stages):
-            # one product per term to the top N (in place but for one term), summed per prefix
-            sel, w = e_all[: pos.shape[0]] * orbit[pos], weighted(runs)
-            w = np.multiply(w, orbit, out=w if n_top > 1 else None)
+        for (pos, weights, s_Ns, _), st in zip(states, stages):
+            # one product per term to the top N, summed per prefix
+            sel, w = e_all[: pos.shape[0]] * orbit[pos], np.multiply(weights, orbit, out=buf)
             # stages 0 and 1 sum the same nonzero terms in the same order:
             # at a selected index n, S_n equals its selection rank k and a_k = n
             sums = np.array([np.sum(sel[:s_N]) for s_N in s_Ns])

@@ -162,6 +162,8 @@ class ExperimentConfig:
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         self.resolve_workers()  # a bad count, flag or ERGOLAB_WORKERS, fails here
+        if self.n is not None and self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
         if self.points < 1:
             raise ValueError(f"points must be >= 1, got {self.points}")
         if self.instances < 1:

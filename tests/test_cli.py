@@ -216,6 +216,12 @@ def test_vdc_selftest_cli():
     ["expsum", "--rho", "1.5", "--Nmin", "1", "--Nmax", "1" + "0" * 320],
     # a repeated rho would repeat rows in average and chain, not in expsum
     ["average", "--rho", "2,1.5,2", "--Nmin", "64", "--Nmax", "64", "--seeds", "1"],
+    # a bad n fails by its own name, not by a key its subcommand does not take
+    ["expsum", "--N", "0"],
+    ["deviation", "--N", "-2"],
+    ["generate", "--n", "-1"],
+    # no float64 lies inside (a, 1/2), the range of the default b
+    ["correlation", "--a", "0.49999999999999994"],
 ])
 def test_bad_input_exits_with_one_line(args):
     t0 = time.perf_counter()
@@ -238,6 +244,10 @@ def test_bad_input_exits_with_one_line(args):
         assert "seed_base" in r.stderr
     if "--workers" in args:
         assert "workers must be >= 1" in r.stderr
+    if args[-2:] in (["--N", "0"], ["--N", "-2"], ["--n", "-1"]):
+        assert f"n must be >= 1, got {args[-1]}" in r.stderr
+    if args[1:] == ["--a", "0.49999999999999994"]:
+        assert "the range of b" in r.stderr
     if args[1:] == ["--f", "foo"]:
         assert "unknown rotation observable 'foo'; choose from e, e_shifted, const, coboundary" in r.stderr
     if "--seed" in args:

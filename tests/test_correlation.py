@@ -79,6 +79,20 @@ def test_default_midpoints(a, delta):
     assert WeightParams(a, delta) == WeightParams(a, delta, 0.5 * (a + 0.5), 0.5 * (2.0 * a + 1.0))
 
 
+def test_default_midpoints_next_to_one_half():
+    # the float64 below 1/2 leaves no float64 inside (a, 1/2) or (2a, 1): the
+    # error names a and the empty range, not a b or c the caller never gave
+    a = math.nextafter(0.5, 0.0)
+    with pytest.raises(ValueError, match=rf"^a={a} leaves no float64 inside \({a}, 0\.5\), the range of b$"):
+        WeightParams(a)
+    with pytest.raises(ValueError, match=r"the range of c$"):
+        WeightParams(a, b=0.4)
+    # one float64 further down, both ranges hold a float64 and the midpoints find it
+    a = math.nextafter(a, 0.0)
+    wp = WeightParams(a)
+    assert a < wp.b < 0.5 and 2.0 * a < wp.c_exponent < 1.0
+
+
 def test_weight_series_requires_matching_a(p32, wparams):
     r = generate_realization(SelectorParams(a=0.25, seed=1, n_max=100))
     with pytest.raises(ValueError):
